@@ -29,9 +29,10 @@ from .bounds import (
     required_agents_goods,
 )
 from .mms import find_allocation_meeting, maximin_partition, mms_value, mu_vector
+from .pipeline import SolveOutcome
 from .reductions import ReductionStep, ReductionTrace, verify_step
 from .solver_chores import solve_chores
-from .solver_goods import SolveOutcome, solve, solve_c6, solve_c7
+from .solver_goods import solve, solve_c6, solve_c7
 
 __all__ = [
     "BoundParams",

@@ -28,7 +28,7 @@ from .core import (
     to_ordered,
     validate_allocation,
 )
-from .errors import MmsError, TooLarge
+from .errors import InternalInvariantViolation, MmsError
 from .mms import DEFAULT_EXHAUSTIVE_CAP, mms_value
 from .reductions import trace_from_json, trace_to_json, verify_trace
 from .solver_chores import solve_chores
@@ -40,8 +40,6 @@ class RunConfig:
     seed: int = 0
     count: int = 1
     max_value: int = 20
-    oracle_cap: int = DEFAULT_EXHAUSTIVE_CAP
-    bound_overrides: tuple = ()
 
     def __post_init__(self):
         if self.count < 1:
@@ -106,55 +104,57 @@ def cmd_solve(input_path: Path, trace_out: Path | None, oracle: str, cap: int) -
     return 0
 
 
-def cmd_verify(instance_path: Path, result_path: Path, skip_mu: bool, cap: int) -> int:
+def cmd_verify(instance_path: Path, result_path: Path) -> int:
+    """Check a solved outcome against the instance; every check is required.
+
+    The trace is replayed against the companion instance recomputed from
+    the instance file, never against the outcome's own copy of it.
+    """
     inst = instance_from_json(instance_path.read_text())
     doc = json.loads(result_path.read_text())
+    if not (
+        isinstance(doc, dict)
+        and doc.get("status") == "solved"
+        and doc.get("allocation") is not None
+        and doc.get("trace") is not None
+    ):
+        print("result: not a solved outcome with an allocation and a trace: FAIL")
+        return 2
     failures = 0
 
-    allocation = None
-    if "allocation" in doc:
-        allocation = allocation_from_json(json.dumps(doc["allocation"]))
-        try:
-            validate_allocation(inst, allocation)
-            print("allocation: partitions all items, no overlaps: pass")
-        except MmsError as exc:
-            print(f"allocation: structural check failed: {exc}")
-            failures += 1
+    allocation = allocation_from_json(json.dumps(doc["allocation"]))
+    try:
+        validate_allocation(inst, allocation)
+        print("allocation: partitions all items, no overlaps: pass")
+    except MmsError as exc:
+        print(f"allocation: structural check failed: {exc}")
+        failures += 1
 
-    if "trace" in doc:
-        trace = trace_from_json(json.dumps(doc["trace"]))
-        base = doc.get("ordered")
-        replay = instance_from_json(json.dumps(base)) if base else inst
-        for pos, (rule, ok) in enumerate(verify_trace(replay, trace), start=1):
-            if ok:
-                print(f"trace step {pos} ({rule}): valid")
-            else:
-                print(f"trace step {pos} ({rule}): INVALID")
-                failures += 1
-        covered = set()
-        for step in trace.steps:
-            covered |= set().union(*[set(b) for _, b in step.assignments])
-        for b in trace.final:
-            covered |= b
-        remaining = replay.n - sum(len(s.agents()) for s in trace.steps)
-        if covered == set(range(1, replay.m + 1)) and len(trace.final) == remaining:
-            print("trace: steps plus final cover every item exactly once: pass")
+    trace = trace_from_json(json.dumps(doc["trace"]))
+    replay = to_ordered(inst).instance
+    for pos, (rule, ok) in enumerate(verify_trace(replay, trace), start=1):
+        if ok:
+            print(f"trace step {pos} ({rule}): valid")
         else:
-            print("trace: coverage check failed")
+            print(f"trace step {pos} ({rule}): INVALID")
             failures += 1
+    covered = set().union(*trace.final)
+    for step in trace.steps:
+        covered |= step.items()
+    remaining = replay.n - sum(len(s.agents()) for s in trace.steps)
+    if covered == set(range(1, replay.m + 1)) and len(trace.final) == remaining:
+        print("trace: steps plus final cover every item exactly once: pass")
+    else:
+        print("trace: coverage check failed")
+        failures += 1
 
-    if allocation is not None and not skip_mu:
-        for i in range(1, inst.n + 1):
-            try:
-                mu = mms_value(inst, i, cap=cap).mu
-            except TooLarge:
-                print(f"agent {i}: mu oracle over cap (use --skip-mu)")
-                return 1
-            got = bundle_value(inst, i, allocation[i - 1])
-            verdict = "pass" if got >= mu else "FAIL"
-            print(f"agent {i}: mu = {mu}, received = {got}: {verdict}")
-            if got < mu:
-                failures += 1
+    for i in range(1, inst.n + 1):
+        mu = mms_value(inst, i).mu
+        got = bundle_value(inst, i, allocation[i - 1])
+        verdict = "pass" if got >= mu else "FAIL"
+        print(f"agent {i}: mu = {mu}, received = {got}: {verdict}")
+        if got < mu:
+            failures += 1
 
     return 0 if failures == 0 else 2
 
@@ -164,8 +164,6 @@ def _parse_alpha(text: str) -> Fraction:
 
 
 def cmd_bound(c: int, kind: str, params: BoundParams, overrides: tuple) -> int:
-    from .errors import InternalInvariantViolation
-
     if kind == GOODS:
         table = BoundTable(params=params, goods_overrides=overrides)
         n_c, req_of, lo = table.n_c_goods(c), table.required_agents_goods, 7
@@ -216,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verify an outcome against its instance")
     v.add_argument("--instance", type=Path, required=True)
     v.add_argument("--result", type=Path, required=True)
-    v.add_argument("--skip-mu", action="store_true")
-    v.add_argument("--oracle-cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
 
     b = sub.add_parser("bound", help="print the agent-count threshold for c")
     b.add_argument("--c", type=int, required=True)
@@ -250,7 +246,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(args.input, args.trace_out, args.oracle, args.oracle_cap)
         if args.command == "verify":
-            return cmd_verify(args.instance, args.result, args.skip_mu, args.oracle_cap)
+            return cmd_verify(args.instance, args.result)
         if args.command == "bound":
             kwargs = {}
             if args.alpha_goods is not None:

@@ -8,11 +8,11 @@ wherever the exhaustive route is feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import CHORES, GOODS, Instance, OrderedInstance, bundle_value
+from .core import CHORES, GOODS, Instance, OrderedInstance
 from .errors import InternalInvariantViolation, TooLarge
 
 DEFAULT_EXHAUSTIVE_CAP = 10**8
@@ -31,7 +31,6 @@ class StructuredPartition:
 
     partition: tuple
     singleton_count: int
-    normalized: bool = False  # a stray size-2 bundle was rewritten to {n, n+1}
 
 
 def _scaled_row(row) -> tuple:
@@ -321,12 +320,10 @@ def _structured(ordered: OrderedInstance, agent: int, mu) -> StructuredPartition
 
 
 def structured_partition_goods(
-    ordered: OrderedInstance, agent: int, mu=None
+    ordered: OrderedInstance, agent: int, mu
 ) -> StructuredPartition:
     if ordered.kind != GOODS:
         raise ValueError("goods instance required")
-    if mu is None:
-        mu = mms_value(ordered.instance, agent).mu
     sp = _structured(ordered, agent, mu)
     n = ordered.n
     k = count_high_items(ordered, agent, mu) if mu > 0 else ordered.m
@@ -343,7 +340,6 @@ def normalize_pair_bundle(partition: tuple, n: int) -> tuple:
 
     Swaps the pair's chores with n and n+1 wherever they sit; bundle
     cardinalities and the positions of chores 1..n-1 are unchanged.
-    Returns (partition, changed flag).
     """
     target = None
     for b in partition:
@@ -351,30 +347,25 @@ def normalize_pair_bundle(partition: tuple, n: int) -> tuple:
             target = b
             break
     if target is None or target == frozenset({n, n + 1}):
-        return partition, False
+        return partition
     x, y = sorted(target)
     swap = {}
     if x != n:
         swap[x], swap[n] = n, x
     if y != n + 1:
         swap[y], swap[n + 1] = n + 1, y
-    out = tuple(frozenset(swap.get(j, j) for j in b) for b in partition)
-    return out, True
+    return tuple(frozenset(swap.get(j, j) for j in b) for b in partition)
 
 
 def structured_partition_chores(
-    ordered: OrderedInstance, agent: int, mu=None
+    ordered: OrderedInstance, agent: int, mu
 ) -> StructuredPartition:
     if ordered.kind != CHORES:
         raise ValueError("chores instance required")
-    if mu is None:
-        mu = mms_value(ordered.instance, agent).mu
     sp = _structured(ordered, agent, mu)
-    partition, changed = normalize_pair_bundle(sp.partition, ordered.n)
     return StructuredPartition(
-        partition=partition,
+        partition=normalize_pair_bundle(sp.partition, ordered.n),
         singleton_count=sp.singleton_count,
-        normalized=changed,
     )
 
 
@@ -436,55 +427,3 @@ def find_allocation_meeting(
         parts[b].add(pos + 1)
     return tuple(frozenset(p) for p in parts)
 
-
-def partition_with_sizes(instance: Instance, agent: int, items, sizes, mu):
-    """A partition of `items` into bundles of the given sizes, each >= mu.
-
-    Exact depth-first search; returns a tuple of frozensets (in the order of
-    `sizes`) or None.  Used for the fixed-cardinality case analyses.
-    """
-    items = sorted(items)
-    if sum(sizes) != len(items):
-        return None
-    row = instance.row(agent)
-    k = len(sizes)
-    caps = list(sizes)
-    parts = [[] for _ in range(k)]
-    vals = [Fraction(0)] * k
-    # most-valuable-first keeps pruning effective
-    order = sorted(items, key=lambda j: (-abs(row[j - 1]), j))
-    remaining = [Fraction(0)] * (len(order) + 1)
-    if instance.kind == GOODS:
-        for t in range(len(order) - 1, -1, -1):
-            remaining[t] = remaining[t + 1] + row[order[t] - 1]
-
-    def dfs(t: int) -> bool:
-        if t == len(order):
-            return all(vals[b] >= mu for b in range(k))
-        if instance.kind == GOODS:
-            need = sum(
-                mu - vals[b] for b in range(k) if vals[b] < mu
-            )
-            if need > remaining[t]:
-                return False
-        j = order[t]
-        tried = set()
-        for b in range(k):
-            if len(parts[b]) >= caps[b]:
-                continue
-            sig = (caps[b] - len(parts[b]), caps[b], vals[b])
-            if sig in tried:
-                continue
-            tried.add(sig)
-            parts[b].append(j)
-            vals[b] += row[j - 1]
-            if instance.kind != CHORES or vals[b] >= mu:
-                if dfs(t + 1):
-                    return True
-            vals[b] -= row[j - 1]
-            parts[b].pop()
-        return False
-
-    if not dfs(0):
-        return None
-    return tuple(frozenset(p) for p in parts)

@@ -30,8 +30,6 @@ RULE_PIGEONHOLE_PAIR = "pigeonhole_pair"
 RULE_PAIR_FROM_HIGH = "pair_from_high"
 RULE_DOMINATION = "domination"
 RULE_EFM_BATCH = "efm_batch"
-RULE_IDENTICAL_PARTITION_BASE = "identical_partition_base"
-RULE_TWO_AGENT_BASE = "two_agent_base"
 
 ALL_RULES = (
     RULE_SINGLE_ITEM,
@@ -40,8 +38,6 @@ ALL_RULES = (
     RULE_PAIR_FROM_HIGH,
     RULE_DOMINATION,
     RULE_EFM_BATCH,
-    RULE_IDENTICAL_PARTITION_BASE,
-    RULE_TWO_AGENT_BASE,
 )
 
 
@@ -247,41 +243,22 @@ def reduce_by_domination(ordered: OrderedInstance, group, kind: str, mu) -> Redu
     return make_step(RULE_DOMINATION, awards)
 
 
-def base_identical_partitions(instance: Instance, mu) -> tuple | None:
-    """Full allocation when n <= 2 or n-1 agents share a witness partition.
+def base_identical_partitions(instance: Instance) -> tuple:
+    """Full allocation for one or two agents.
 
-    The odd agent out picks her favorite bundle first; since her total value
-    is at least n times her share, her best of n bundles clears the bar.
+    A single agent takes everything.  With two, agent 2 takes her better
+    bundle of agent 1's witness partition and agent 1 the other: her total
+    is at least twice her share, so her better half clears it, and each
+    witness bundle clears agent 1's share.
     """
-    n = instance.n
-    if n == 0:
-        return None
-    if n == 1:
+    if instance.n == 1:
         return (frozenset(range(1, instance.m + 1)),)
-    witnesses = {}
-    for i in range(1, n + 1):
-        witnesses[i] = frozenset(mms_value(instance, i).witness)
-    for holder in range(1, n + 1):
-        sharers = [i for i in range(1, n + 1) if witnesses[i] == witnesses[holder]]
-        if len(sharers) < n - 1 and n > 2:
-            continue
-        shared = witnesses[holder]
-        odd = next((i for i in range(1, n + 1) if i not in sharers), None)
-        bundles = sorted(shared, key=lambda b: tuple(sorted(b)))
-        # With n = 2 the non-holder takes her better of the two bundles.
-        picker = odd if odd is not None else next(i for i in sharers if i != holder)
-        order = sorted(
-            bundles,
-            key=lambda b: (-bundle_value(instance, picker, b), tuple(sorted(b))),
-        )
-        allocation = [None] * n
-        allocation[picker - 1] = order[0]
-        rest = iter(order[1:])
-        for i in range(1, n + 1):
-            if allocation[i - 1] is None:
-                allocation[i - 1] = next(rest)
-        return tuple(allocation)
-    return None
+    witness = mms_value(instance, 1).witness
+    order = sorted(
+        witness,
+        key=lambda b: (-bundle_value(instance, 2, b), tuple(sorted(b))),
+    )
+    return (order[1], order[0])
 
 
 # --- application and verification -------------------------------------------

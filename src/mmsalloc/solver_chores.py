@@ -1,13 +1,14 @@
-"""End-to-end constructive solver for chores instances.
+"""Chores steps of the constructive solver.
 
-Structure mirrors the goods solver but the key facts flip direction: any
-single chore is acceptable to every agent (it costs no more than the bundle
-containing it in her own witness partition), witness partitions can be
-normalized to carry their singletons on the worst chores, and domination
-awards the *worse* of two comparable bundles.  Small instances with few
-leftover chores are finished by structured-witness base cases; large agent
-counts go through shared tail-bundle groups; anything else falls back to an
-exhaustive threshold search.  Results are certified before being reported.
+``solve_chores`` runs the shared pipeline (``mmsalloc.pipeline``) with this
+module's step.  The key facts flip direction from goods: any single chore
+is acceptable to every agent (it costs no more than the bundle containing
+it in her own witness partition), witness partitions can be normalized to
+carry their singletons on the worst chores, and domination awards the
+*worse* of two comparable bundles.  Small instances with few leftover
+chores are finished by structured-witness base cases; large agent counts
+go through shared tail-bundle groups; anything else falls back to the
+pipeline's exhaustive threshold search.
 """
 
 from __future__ import annotations
@@ -15,32 +16,28 @@ from __future__ import annotations
 from .bounds import (
     DEFAULT_TABLE,
     BoundTable,
-    n_c_chores,  # noqa: F401  (re-exported: thresholds belong with the solver)
-    required_agents_chores,  # noqa: F401
 )
 from .core import (
     CHORES,
     Instance,
     bundle_value,
-    lift_allocation,
-    to_ordered,
 )
 from .domination import TailBundle, group_tail_bundles
-from .errors import PreconditionUnmet, TooLarge
+from .errors import PreconditionUnmet
 from .mms import (
     DEFAULT_EXHAUSTIVE_CAP,
-    find_allocation_meeting,
-    mms_value,
-    mu_vector,
+    # Unused here; kept so that every solver module carries an mms_value
+    # binding for the bench's tracer to patch, which
+    # test_tracing_patches_every_binding_and_restores_it asserts.
+    mms_value,  # noqa: F401
     structured_partition_chores,
 )
+from .pipeline import CONTINUE, Pipeline, SolveOutcome, run
 from .reductions import (
-    base_identical_partitions,
     make_step,
     reduce_by_domination,
     reduce_pair_blockable,
 )
-from .solver_goods import Pipeline, SolveOutcome
 
 
 def known_solvable_chores(n: int, m: int, table: BoundTable = DEFAULT_TABLE) -> bool:
@@ -54,12 +51,6 @@ def known_solvable_chores(n: int, m: int, table: BoundTable = DEFAULT_TABLE) -> 
     return n <= 2 or m <= n or c <= 5 or n >= table.n_c_chores(c)
 
 
-def _singleton_final(cur: Instance):
-    return tuple(
-        frozenset({i}) if i <= cur.m else frozenset() for i in range(1, cur.n + 1)
-    )
-
-
 def _chores_witness_base(pipe: Pipeline, mu):
     """Finish or shrink via a witness packed with singleton chores.
 
@@ -68,7 +59,7 @@ def _chores_witness_base(pipe: Pipeline, mu):
     singletons and a pair among the two residue bundles, either some other
     agent takes the pair (full allocation) or nobody would, in which case
     the pair is unblockable and reduces the instance.  Returns
-    ("solved", final), ("continue",) after pushing a step, or None.
+    ("solved", final), CONTINUE after pushing a step, or None.
     """
     cur = pipe.current
     view = pipe.view()
@@ -106,7 +97,7 @@ def _chores_witness_base(pipe: Pipeline, mu):
                 return ("solved", tuple(alloc))
             pipe.note("chores_base:pair_to_self")
             pipe.push(make_step("pair_blockable", {i: pair}))
-            return ("continue",)
+            return CONTINUE
     return None
 
 
@@ -136,52 +127,24 @@ def _chores_tail_step(pipe: Pipeline, mu, table: BoundTable):
     return None
 
 
-def _drive(pipe: Pipeline, cap: int, table: BoundTable):
-    while True:
-        cur = pipe.current
-        n, m = cur.n, cur.m
-        if n == 0:
-            if m:
-                return ("unresolved", None, "chores left with no agents")
-            return ("solved", tuple(), "")
-        if n <= 2:
-            mu = mu_vector(cur)
-            alloc = base_identical_partitions(cur, mu)
-            if alloc is None:
-                return ("unresolved", None, "two-agent base failed")
-            pipe.note("base:two-agent")
-            return ("solved", alloc, "")
-        if m <= n:
-            pipe.note("chores_base:one-each")
-            return ("solved", _singleton_final(cur), "")
-        mu = mu_vector(cur)
-        step = reduce_pair_blockable(cur, mu)
-        if step is not None and known_solvable_chores(
-            n - len(step.agents()), m - len(step.items()), table
-        ):
-            pipe.push(step)
-            continue
-        result = _chores_witness_base(pipe, mu)
-        if result is not None:
-            if result[0] == "continue":
-                continue
-            return ("solved", result[1], "")
-        step = _chores_tail_step(pipe, mu, table)
-        if step is not None:
-            pipe.push(step)
-            continue
-        try:
-            final = find_allocation_meeting(cur, mu, cap)
-        except TooLarge:
-            return (
-                "unresolved",
-                None,
-                f"no constructive route at {n}x{m} and beyond the search cap",
-            )
-        if final is None:
-            return ("unresolved", None, f"no allocation meets all shares at {n}x{m}")
-        pipe.note("fallback:threshold-search")
-        return ("solved", final, "")
+def _step(pipe: Pipeline, mu, cap: int, table: BoundTable):
+    """One chores step: the guarded blockable pair, the witness bases, then
+    the tail groups.  ``cap`` is unused; chores have no scripted search."""
+    cur = pipe.current
+    step = reduce_pair_blockable(cur, mu)
+    if step is not None and known_solvable_chores(
+        cur.n - len(step.agents()), cur.m - len(step.items()), table
+    ):
+        pipe.push(step)
+        return CONTINUE
+    result = _chores_witness_base(pipe, mu)
+    if result is not None:
+        return result
+    step = _chores_tail_step(pipe, mu, table)
+    if step is not None:
+        pipe.push(step)
+        return CONTINUE
+    return None
 
 
 def solve_chores(
@@ -190,38 +153,7 @@ def solve_chores(
     table: BoundTable = DEFAULT_TABLE,
 ) -> SolveOutcome:
     """Solve a chores instance, certifying the result before reporting it."""
-    if instance.kind != CHORES:
-        raise ValueError("chores instance required")
-    ordered = to_ordered(instance)
-    pipe = Pipeline(ordered.instance)
-    status, final, reason = _drive(pipe, cap, table)
-    diagnostic = "; ".join(pipe.notes)
-    if status != "solved":
-        return SolveOutcome(
-            status="unresolved",
-            allocation=None,
-            trace=None,
-            diagnostic="; ".join(filter(None, [diagnostic, reason])),
-            ordered=ordered,
-        )
-    trace, companion_alloc = pipe.finish(final)
-    allocation = lift_allocation(ordered, companion_alloc, instance)
-    for i in range(1, instance.n + 1):
-        target = mms_value(instance, i).mu
-        if bundle_value(instance, i, allocation[i - 1]) < target:
-            return SolveOutcome(
-                status="unresolved",
-                allocation=None,
-                trace=trace,
-                diagnostic=f"certification failed for agent {i}; " + diagnostic,
-                ordered=ordered,
-                ordered_allocation=companion_alloc,
-            )
-    return SolveOutcome(
-        status="solved",
-        allocation=allocation,
-        trace=trace,
-        diagnostic=diagnostic,
-        ordered=ordered,
-        ordered_allocation=companion_alloc,
+    return run(
+        instance, CHORES, _step, cap, table,
+        "chores_base:one-each", " and beyond the search cap",
     )

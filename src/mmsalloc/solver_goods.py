@@ -1,33 +1,24 @@
-"""End-to-end constructive solver for goods instances.
+"""Goods steps of the constructive solver.
 
-The dispatcher sorts the instance, then repeatedly shrinks it with valid
-reductions until a base case yields a full allocation of the residual.
+``solve`` runs the shared pipeline (``mmsalloc.pipeline``) with this
+module's step, which shrinks the sorted residual with valid reductions.
 Scripted case analyses handle the two delicate sizes (four agents with ten
 goods, eight agents with fifteen goods); a counting argument over shared
-tail bundles handles large agent counts; everything else falls back to an
-exhaustive threshold search below the oracle cap.  Results are certified
-against independently recomputed maximin shares before being reported as
-solved — an uncertified result is returned as unresolved, never as solved.
+tail bundles handles large agent counts; everything else falls back to the
+pipeline's exhaustive threshold search below the oracle cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .bounds import (
     DEFAULT_TABLE,
     BoundTable,
-    n_c_goods,  # noqa: F401  (re-exported: thresholds belong with the solver)
-    required_agents_goods,  # noqa: F401
 )
 from .core import (
     GOODS,
     Instance,
     OrderedInstance,
     bundle_value,
-    lift_allocation,
-    to_ordered,
 )
 from .domination import TailBundle, group_tail_bundles
 from .errors import (
@@ -35,7 +26,6 @@ from .errors import (
     NEqualsThree,
     PreconditionUnmet,
     TooFewAgents,
-    TooLarge,
 )
 from .matching import BipartiteGraph, hall_deficient_split, max_matching, envy_free_matching
 from .mms import (
@@ -44,9 +34,9 @@ from .mms import (
     find_allocation_meeting,
     maximin_partition,
     mms_value,
-    mu_vector,
     structured_partition_goods,
 )
+from .pipeline import CONTINUE, Pipeline, SolveOutcome, run
 from .reductions import (
     RULE_DOMINATION,
     RULE_EFM_BATCH,
@@ -54,94 +44,13 @@ from .reductions import (
     RULE_PIGEONHOLE_PAIR,
     RULE_SINGLE_ITEM,
     ReductionStep,
-    ReductionTrace,
-    apply_with_maps,
-    base_identical_partitions,
     make_step,
+    reduce_by_domination,
     reduce_pair_blockable,
     reduce_pair_from_high,
     reduce_pigeonhole_pair,
     reduce_single_item,
 )
-
-
-@dataclass(frozen=True)
-class SolveOutcome:
-    """Result of a solve run.
-
-    ``allocation`` is in original-instance coordinates; ``trace`` and
-    ``ordered_allocation`` refer to the sorted companion instance, whose
-    per-agent item permutations make an item-faithful translation of trace
-    steps back to the original impossible.
-    """
-
-    status: str  # "solved" | "unresolved"
-    allocation: tuple | None
-    trace: ReductionTrace | None
-    diagnostic: str
-    ordered: OrderedInstance | None = None
-    ordered_allocation: tuple | None = None
-
-
-class Pipeline:
-    """Accumulates reduction steps against a shrinking ordered instance.
-
-    Steps are pushed in current-residual coordinates and stored translated
-    to the companion (fully ordered) instance, so the finished trace can be
-    replayed against it.
-    """
-
-    def __init__(self, companion: Instance):
-        self.companion = companion
-        self.current = companion
-        self.agent_ids = list(range(1, companion.n + 1))
-        self.item_ids = list(range(1, companion.m + 1))
-        self.steps: list = []
-        self.awards: dict = {}
-        self.notes: list = []
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
-
-    def view(self) -> OrderedInstance:
-        ranks = tuple(
-            tuple(range(1, self.current.m + 1)) for _ in range(self.current.n)
-        )
-        return OrderedInstance(instance=self.current, source_ranks=ranks)
-
-    def push(self, step: ReductionStep) -> None:
-        translated = make_step(
-            step.rule,
-            {
-                self.agent_ids[a - 1]: frozenset(self.item_ids[j - 1] for j in b)
-                for a, b in step.assignments
-            },
-        )
-        self.steps.append(translated)
-        for a, b in translated.assignments:
-            self.awards[a] = b
-        residual, agent_map, item_map = apply_with_maps(self.current, step)
-        self.agent_ids = [
-            self.agent_ids[agent_map[i] - 1] for i in range(1, residual.n + 1)
-        ]
-        self.item_ids = [
-            self.item_ids[item_map[j] - 1] for j in range(1, residual.m + 1)
-        ]
-        self.current = residual
-
-    def finish(self, final_current):
-        """Translate a final residual allocation and close the trace."""
-        final = tuple(
-            frozenset(self.item_ids[j - 1] for j in b) for b in final_current
-        )
-        trace = ReductionTrace(steps=tuple(self.steps), final=final)
-        full = {a: b for a, b in self.awards.items()}
-        for pos, b in enumerate(final):
-            full[self.agent_ids[pos]] = b
-        allocation = tuple(
-            full.get(i, frozenset()) for i in range(1, self.companion.n + 1)
-        )
-        return trace, allocation
 
 
 def known_solvable_goods(n: int, m: int, table: BoundTable = DEFAULT_TABLE) -> bool:
@@ -202,15 +111,24 @@ def mostly_overlapping_pair(ordered: OrderedInstance, mu, pivot: int, pairs) -> 
         if len(bundle) != 2 or pivot not in bundle:
             raise PreconditionUnmet("pair must be the pivot plus one good")
         companion[agent] = max(bundle - {pivot})
-    worst = max(companion.values())
-    owner = min(a for a, x in companion.items() if x == worst)
-    bundle = frozenset({pivot, worst})
-    recipient = owner
-    if missing:
-        e = missing[0]
-        if bundle_value(cur, e, bundle) >= mu[e - 1]:
-            recipient = e
+    bundle, recipient = _worst_pivot_pair(cur, mu, pivot, companion, missing)
     return make_step(RULE_DOMINATION, {recipient: bundle})
+
+
+def _worst_pivot_pair(cur: Instance, mu, pivot: int, companion, missing):
+    """The pivot pair with the worst companion good, and who receives it.
+
+    ``companion`` maps agents to the other good of their pivot pair.  The
+    worst pair is dominated by every other one, so it goes to its
+    lowest-id owner, unless the first agent of ``missing`` (agents without
+    a pair) clears her share with it.  Returns (bundle, recipient).
+    """
+    worst = max(companion.values())
+    recipient = min(a for a, x in companion.items() if x == worst)
+    bundle = frozenset({pivot, worst})
+    if missing and bundle_value(cur, missing[0], bundle) >= mu[missing[0] - 1]:
+        recipient = missing[0]
+    return bundle, recipient
 
 
 def reduce_2n2(ordered: OrderedInstance, mu) -> ReductionStep:
@@ -247,7 +165,7 @@ def reduce_2n2(ordered: OrderedInstance, mu) -> ReductionStep:
 
 # --- envy-free matching step -------------------------------------------------
 
-def efm_step(ordered: OrderedInstance, agent: int, witness, mu):
+def efm_step(pipe: Pipeline, agent: int, part, mu):
     """Allocate via matching when one agent's partition is nearly all small.
 
     Requires at least n - 1 bundles of size below three in the witness.  A
@@ -255,12 +173,11 @@ def efm_step(ordered: OrderedInstance, agent: int, witness, mu):
     outright.  Otherwise a Hall-deficient agent set is carved off, an
     envy-free matching is found among the rest on the small bundles, and
     every matched agent is removed: size-2 bundles as-is, size-1 bundles
-    padded with the worst remaining good.  Returns ("allocation", a) or
-    ("step", s).
+    padded with the worst remaining good.  Returns ("solved", a) or pushes
+    the batch step and returns CONTINUE.
     """
-    cur = ordered.instance
+    cur = pipe.current
     n, m = cur.n, cur.m
-    part = witness.partition if isinstance(witness, StructuredPartition) else witness
     if mu[agent - 1] == 0:
         raise PreconditionUnmet("zero-share agents are handled by the pigeonhole pair")
     small = [idx for idx, b in enumerate(part) if len(b) <= 2]
@@ -285,7 +202,7 @@ def efm_step(ordered: OrderedInstance, agent: int, witness, mu):
         alloc = [None] * n
         for x, y in mm.pairs:
             alloc[x - 1] = part[y - 1]
-        return ("allocation", tuple(alloc))
+        return ("solved", tuple(alloc))
 
     others = [i for i in range(1, n + 1) if i != agent]
     g2 = BipartiteGraph.from_edges(
@@ -312,7 +229,7 @@ def efm_step(ordered: OrderedInstance, agent: int, witness, mu):
         alloc[agent - 1] = part[leftover[0]]
         if len(leftover) != 1:
             raise InternalInvariantViolation("expected exactly one unmatched bundle")
-        return ("allocation", tuple(alloc))
+        return ("solved", tuple(alloc))
 
     blocked_x, blocked_y = split
     x3 = [i for xi, i in enumerate(others) if (xi + 1) not in blocked_x]
@@ -346,7 +263,8 @@ def efm_step(ordered: OrderedInstance, agent: int, witness, mu):
         else:
             awards[aid] = b | {pads[pi]}
             pi += 1
-    return ("step", make_step(RULE_EFM_BATCH, awards))
+    pipe.push(make_step(RULE_EFM_BATCH, awards))
+    return CONTINUE
 
 
 # --- large-n tail grouping ---------------------------------------------------
@@ -359,7 +277,7 @@ def _tail_bundle(sp: StructuredPartition, n: int):
     return min(tails, key=lambda b: tuple(sorted(b)))
 
 
-def tail_group_step(ordered: OrderedInstance, c: int, mu, table: BoundTable = DEFAULT_TABLE):
+def tail_group_step(pipe: Pipeline, c: int, mu, table: BoundTable = DEFAULT_TABLE):
     """One reduction for large agent counts via shared tail-bundle groups.
 
     Every agent's max-singleton witness has a bundle inside the last c + 1
@@ -367,9 +285,11 @@ def tail_group_step(ordered: OrderedInstance, c: int, mu, table: BoundTable = DE
     tails force a nearly-all-small witness and the matching step; otherwise
     the k-sized tails are grouped by shared (k-1)-subsets and a group
     reaching max(c-k+1, n_{c-k+1}+1) members fires the domination award.
-    Returns ("step", s), ("allocation", a), or None when nothing triggers.
+    Pushes a step and returns CONTINUE, returns ("solved", a), or returns
+    None when nothing triggers.
     """
-    cur = ordered.instance
+    ordered = pipe.view()
+    cur = pipe.current
     n = cur.n
     tails = {}
     parts = {}
@@ -379,17 +299,15 @@ def tail_group_step(ordered: OrderedInstance, c: int, mu, table: BoundTable = DE
         tb = _tail_bundle(sp, n)
         if mu[i - 1] == 0 or tb is None or len(tb) <= 2:
             if cur.m >= n + 1:
-                return (
-                    "step",
-                    make_step(RULE_PIGEONHOLE_PAIR, {i: {n, n + 1}}),
-                )
+                pipe.push(make_step(RULE_PIGEONHOLE_PAIR, {i: {n, n + 1}}))
+                return CONTINUE
             return None
         tails[i] = tb
     for i in range(1, n + 1):
         if len(tails[i]) >= c - 1:
             sp = parts[i]
             if sum(1 for b in sp.partition if len(b) <= 2) >= n - 1:
-                return efm_step(ordered, i, sp, mu)
+                return efm_step(pipe, i, sp.partition, mu)
     for k in range(3, c - 1):
         threshold = max(c - k + 1, table.n_c_goods(c - k + 1) + 1)
         sized = [TailBundle(i, b) for i, b in tails.items() if len(b) == k]
@@ -397,12 +315,12 @@ def tail_group_step(ordered: OrderedInstance, c: int, mu, table: BoundTable = DE
         for key in sorted(groups, key=lambda s: tuple(sorted(s))):
             grp = groups[key]
             if len({t.agent for t in grp}) >= threshold:
-                from .reductions import reduce_by_domination
-
                 try:
-                    return ("step", reduce_by_domination(ordered, grp, GOODS, mu))
+                    step = reduce_by_domination(ordered, grp, GOODS, mu)
                 except PreconditionUnmet:
                     continue
+                pipe.push(step)
+                return CONTINUE
     return None
 
 
@@ -424,7 +342,7 @@ def _threshold_final(pipe: Pipeline, removed_items, kept_agents, thresholds, cap
 def _solve_4x10(pipe: Pipeline, mu, cap: int):
     """Case analysis for four agents and ten goods.
 
-    Returns ("continue",), ("solved", final_alloc_in_current_coords) or
+    Returns CONTINUE, ("solved", final_alloc_in_current_coords) or
     ("unresolved", reason).
     """
     cur = pipe.current
@@ -434,20 +352,20 @@ def _solve_4x10(pipe: Pipeline, mu, cap: int):
     if not h1:
         pipe.note("c6:packed-pairs")
         pipe.push(reduce_2n2(view, mu))
-        return ("continue",)
+        return CONTINUE
     if len(h1) == 1:
         step = reduce_pair_from_high(view, mu)
         if step is None:
             raise InternalInvariantViolation("unique top-good valuer must fire")
         pipe.note("c6:unique-top")
         pipe.push(step)
-        return ("continue",)
+        return CONTINUE
     if h2:
         i = h2[0]
         other = next(a for a in h1 if a != i)
         pipe.note("c6:two-singles")
         pipe.push(make_step(RULE_SINGLE_ITEM, {other: {1}, i: {2}}))
-        return ("continue",)
+        return CONTINUE
     # Two or more agents accept good 1, nobody accepts good 2: one of the
     # good-1 claimants can be paid off so that the rest still split the
     # remaining nine goods up to their old shares.
@@ -491,8 +409,8 @@ def _solve_8x15(pipe: Pipeline, mu, cap: int):
     for i in range(1, 9):
         if cur.value(i, 3) < mu[i - 1]:
             sp = structured_partition_goods(view, i, mu[i - 1])
-            result = efm_step(view, i, sp, mu)
-            return _apply_efm_result(pipe, result, "c7:low-third")
+            pipe.note("c7:low-third")
+            return efm_step(pipe, i, sp.partition, mu)
 
     h6 = [i for i in range(1, 9) if cur.value(i, 6) >= mu[i - 1]]
     if h6:
@@ -503,14 +421,14 @@ def _solve_8x15(pipe: Pipeline, mu, cap: int):
         if not h5_others:
             pipe.note("c7:sixth-good-unique")
             pipe.push(make_step(RULE_PAIR_FROM_HIGH, {i: {6, 15}}))
-            return ("continue",)
+            return CONTINUE
         if len(h5_others) == 1:
             ip = h5_others[0]
             pipe.note("c7:sixth-fifth-pairs")
             pipe.push(
                 make_step(RULE_PAIR_FROM_HIGH, {i: {6, 14}, ip: {5, 15}})
             )
-            return ("continue",)
+            return CONTINUE
         ip, ipp = h5_others[0], h5_others[1]
         rest = [a for a in range(1, 9) if a not in (i, ip, ipp)][:3]
         awards = {i: {6}, ip: {5}, ipp: {4}}
@@ -518,27 +436,18 @@ def _solve_8x15(pipe: Pipeline, mu, cap: int):
             awards[a] = {pos}
         pipe.note("c7:six-singles")
         pipe.push(make_step(RULE_SINGLE_ITEM, awards))
-        return ("continue",)
+        return CONTINUE
 
     for i in range(1, 9):
         sp = structured_partition_goods(view, i, mu[i - 1])
         if sum(1 for b in sp.partition if len(b) <= 2) >= 7:
-            result = efm_step(view, i, sp, mu)
-            return _apply_efm_result(pipe, result, "c7:mostly-small")
+            pipe.note("c7:mostly-small")
+            return efm_step(pipe, i, sp.partition, mu)
 
     high5 = [i for i in range(1, 9) if cur.value(i, 5) >= mu[i - 1]]
     if high5:
         return _solve_8x15_with_five_singles(pipe, mu, cap, high5)
     return _solve_8x15_pivot(pipe, mu, cap)
-
-
-def _apply_efm_result(pipe: Pipeline, result, tag: str):
-    kind, payload = result
-    pipe.note(tag)
-    if kind == "allocation":
-        return ("solved", payload)
-    pipe.push(payload)
-    return ("continue",)
 
 
 def _solve_8x15_with_five_singles(pipe: Pipeline, mu, cap: int, high5):
@@ -553,7 +462,7 @@ def _solve_8x15_with_five_singles(pipe: Pipeline, mu, cap: int, high5):
         awards[high5[-1]] = {5, 15}
         pipe.note(f"c7:five-high:{k12}")
         pipe.push(make_step(RULE_PAIR_FROM_HIGH, awards))
-        return ("continue",)
+        return CONTINUE
     chosen = high5[:5]
     outsiders = [a for a in range(1, 9) if a not in chosen][:3]
     for first in chosen:
@@ -594,18 +503,13 @@ def _solve_8x15_pivot(pipe: Pipeline, mu, cap: int):
             chosen = sorted(chosen + extras[: 5 - len(chosen)])
         outsiders = [a for a in range(1, 9) if a not in chosen][:3]
         companions = {a: witness[(g, a)] for a in chosen if (g, a) in witness}
-        worst = max(companions.values())
-        owner = min(a for a, x in companions.items() if x == worst)
-        bundle = frozenset({g, worst})
-        recipient = owner
         missing = [a for a in chosen if a not in companions]
-        if missing and bundle_value(cur, missing[0], bundle) >= mu[missing[0] - 1]:
-            recipient = missing[0]
+        bundle, recipient = _worst_pivot_pair(cur, mu, g, companions, missing)
         awards = {outsiders[0]: {1}, outsiders[1]: {2}, outsiders[2]: {3}}
         awards[recipient] = bundle
         pipe.note(f"c7:pivot{g}:crowd")
         pipe.push(make_step(RULE_DOMINATION, awards))
-        return ("continue",)
+        return CONTINUE
     if len(crowd) == 3:
         helpers = [
             a
@@ -613,10 +517,8 @@ def _solve_8x15_pivot(pipe: Pipeline, mu, cap: int):
             if a not in crowd and cur.value(a, 4) >= mu[a - 1]
         ]
         if len(helpers) >= 2:
-            xs = [witness[(g, a)] for a in crowd]
-            worst = max(xs)
-            owner = min(a for a in crowd if witness[(g, a)] == worst)
-            bundle = frozenset({g, worst})
+            companions = {a: witness[(g, a)] for a in crowd}
+            bundle, owner = _worst_pivot_pair(cur, mu, g, companions, ())
             i, ip = helpers[0], helpers[1]
             outsiders = [a for a in range(1, 9) if a not in crowd + [i, ip]][:3]
             base = {outsiders[0]: {1}, outsiders[1]: {2}, outsiders[2]: {3}}
@@ -644,87 +546,30 @@ def _solve_8x15_pivot(pipe: Pipeline, mu, cap: int):
             awards[recipient] = bundle
             pipe.note(f"c7:pivot{g}:reject")
             pipe.push(make_step(RULE_DOMINATION, awards))
-            return ("continue",)
+            return CONTINUE
     return ("unresolved", "8x15: no pivot-pair group is large enough")
 
 
 # --- dispatcher --------------------------------------------------------------
 
-def _trivial_final(cur: Instance):
-    """m <= n: one leading item each, in order; empties beyond that."""
-    return tuple(
-        frozenset({i}) if i <= cur.m else frozenset() for i in range(1, cur.n + 1)
-    )
-
-
-def _drive(pipe: Pipeline, cap: int, table: BoundTable):
-    while True:
-        cur = pipe.current
-        n, m = cur.n, cur.m
-        if n == 0:
-            if m:
-                return ("unresolved", None, "items left with no agents")
-            return ("solved", tuple(), "")
-        if n <= 2:
-            mu = mu_vector(cur)
-            alloc = base_identical_partitions(cur, mu)
-            if alloc is None:
-                return ("unresolved", None, "two-agent base failed")
-            pipe.note("base:two-agent")
-            return ("solved", alloc, "")
-        if m <= n:
-            pipe.note("base:leading-singletons")
-            return ("solved", _trivial_final(cur), "")
-        mu = mu_vector(cur)
-        step = _guarded_simple(pipe, mu, table)
-        if step is not None:
-            pipe.push(step)
-            continue
-        c = m - n
-        if c <= 5:
-            pipe.push(reduce_2n2(pipe.view(), mu))
-            continue
-        if c == 6 and n >= 4:
-            if n > 4:
-                pipe.push(reduce_2n2(pipe.view(), mu))
-                continue
-            result = _solve_4x10(pipe, mu, cap)
-        elif c == 7 and n >= 8:
-            if n > 8:
-                pipe.push(reduce_2n2(pipe.view(), mu))
-                continue
-            result = _solve_8x15(pipe, mu, cap)
-        elif n >= table.n_c_goods(c):
-            outcome = tail_group_step(pipe.view(), c, mu, table)
-            if outcome is None:
-                result = None
-            else:
-                kind, payload = outcome
-                if kind == "allocation":
-                    result = ("solved", payload)
-                else:
-                    pipe.push(payload)
-                    continue
-        else:
-            result = None
-        if result is not None and result[0] == "continue":
-            continue
-        if result is not None and result[0] == "solved":
-            return ("solved", result[1], "")
-        # no constructive route: exhaustive threshold search or give up
-        reason = result[1] if result is not None else f"no constructive route at {n}x{m}"
-        try:
-            final = find_allocation_meeting(cur, mu, cap)
-        except TooLarge:
-            return ("unresolved", None, reason + "; search cap exceeded")
-        if final is None:
-            return (
-                "unresolved",
-                None,
-                f"no allocation meets all shares at {n}x{m}",
-            )
-        pipe.note("fallback:threshold-search")
-        return ("solved", final, "")
+def _step(pipe: Pipeline, mu, cap: int, table: BoundTable):
+    """One goods step: guarded simple rules, the reduce_2n2 shapes, the
+    scripted 4 x 10 and 8 x 15 analyses, then the tail groups."""
+    n, m = pipe.current.n, pipe.current.m
+    c = m - n
+    step = _guarded_simple(pipe, mu, table)
+    if step is None and (c <= 5 or (c == 6 and n > 4) or (c == 7 and n > 8)):
+        step = reduce_2n2(pipe.view(), mu)
+    if step is not None:
+        pipe.push(step)
+        return CONTINUE
+    if c == 6 and n == 4:
+        return _solve_4x10(pipe, mu, cap)
+    if c == 7 and n == 8:
+        return _solve_8x15(pipe, mu, cap)
+    if n >= table.n_c_goods(c):
+        return tail_group_step(pipe, c, mu, table)
+    return None
 
 
 def solve(
@@ -733,40 +578,9 @@ def solve(
     table: BoundTable = DEFAULT_TABLE,
 ) -> SolveOutcome:
     """Solve a goods instance, certifying the result before reporting it."""
-    if instance.kind != GOODS:
-        raise ValueError("goods instance required")
-    ordered = to_ordered(instance)
-    pipe = Pipeline(ordered.instance)
-    status, final, reason = _drive(pipe, cap, table)
-    diagnostic = "; ".join(pipe.notes)
-    if status != "solved":
-        return SolveOutcome(
-            status="unresolved",
-            allocation=None,
-            trace=None,
-            diagnostic="; ".join(filter(None, [diagnostic, reason])),
-            ordered=ordered,
-        )
-    trace, companion_alloc = pipe.finish(final)
-    allocation = lift_allocation(ordered, companion_alloc, instance)
-    for i in range(1, instance.n + 1):
-        target = mms_value(instance, i).mu
-        if bundle_value(instance, i, allocation[i - 1]) < target:
-            return SolveOutcome(
-                status="unresolved",
-                allocation=None,
-                trace=trace,
-                diagnostic=f"certification failed for agent {i}; " + diagnostic,
-                ordered=ordered,
-                ordered_allocation=companion_alloc,
-            )
-    return SolveOutcome(
-        status="solved",
-        allocation=allocation,
-        trace=trace,
-        diagnostic=diagnostic,
-        ordered=ordered,
-        ordered_allocation=companion_alloc,
+    return run(
+        instance, GOODS, _step, cap, table,
+        "base:leading-singletons", "; search cap exceeded",
     )
 
 

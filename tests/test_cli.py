@@ -78,6 +78,40 @@ def test_verify_rejects_tampered_allocation(tmp_path, capsys):
     assert "FAIL" in report
 
 
+def test_verify_requires_a_solved_outcome(tmp_path, capsys):
+    inst_path = _gen_one(tmp_path, capsys, seed=9)
+    unresolved = {"status": "unresolved", "diagnostic": "no route"}
+    no_allocation = {"status": "solved", "allocation": None, "trace": {}}
+    for doc in ({}, unresolved, no_allocation):
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps(doc))
+        code, report, _ = run(
+            capsys, "verify", "--instance", str(inst_path), "--result", str(result)
+        )
+        assert code == 2
+        assert "FAIL" in report
+
+
+def test_verify_ignores_the_outcomes_own_companion(tmp_path, capsys):
+    # The trace replays against the companion of --instance.  Swapping the
+    # result's "ordered" field for another, already sorted instance, under
+    # which the trace's pair awards fall short, leaves the verdict as is.
+    inst_path = _gen_one(tmp_path, capsys, seed=9)
+    _, out, _ = run(capsys, "solve", "--input", str(inst_path))
+    doc = json.loads(out)
+    other = {"kind": "goods", "n": 4, "m": 10, "valuations": [[20] * 3 + [1] * 7] * 4}
+    verdicts = []
+    for ordered in (doc["ordered"], other):
+        doc["ordered"] = ordered
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps(doc))
+        verdicts.append(
+            run(capsys, "verify", "--instance", str(inst_path), "--result", str(result))
+        )
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] == 0
+
+
 def test_solve_two_agent_chores(tmp_path, capsys):
     inst_path = _gen_one(tmp_path, capsys, kind="chores", n=2, m=6, seed=1)
     code, out, _ = run(capsys, "solve", "--input", str(inst_path))

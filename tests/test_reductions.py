@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from mmsalloc.core import CHORES, GOODS, bundle_value, make_instance, to_ordered
+from mmsalloc.core import (
+    CHORES,
+    GOODS,
+    bundle_value,
+    make_instance,
+    to_ordered,
+    validate_allocation,
+)
 from mmsalloc.errors import DanglingReference, PreconditionUnmet
 from mmsalloc.mms import mms_value, mu_vector
 from mmsalloc.reductions import (
@@ -120,17 +127,17 @@ def test_verify_step_rejects_mu_decrease_for_remaining_agent():
 def test_base_identical_partitions_two_agents():
     rng = random.Random(13)
     for kind in (GOODS, CHORES):
-        for _ in range(60):
-            n = rng.randint(1, 2)
-            m = rng.randint(1, 7)
-            sign = -1 if kind == CHORES else 1
+        sign = -1 if kind == CHORES else 1
+        shapes = [(1, 0), (2, 0)]
+        shapes += [(rng.randint(1, 2), rng.randint(1, 7)) for _ in range(60)]
+        for n, m in shapes:
             inst = make_instance(
                 kind,
                 [[sign * rng.randint(0, 10) for _ in range(m)] for _ in range(n)],
             )
             mu = mu_vector(inst)
-            alloc = base_identical_partitions(inst, mu)
-            assert alloc is not None
+            alloc = base_identical_partitions(inst)
+            validate_allocation(inst, alloc)
             for i in range(1, n + 1):
                 assert bundle_value(inst, i, alloc[i - 1]) >= mu[i - 1]
 

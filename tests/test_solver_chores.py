@@ -7,13 +7,13 @@ import pytest
 from mmsalloc.bounds import DEFAULT_TABLE
 from mmsalloc.core import CHORES, GOODS, bundle_value, make_instance, to_ordered
 from mmsalloc.mms import mms_value, mu_vector
+from mmsalloc.pipeline import Pipeline
 from mmsalloc.reductions import verify_step, verify_trace
 from mmsalloc.solver_chores import (
     _chores_tail_step,
     known_solvable_chores,
     solve_chores,
 )
-from mmsalloc.solver_goods import Pipeline
 
 
 def check_solved(inst, out):
@@ -104,3 +104,9 @@ def test_known_solvable_shapes():
 def test_rejects_goods_instance():
     with pytest.raises(ValueError):
         solve_chores(make_instance(GOODS, [[1, 2]]))
+
+
+def test_two_agents_without_chores():
+    out = solve_chores(make_instance(CHORES, [[], []]))
+    assert out.status == "solved"
+    assert out.allocation == (frozenset(), frozenset())

@@ -14,8 +14,8 @@ from mmsalloc.core import GOODS, bundle_value, make_instance, to_ordered
 from mmsalloc.errors import NEqualsThree, PreconditionUnmet, TooFewAgents
 from mmsalloc.mms import mms_value, mu_vector
 from mmsalloc.reductions import ReductionTrace, verify_trace
+from mmsalloc.pipeline import Pipeline
 from mmsalloc.solver_goods import (
-    Pipeline,
     _solve_4x10,
     _solve_8x15,
     known_solvable_goods,
@@ -204,3 +204,9 @@ def test_solver_rejects_wrong_kind():
     chores = make_instance(CHORES, [[-1, -1]])
     with pytest.raises(ValueError):
         solve(chores)
+
+
+def test_two_agents_without_goods():
+    out = solve(make_instance(GOODS, [[], []]))
+    assert out.status == "solved"
+    assert out.allocation == (frozenset(), frozenset())
