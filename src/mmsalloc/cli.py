@@ -120,15 +120,15 @@ def cmd_verify(instance_path: Path, result_path: Path) -> int:
     ):
         print("result: not a solved outcome with an allocation and a trace: FAIL")
         return 2
-    failures = 0
-
-    allocation = allocation_from_json(json.dumps(doc["allocation"]))
     try:
+        allocation = allocation_from_json(json.dumps(doc["allocation"]))
         validate_allocation(inst, allocation)
-        print("allocation: partitions all items, no overlaps: pass")
-    except MmsError as exc:
+    except (MmsError, KeyError, TypeError) as exc:
+        # no share can be computed for a bundle list that is not a partition
         print(f"allocation: structural check failed: {exc}")
-        failures += 1
+        return 2
+    print("allocation: partitions all items, no overlaps: pass")
+    failures = 0
 
     trace = trace_from_json(json.dumps(doc["trace"]))
     replay = to_ordered(inst).instance

@@ -1,10 +1,11 @@
 """Instance model, exact arithmetic, ordering, and the picking-sequence lift.
 
-Valuations are exact rationals throughout (``fractions.Fraction``), so every
-comparison in a reduction precondition is decidable.  Items and agents are
-1-based everywhere.  Goods are non-negative, chores non-positive; in an
-ordered chores instance item 1 is the *worst* chore, so goods and chores
-code can share index conventions.
+Valuations are exact throughout: an ``int`` when integral, otherwise a
+``fractions.Fraction``.  So every comparison in a reduction precondition is
+decidable, and integer instances never leave plain integer arithmetic.
+Items and agents are 1-based everywhere.  Goods are non-negative, chores
+non-positive; in an ordered chores instance item 1 is the *worst* chore, so
+goods and chores code can share index conventions.
 """
 
 from __future__ import annotations
@@ -23,19 +24,20 @@ Bundle = frozenset  # of 1-based item ids
 Allocation = tuple  # of n Bundles, pairwise disjoint, covering {1..m}
 
 
-def as_fraction(x) -> Fraction:
-    """Promote an int, Fraction, or "p/q" string to an exact Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def as_exact(x) -> int | Fraction:
+    """An int, Fraction, or "p/q" string as an exact number: an int when
+    integral, otherwise a Fraction."""
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def format_fraction(x: Fraction) -> object:
-    """Render a Fraction for JSON: plain int when integral, else "p/q"."""
+def format_fraction(x: int | Fraction) -> object:
+    """Render an exact value for JSON: plain int when integral, else "p/q"."""
     if x.denominator == 1:
         return int(x)
     return f"{x.numerator}/{x.denominator}"
@@ -59,7 +61,7 @@ class Instance:
     def m(self) -> int:
         return len(self.valuations[0]) if self.valuations else 0
 
-    def value(self, agent: int, item: int) -> Fraction:
+    def value(self, agent: int, item: int) -> int | Fraction:
         return self.valuations[agent - 1][item - 1]
 
     def row(self, agent: int) -> tuple:
@@ -74,7 +76,7 @@ def make_instance(kind: str, valuations: Iterable[Iterable]) -> Instance:
     """
     if kind not in (GOODS, CHORES):
         raise ValueError(f"kind must be {GOODS!r} or {CHORES!r}, got {kind!r}")
-    rows = [tuple(as_fraction(v) for v in row) for row in valuations]
+    rows = [tuple(as_exact(v) for v in row) for row in valuations]
     if not rows:
         raise EmptyMatrix("instance needs at least one agent")
     m = len(rows[0])
@@ -89,10 +91,10 @@ def make_instance(kind: str, valuations: Iterable[Iterable]) -> Instance:
     return Instance(kind=kind, valuations=tuple(rows))
 
 
-def bundle_value(instance: Instance, agent: int, bundle) -> Fraction:
+def bundle_value(instance: Instance, agent: int, bundle) -> int | Fraction:
     """Additive value of a bundle for an agent; the empty bundle is worth 0."""
     row = instance.row(agent)
-    return sum((row[j - 1] for j in bundle), Fraction(0))
+    return sum(row[j - 1] for j in bundle)
 
 
 def validate_allocation(instance: Instance, allocation) -> None:
@@ -104,7 +106,7 @@ def validate_allocation(instance: Instance, allocation) -> None:
     seen = set()
     for bundle in allocation:
         for j in bundle:
-            if not (1 <= j <= instance.m) or j in seen:
+            if not (isinstance(j, int) and 1 <= j <= instance.m) or j in seen:
                 raise ShapeMismatch(f"item {j} missing, duplicated, or out of range")
             seen.add(j)
     if len(seen) != instance.m:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import CHORES, GOODS, Instance, OrderedInstance
+from .core import CHORES, GOODS, Instance, OrderedInstance, as_exact
 from .errors import InternalInvariantViolation, TooLarge
 
 DEFAULT_EXHAUSTIVE_CAP = 10**8
@@ -21,7 +21,7 @@ DEFAULT_EXHAUSTIVE_CAP = 10**8
 @dataclass(frozen=True)
 class MmsRecord:
     agent: int
-    mu: Fraction
+    mu: int | Fraction
     witness: tuple  # n-partition in which every bundle is worth >= mu
 
 
@@ -33,13 +33,9 @@ class StructuredPartition:
     singleton_count: int
 
 
-def _scaled_row(row) -> tuple:
-    """Scale a rational row to integers (returns absolute values for chores)."""
-    scale = lcm(*(v.denominator for v in row)) if row else 1
-    return tuple(abs(int(v * scale)) for v in row), scale
-
-
-# Branch-and-bound results keyed by (scaled values, bundle count, sense).
+# Branch-and-bound results keyed by (sorted values, bundle count, goods?),
+# oldest evicted first once the cache holds _BNB_CACHE_LIMIT entries.
+_BNB_CACHE_LIMIT = 1 << 14
 _bnb_cache: dict = {}
 
 
@@ -47,37 +43,35 @@ def clear_caches() -> None:
     _bnb_cache.clear()
 
 
-def _maximin_int(values: tuple, n: int):
-    """Maximize the minimum bundle sum of an n-partition of `values` (>= 0).
+def _bnb(vals: tuple, n: int, goods: bool):
+    """Best n-partition of the non-increasing integer row `vals` (>= 0).
 
-    Returns (best value, assignment list mapping item position -> bundle).
-    Items are branched in descending value order; bundles with equal loads
-    are interchangeable and only the first is tried.
+    For goods it maximizes the minimum bundle sum, for chores (absolute
+    values) it minimizes the maximum.  Returns (best value, assignment list
+    mapping item position -> bundle).  Items are branched in row order;
+    bundles with equal loads are interchangeable and only the first is tried.
     """
-    key = (values, n, "max")
+    key = (vals, n, goods)
     hit = _bnb_cache.get(key)
     if hit is not None:
         return hit
-    m = len(values)
-    order = sorted(range(m), key=lambda t: -values[t])
-    vals = [values[t] for t in order]
+    m = len(vals)
     suffix = [0] * (m + 1)
     for t in range(m - 1, -1, -1):
         suffix[t] = suffix[t + 1] + vals[t]
 
     loads = [0] * n
-    greedy = [0] * m
+    best_assign = [0] * m
     for t in range(m):
         j = min(range(n), key=lambda b: loads[b])
         loads[j] += vals[t]
-        greedy[t] = j
-    best = min(loads)
-    best_assign = greedy[:]
+        best_assign[t] = j
+    best = min(loads) if goods else max(loads)
 
     loads = [0] * n
     assign = [0] * m
 
-    def dfs(t: int) -> None:
+    def maximin(t: int) -> None:
         nonlocal best, best_assign
         if t == m:
             v = min(loads)
@@ -98,49 +92,10 @@ def _maximin_int(values: tuple, n: int):
             seen.add(loads[j])
             loads[j] += vals[t]
             assign[t] = j
-            dfs(t + 1)
+            maximin(t + 1)
             loads[j] -= vals[t]
 
-    if m and n > 1:
-        dfs(0)
-    elif n == 1:
-        best = sum(vals)
-        best_assign = [0] * m
-
-    result_assign = [0] * m
-    for t, pos in enumerate(order):
-        result_assign[pos] = best_assign[t]
-    result = (best, result_assign)
-    _bnb_cache[key] = result
-    return result
-
-
-def _minimax_int(values: tuple, n: int):
-    """Minimize the maximum bundle sum of an n-partition of `values` (>= 0)."""
-    key = (values, n, "min")
-    hit = _bnb_cache.get(key)
-    if hit is not None:
-        return hit
-    m = len(values)
-    order = sorted(range(m), key=lambda t: -values[t])
-    vals = [values[t] for t in order]
-    suffix = [0] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + vals[t]
-
-    loads = [0] * n
-    greedy = [0] * m
-    for t in range(m):
-        j = min(range(n), key=lambda b: loads[b])
-        loads[j] += vals[t]
-        greedy[t] = j
-    best = max(loads)
-    best_assign = greedy[:]
-
-    loads = [0] * n
-    assign = [0] * m
-
-    def dfs(t: int) -> None:
+    def minimax(t: int) -> None:
         nonlocal best, best_assign
         if t == m:
             v = max(loads)
@@ -160,19 +115,15 @@ def _minimax_int(values: tuple, n: int):
             loads[j] += vals[t]
             if loads[j] < best:
                 assign[t] = j
-                dfs(t + 1)
+                minimax(t + 1)
             loads[j] -= vals[t]
 
-    if m and n > 1 and best > 0:
-        dfs(0)
-    elif n == 1:
-        best = sum(vals)
-        best_assign = [0] * m
-
-    result_assign = [0] * m
-    for t, pos in enumerate(order):
-        result_assign[pos] = best_assign[t]
-    result = (best, result_assign)
+    # No guard for one bundle or an all-zero row: the greedy start is then
+    # optimal and either search stops at its root.
+    (maximin if goods else minimax)(0)
+    result = (best, best_assign)
+    if len(_bnb_cache) >= _BNB_CACHE_LIMIT:
+        del _bnb_cache[next(iter(_bnb_cache))]
     _bnb_cache[key] = result
     return result
 
@@ -183,20 +134,18 @@ def _bnb_partition(instance: Instance, agent: int, items=None, bundles=None):
     `items` restricts the search to a subset of item ids, `bundles` overrides
     the bundle count (defaults to n).  Returns (mu, tuple of frozensets).
     """
-    ids = sorted(items) if items is not None else list(range(1, instance.m + 1))
+    ids = sorted(items) if items is not None else range(1, instance.m + 1)
     k = bundles if bundles is not None else instance.n
-    row = tuple(instance.value(agent, j) for j in ids)
-    scaled, scale = _scaled_row(row)
-    if instance.kind == GOODS:
-        value, assign = _maximin_int(scaled, k)
-        mu = Fraction(value, scale)
-    else:
-        value, assign = _minimax_int(scaled, k)
-        mu = Fraction(-value, scale)
+    row = instance.row(agent)
+    scale = lcm(*(row[j - 1].denominator for j in ids))
+    sign = 1 if instance.kind == GOODS else -1
+    scaled = [int(sign * scale * row[j - 1]) for j in ids]
+    order = sorted(range(len(scaled)), key=lambda t: -scaled[t])
+    value, assign = _bnb(tuple(scaled[t] for t in order), k, sign == 1)
     parts = [set() for _ in range(k)]
-    for pos, b in enumerate(assign):
-        parts[b].add(ids[pos])
-    return mu, tuple(frozenset(p) for p in parts)
+    for t, b in zip(order, assign):
+        parts[b].add(ids[t])
+    return as_exact(Fraction(sign * value, scale)), tuple(frozenset(p) for p in parts)
 
 
 def _exhaustive_partition(instance: Instance, agent: int, cap: int):
@@ -205,7 +154,7 @@ def _exhaustive_partition(instance: Instance, agent: int, cap: int):
     if n**m > cap:
         raise TooLarge(f"{n}^{m} assignments exceed the cap {cap}")
     row = instance.row(agent)
-    sums = [Fraction(0)] * n
+    sums = [0] * n
     assign = [0] * m
     best_value = None
     best_assign = None
@@ -261,7 +210,7 @@ def mu_vector(instance: Instance) -> tuple:
     return tuple(mms_value(instance, i).mu for i in range(1, instance.n + 1))
 
 
-def count_high_items(ordered: OrderedInstance, agent: int, mu: Fraction) -> int:
+def count_high_items(ordered: OrderedInstance, agent: int, mu) -> int:
     """Number of leading goods the agent values at mu or higher."""
     row = ordered.instance.row(agent)
     k = 0
@@ -380,21 +329,21 @@ def find_allocation_meeting(
     n, m = instance.n, instance.m
     if n**m > cap:
         raise TooLarge(f"{n}^{m} assignments exceed the cap {cap}")
-    xs = [v if isinstance(v, Fraction) else Fraction(v) for v in thresholds]
+    xs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in thresholds]
     if len(xs) != n:
         raise ValueError("one threshold per agent required")
     rows = [instance.row(i) for i in range(1, n + 1)]
     # positive-part suffix sums: the most an agent can still gain
-    gain = [[Fraction(0)] * (m + 1) for _ in range(n)]
+    gain = [[0] * (m + 1) for _ in range(n)]
     for i in range(n):
         for t in range(m - 1, -1, -1):
-            gain[i][t] = gain[i][t + 1] + max(rows[i][t], Fraction(0))
+            gain[i][t] = gain[i][t + 1] + max(rows[i][t], 0)
     # least-damage suffix: each leftover item must go somewhere
-    cheapest = [Fraction(0)] * (m + 1)
+    cheapest = [0] * (m + 1)
     for t in range(m - 1, -1, -1):
         cheapest[t] = cheapest[t + 1] + min(max(rows[i][t] for i in range(n)), 0)
 
-    sums = [Fraction(0)] * n
+    sums = [0] * n
     assign = [0] * m
     found = None
 
@@ -405,7 +354,7 @@ def find_allocation_meeting(
                 found = assign[:]
                 return True
             return False
-        slack = Fraction(0)
+        slack = 0
         for i in range(n):
             if sums[i] + gain[i][t] < xs[i]:
                 return False

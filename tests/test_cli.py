@@ -4,6 +4,8 @@ exit codes, bound queries."""
 import json
 from pathlib import Path
 
+import pytest
+
 from mmsalloc.cli import main
 
 
@@ -90,6 +92,51 @@ def test_verify_requires_a_solved_outcome(tmp_path, capsys):
         )
         assert code == 2
         assert "FAIL" in report
+
+
+def _too_few(bundles):
+    return {"bundles": bundles[:-1]}
+
+
+def _item_99(bundles):
+    return {"bundles": [bundles[0] + [99]] + bundles[1:]}
+
+
+def _text_item(bundles):
+    return {"bundles": [[str(j) for j in bundles[0]]] + bundles[1:]}
+
+
+def _fractional_item(bundles):
+    return {"bundles": [bundles[0][1:] + [bundles[0][0] + 0.5]] + bundles[1:]}
+
+
+def _item_0(bundles):
+    return {"bundles": [bundles[0] + [0]] + bundles[1:]}
+
+
+def _no_bundles(bundles):
+    return {"parts": bundles}
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [_too_few, _item_99, _text_item, _fractional_item, _item_0, _no_bundles],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_verify_stops_at_a_malformed_allocation(tmp_path, capsys, malform):
+    inst_path = _gen_one(tmp_path, capsys, seed=9)
+    _, out, _ = run(capsys, "solve", "--input", str(inst_path))
+    doc = json.loads(out)
+    doc["allocation"] = malform(doc["allocation"]["bundles"])
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(doc))
+    code, report, _ = run(
+        capsys, "verify", "--instance", str(inst_path), "--result", str(result)
+    )
+    assert code == 2
+    assert "structural check failed" in report
+    # no share is computed, so nothing can read a bundle that is not there
+    assert "trace step" not in report and "agent " not in report
 
 
 def test_verify_ignores_the_outcomes_own_companion(tmp_path, capsys):

@@ -58,6 +58,17 @@ def test_fraction_values_survive_json_round_trip():
     assert again.value(1, 1) == Fraction(1, 3)
 
 
+def test_integral_values_are_stored_as_int():
+    inst = make_instance(GOODS, [["4/2", Fraction(6, 3), 1, "1/2"]])
+    assert [type(v) for v in inst.row(1)] == [int, int, int, Fraction]
+    assert inst.row(1) == (2, 2, 1, Fraction(1, 2))
+    assert type(bundle_value(inst, 1, frozenset({1, 2, 3}))) is int
+    assert bundle_value(inst, 1, frozenset({1, 4})) == Fraction(5, 2)
+    assert type(bundle_value(inst, 1, frozenset())) is int
+    with pytest.raises(TypeError):
+        make_instance(GOODS, [[0.5]])
+
+
 def test_allocation_json_round_trip():
     alloc = (frozenset({1, 3}), frozenset(), frozenset({2}))
     assert allocation_from_json(allocation_to_json(alloc)) == alloc
@@ -78,6 +89,9 @@ def test_validate_allocation_catches_misallocations():
         validate_allocation(inst, (frozenset({1}), frozenset({1})))
     with pytest.raises(ShapeMismatch):
         validate_allocation(inst, (frozenset({1}), frozenset()))
+    for stray in ("2", 1.5, 0, 3):
+        with pytest.raises(ShapeMismatch):
+            validate_allocation(inst, (frozenset({1}), frozenset({stray})))
 
 
 def _random_instance(rng, kind, n, m, hi=10):

@@ -1,7 +1,8 @@
 """Every module-level import of a package module is used by that module.
 
 ``__init__.py`` re-exports by design and is exempt, as is any import line
-marked ``# noqa: F401``.
+marked ``# noqa: F401``.  Only the modules at the number boundary import
+``fractions``: the rest work on whatever exact values the instance holds.
 """
 
 import ast
@@ -11,6 +12,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mmsalloc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+FRACTION_MODULES = {"core.py", "mms.py", "bounds.py", "cli.py"}
 
 
 def unused_imports(path: Path) -> list:
@@ -32,3 +34,19 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path) == []
+
+
+def imports_fractions(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            return True
+        if isinstance(node, ast.Import) and any(
+            alias.name == "fractions" for alias in node.names
+        ):
+            return True
+    return False
+
+
+def test_only_boundary_modules_import_fractions():
+    importers = {p.name for p in PACKAGE.glob("*.py") if imports_fractions(p)}
+    assert importers <= FRACTION_MODULES

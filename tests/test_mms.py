@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,9 +18,17 @@ from mmsalloc import (
     maximin_partition,
     mms_value,
     mu_vector,
+    solve,
+    solve_chores,
     to_ordered,
 )
-from mmsalloc.mms import structured_partition_chores, structured_partition_goods
+from mmsalloc import mms
+from mmsalloc.mms import (
+    clear_caches,
+    structured_partition_chores,
+    structured_partition_goods,
+)
+from mmsalloc.reductions import trace_to_json
 
 
 def brute_force_mu(inst, agent):
@@ -193,3 +202,93 @@ def test_structured_partition_chores_layout():
             singles = sorted(min(b) for b in sp.partition if len(b) == 1)
             # singletons are carried by the worst chores, in order
             assert singles == list(range(1, len(singles) + 1))
+
+
+def _random_rows(rng, kind, n, m, hi=20):
+    sign = -1 if kind == CHORES else 1
+    return [[sign * rng.randint(0, hi) for _ in range(m)] for _ in range(n)]
+
+
+def _solve(inst):
+    return (solve if inst.kind == GOODS else solve_chores)(inst)
+
+
+def _outcome(out):
+    trace = None if out.trace is None else trace_to_json(out.trace)
+    return out.status, out.allocation, trace, out.diagnostic
+
+
+def test_integer_instances_get_integer_shares():
+    inst = make_instance(GOODS, [[7, 5, 4, 2], [1, 1, 1, 1]])
+    assert [type(mms_value(inst, i).mu) for i in (1, 2)] == [int, int]
+    chores = make_instance(CHORES, [[-7, -5, -4, -2]] * 2)
+    assert type(mms_value(chores, 1).mu) is int
+    halves = make_instance(GOODS, [[Fraction(1, 2), Fraction(3, 2), 1]])
+    assert type(mms_value(halves, 1).mu) is int
+    thirds = make_instance(GOODS, [[Fraction(1, 3), 1], [1, 1]])
+    assert mms_value(thirds, 1).mu == Fraction(1, 3)
+
+
+def test_thresholds_of_any_exact_type_are_accepted():
+    inst = make_instance(GOODS, [[3, 2, 1], [3, 2, 1]])
+    for thresholds in ([3, 3], ["3", "5/2"], [3.0, 2.5], [Decimal("3"), Decimal("2.5")]):
+        assert find_allocation_meeting(inst, thresholds) is not None
+    assert find_allocation_meeting(inst, [Fraction(7, 2), 3]) is None
+
+
+@pytest.mark.parametrize("kind", [GOODS, CHORES])
+def test_rational_twin_solves_alike(kind):
+    """Dividing each agent's row by a constant of her own changes no
+    comparison the solver makes, only the scale of her share."""
+    rng = random.Random(29 if kind == GOODS else 31)
+    for _ in range(150):
+        n = rng.randint(3, 4)
+        rows = _random_rows(rng, kind, n, rng.randint(n, n + 5))
+        divisors = [rng.choice([1, 2, 3, 6, 7]) for _ in range(n)]
+        inst = make_instance(kind, rows)
+        twin = make_instance(
+            kind, [[Fraction(v, d) for v in row] for row, d in zip(rows, divisors)]
+        )
+        assert _outcome(_solve(twin)) == _outcome(_solve(inst))
+        for i, d in enumerate(divisors, start=1):
+            assert mms_value(twin, i).mu == Fraction(mms_value(inst, i).mu, d)
+
+
+def test_shares_are_cached_by_sorted_row():
+    rng = random.Random(17)
+    for kind in (GOODS, CHORES):
+        for _ in range(20):
+            inst = make_instance(kind, _random_rows(rng, kind, 4, rng.randint(5, 9)))
+            clear_caches()
+            _solve(inst)
+            size = len(mms._bnb_cache)
+            for i in range(1, inst.n + 1):
+                mms_value(inst, i)
+            # the same rows with their items relabeled
+            perm = list(range(inst.m))
+            rng.shuffle(perm)
+            relabeled = make_instance(
+                kind, [[row[j] for j in perm] for row in inst.valuations]
+            )
+            for i in range(1, inst.n + 1):
+                mms_value(relabeled, i)
+            assert len(mms._bnb_cache) == size
+
+
+def test_share_cache_is_bounded(monkeypatch):
+    rng = random.Random(23)
+    instances = [
+        make_instance(kind, _random_rows(rng, kind, 4, rng.randint(6, 9)))
+        for kind in (GOODS, CHORES) * 4
+    ]
+    cold = []
+    for inst in instances:
+        clear_caches()
+        cold.append(_outcome(_solve(inst)))
+    cache = mms._bnb_cache
+    monkeypatch.setattr(mms, "_BNB_CACHE_LIMIT", 5)
+    clear_caches()
+    for inst, expected in zip(instances, cold):
+        assert _outcome(_solve(inst)) == expected
+        assert len(mms._bnb_cache) <= 5
+    assert mms._bnb_cache is cache
