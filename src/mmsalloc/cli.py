@@ -128,9 +128,14 @@ def cmd_verify(instance_path: Path, result_path: Path) -> int:
         print(f"allocation: structural check failed: {exc}")
         return 2
     print("allocation: partitions all items, no overlaps: pass")
+    try:
+        trace = trace_from_json(json.dumps(doc["trace"]))
+    except (MmsError, KeyError, TypeError, ValueError) as exc:
+        # nothing can be replayed from a document that is not a trace
+        print(f"trace: structural check failed: {exc!r}")
+        return 2
     failures = 0
 
-    trace = trace_from_json(json.dumps(doc["trace"]))
     replay = to_ordered(inst).instance
     for pos, (rule, ok) in enumerate(verify_trace(replay, trace), start=1):
         if ok:

@@ -4,13 +4,21 @@ Two independent routes compute maximin shares: a plain exhaustive
 enumeration (the oracle, capped) and a branch-and-bound search (the
 workhorse, uncapped).  Both are exact; the test suite checks they agree
 wherever the exhaustive route is feasible.
+
+A share query through the branch and bound costs one cache lookup or one
+search, nothing more: ``mms_value`` computes the value alone, and a record's
+witness partition is built on first use from the same cache entry.  The
+search stops as soon as its best partition reaches a bound the share cannot
+pass (``_share_bound``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from typing import Callable
 
 from .core import CHORES, GOODS, Instance, OrderedInstance, as_exact
 from .errors import InternalInvariantViolation, TooLarge
@@ -20,9 +28,16 @@ DEFAULT_EXHAUSTIVE_CAP = 10**8
 
 @dataclass(frozen=True)
 class MmsRecord:
+    """An agent's maximin share ``mu``; ``witness``, an n-partition in which
+    every bundle is worth ``mu`` or more, is built on first use."""
+
     agent: int
     mu: int | Fraction
-    witness: tuple  # n-partition in which every bundle is worth >= mu
+    _find_witness: Callable[[], tuple] = field(repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> tuple:
+        return self._find_witness()
 
 
 @dataclass(frozen=True)
@@ -43,6 +58,29 @@ def clear_caches() -> None:
     _bnb_cache.clear()
 
 
+def _share_bound(vals, n: int, goods: bool) -> int:
+    """A value the share of the non-increasing integer row `vals` (>= 0)
+    cannot pass: an upper bound for goods, a lower bound for chores."""
+    m = len(vals)
+    total = sum(vals)
+    if goods:
+        # Whatever bundles hold the k largest goods, n - k others share the rest.
+        bound = total // n
+        rest = total
+        for k in range(1, min(n, m + 1)):
+            rest -= vals[k - 1]
+            bound = min(bound, rest // (n - k))
+        if n < m < 2 * n:
+            # At least 2n - m bundles hold a single good.
+            bound = min(bound, vals[2 * n - m - 1])
+        return bound
+    bound = max(-(-total // n), vals[0] if m else 0)
+    if m > n:
+        # Two of the n + 1 largest chores share a bundle.
+        bound = max(bound, vals[n - 1] + vals[n])
+    return bound
+
+
 def _bnb(vals: tuple, n: int, goods: bool):
     """Best n-partition of the non-increasing integer row `vals` (>= 0).
 
@@ -50,6 +88,9 @@ def _bnb(vals: tuple, n: int, goods: bool):
     values) it minimizes the maximum.  Returns (best value, assignment list
     mapping item position -> bundle).  Items are branched in row order;
     bundles with equal loads are interchangeable and only the first is tried.
+    The search ends once the best value reaches `_share_bound`.  It replaces
+    its best partition only on a strict improvement, so the witness is the
+    one an exhaustive run of the same search would return.
     """
     key = (vals, n, goods)
     hit = _bnb_cache.get(key)
@@ -63,10 +104,11 @@ def _bnb(vals: tuple, n: int, goods: bool):
     loads = [0] * n
     best_assign = [0] * m
     for t in range(m):
-        j = min(range(n), key=lambda b: loads[b])
+        j = loads.index(min(loads))
         loads[j] += vals[t]
         best_assign[t] = j
     best = min(loads) if goods else max(loads)
+    bound = _share_bound(vals, n, goods)
 
     loads = [0] * n
     assign = [0] * m
@@ -94,6 +136,8 @@ def _bnb(vals: tuple, n: int, goods: bool):
             assign[t] = j
             maximin(t + 1)
             loads[j] -= vals[t]
+            if best >= bound:
+                return
 
     def minimax(t: int) -> None:
         nonlocal best, best_assign
@@ -117,15 +161,34 @@ def _bnb(vals: tuple, n: int, goods: bool):
                 assign[t] = j
                 minimax(t + 1)
             loads[j] -= vals[t]
+            if best <= bound:
+                return
 
-    # No guard for one bundle or an all-zero row: the greedy start is then
-    # optimal and either search stops at its root.
-    (maximin if goods else minimax)(0)
+    # One bundle, an all-zero row and many other rows have a greedy start
+    # that already meets the bound; only the others are searched.
+    if (best < bound) if goods else (best > bound):
+        (maximin if goods else minimax)(0)
     result = (best, best_assign)
     if len(_bnb_cache) >= _BNB_CACHE_LIMIT:
         del _bnb_cache[next(iter(_bnb_cache))]
     _bnb_cache[key] = result
     return result
+
+
+def _scaled(values, sign: int):
+    """The values times `sign` and the lcm of their denominators, as ints,
+    and that lcm.  Values that are all ints (their sum is an int; a single
+    Fraction would make it a Fraction) are only negated for chores."""
+    if type(sum(values)) is int:
+        return (values if sign == 1 else [-v for v in values]), 1
+    scale = lcm(*(v.denominator for v in values))
+    return [int(sign * scale * v) for v in values], scale
+
+
+def _unscaled(value: int, sign: int, scale: int) -> int | Fraction:
+    if scale == 1:
+        return sign * value
+    return as_exact(Fraction(sign * value, scale))
 
 
 def _bnb_partition(instance: Instance, agent: int, items=None, bundles=None):
@@ -137,15 +200,14 @@ def _bnb_partition(instance: Instance, agent: int, items=None, bundles=None):
     ids = sorted(items) if items is not None else range(1, instance.m + 1)
     k = bundles if bundles is not None else instance.n
     row = instance.row(agent)
-    scale = lcm(*(row[j - 1].denominator for j in ids))
     sign = 1 if instance.kind == GOODS else -1
-    scaled = [int(sign * scale * row[j - 1]) for j in ids]
+    scaled, scale = _scaled([row[j - 1] for j in ids], sign)
     order = sorted(range(len(scaled)), key=lambda t: -scaled[t])
     value, assign = _bnb(tuple(scaled[t] for t in order), k, sign == 1)
     parts = [set() for _ in range(k)]
     for t, b in zip(order, assign):
         parts[b].add(ids[t])
-    return as_exact(Fraction(sign * value, scale)), tuple(frozenset(p) for p in parts)
+    return _unscaled(value, sign, scale), tuple(frozenset(p) for p in parts)
 
 
 def _exhaustive_partition(instance: Instance, agent: int, cap: int):
@@ -186,14 +248,21 @@ def mms_value(
     method: str = "bnb",
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> MmsRecord:
-    """Exact maximin share of one agent, with a witness partition."""
+    """Exact maximin share of one agent; its witness partition is built on
+    first use."""
     if method == "exhaustive":
         mu, witness = _exhaustive_partition(instance, agent, cap)
-    elif method == "bnb":
-        mu, witness = _bnb_partition(instance, agent)
-    else:
+        return MmsRecord(agent, mu, lambda: witness)
+    if method != "bnb":
         raise ValueError(f"unknown method {method!r}")
-    return MmsRecord(agent=agent, mu=mu, witness=witness)
+    sign = 1 if instance.kind == GOODS else -1
+    scaled, scale = _scaled(instance.row(agent), sign)
+    value = _bnb(tuple(sorted(scaled, reverse=True)), instance.n, sign == 1)[0]
+    return MmsRecord(
+        agent,
+        _unscaled(value, sign, scale),
+        lambda: _bnb_partition(instance, agent)[1],
+    )
 
 
 def maximin_partition(instance: Instance, agent: int, items=None, bundles=None):

@@ -139,6 +139,54 @@ def test_verify_stops_at_a_malformed_allocation(tmp_path, capsys, malform):
     assert "trace step" not in report and "agent " not in report
 
 
+def _empty_trace(trace):
+    return {}
+
+
+def _no_final(trace):
+    return {"steps": trace["steps"]}
+
+
+def _with_first_step(trace, **changes):
+    steps = trace["steps"]
+    return dict(trace, steps=[dict(steps[0], **changes)] + steps[1:])
+
+
+def _unknown_rule(trace):
+    return _with_first_step(trace, rule="no_such_rule")
+
+
+def _overlapping_awards(trace):
+    award = trace["steps"][0]["awards"][0]
+    other = {"agent": award["agent"] + 1, "bundle": award["bundle"]}
+    return _with_first_step(trace, awards=[award, other])
+
+
+def _awards_not_a_list(trace):
+    return _with_first_step(trace, awards=trace["steps"][0]["awards"][0])
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [_empty_trace, _no_final, _unknown_rule, _overlapping_awards, _awards_not_a_list],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_verify_stops_at_a_malformed_trace(tmp_path, capsys, malform):
+    inst_path = _gen_one(tmp_path, capsys, seed=9)
+    _, out, _ = run(capsys, "solve", "--input", str(inst_path))
+    doc = json.loads(out)
+    assert doc["trace"]["steps"]
+    doc["trace"] = malform(doc["trace"])
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(doc))
+    code, report, _ = run(
+        capsys, "verify", "--instance", str(inst_path), "--result", str(result)
+    )
+    assert code == 2
+    assert "trace: structural check failed" in report
+    assert "trace step" not in report and "agent " not in report
+
+
 def test_verify_ignores_the_outcomes_own_companion(tmp_path, capsys):
     # The trace replays against the companion of --instance.  Swapping the
     # result's "ordered" field for another, already sorted instance, under

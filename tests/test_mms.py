@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from mmsalloc.mms import (
     structured_partition_chores,
     structured_partition_goods,
 )
-from mmsalloc.reductions import trace_to_json
+from mmsalloc.reductions import trace_to_json, verify_trace
 
 
 def brute_force_mu(inst, agent):
@@ -292,3 +293,92 @@ def test_share_cache_is_bounded(monkeypatch):
         assert _outcome(_solve(inst)) == expected
         assert len(mms._bnb_cache) <= 5
     assert mms._bnb_cache is cache
+
+
+def _regime(n, m):
+    if m < n:
+        return "m < n"
+    if m == n:
+        return "m = n"
+    return "n < m < 2n" if m < 2 * n else "m >= 2n"
+
+
+@pytest.mark.parametrize("kind", [GOODS, CHORES])
+def test_bnb_share_is_exact_within_its_bound_with_a_witness(kind):
+    """Every shape up to 5 agents and 10 items.  The exhaustive oracle
+    checks agent 1 wherever it enumerates at most 10^5 assignments."""
+    rng = random.Random(37 if kind == GOODS else 41)
+    goods = kind == GOODS
+    checked = set()
+    for n in range(1, 6):
+        for m in range(11):
+            for _ in range(2):
+                inst = make_instance(
+                    kind, _random_rows(rng, kind, n, m, rng.choice([3, 20]))
+                )
+                for i in range(1, n + 1):
+                    rec = mms_value(inst, i)
+                    vals = sorted((abs(v) for v in inst.row(i)), reverse=True)
+                    bound = mms._share_bound(vals, n, goods)
+                    assert (rec.mu <= bound) if goods else (-rec.mu >= bound)
+                    assert len(rec.witness) == n
+                    assert sorted(j for b in rec.witness for j in b) == list(
+                        range(1, m + 1)
+                    )
+                    for b in rec.witness:
+                        assert bundle_value(inst, i, b) >= rec.mu
+                if n**m <= 10**5:
+                    exhaustive = mms_value(inst, 1, method="exhaustive")
+                    assert mms_value(inst, 1).mu == exhaustive.mu
+                    checked.add(_regime(n, m))
+    assert checked == {"m < n", "m = n", "n < m < 2n", "m >= 2n"}
+
+
+def test_witness_is_built_on_first_use(monkeypatch):
+    rng = random.Random(43)
+    instances = [
+        make_instance(kind, _random_rows(rng, kind, 4, 9)) for kind in (GOODS, CHORES)
+    ]
+    outcomes = [_solve(inst) for inst in instances]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a share query built a witness")
+
+    monkeypatch.setattr(mms, "_bnb_partition", refuse)
+    clear_caches()
+    for inst, out in zip(instances, outcomes):
+        mu = mu_vector(inst)
+        assert tuple(mms_value(inst, i).mu for i in range(1, inst.n + 1)) == mu
+        assert out.trace.steps
+        assert all(ok for _, ok in verify_trace(out.ordered.instance, out.trace))
+    monkeypatch.undo()
+    for inst in instances:
+        for i in range(1, inst.n + 1):
+            assert mms_value(inst, i).witness == maximin_partition(inst, i)[1]
+
+
+def test_oracle_work_solving_the_criterion_3_head(monkeypatch):
+    """Share queries and branch-and-bound searches (cache misses) while the
+    first four criterion-3 instances (8 x 15, seed 103) are solved from a
+    cold cache.  A change that adds oracle work fails here."""
+    calls = 0
+    original = mms.mms_value
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mmsalloc") and getattr(module, "mms_value", None) is original:
+            monkeypatch.setattr(module, "mms_value", counting)
+    rng = random.Random(103)
+    clear_caches()
+    for _ in range(4):
+        inst = make_instance(
+            GOODS, [[rng.randint(0, 20) for _ in range(15)] for _ in range(8)]
+        )
+        assert _solve(inst).status == "solved"
+    assert calls <= 168
+    # Nothing was evicted, so every cache entry is one miss.
+    assert len(mms._bnb_cache) <= 136
