@@ -25,6 +25,7 @@ from .core import (
     bundle_value,
     instance_from_json,
     instance_to_json,
+    lift_allocation,
     to_ordered,
     validate_allocation,
 )
@@ -108,7 +109,8 @@ def cmd_verify(instance_path: Path, result_path: Path) -> int:
     """Check a solved outcome against the instance; every check is required.
 
     The trace is replayed against the companion instance recomputed from
-    the instance file, never against the outcome's own copy of it.
+    the instance file, never against the outcome's own copy of it, and the
+    companion allocation it describes must lift to the reported allocation.
     """
     inst = instance_from_json(instance_path.read_text())
     doc = json.loads(result_path.read_text())
@@ -136,22 +138,43 @@ def cmd_verify(instance_path: Path, result_path: Path) -> int:
         return 2
     failures = 0
 
-    replay = to_ordered(inst).instance
+    ordered = to_ordered(inst)
+    replay = ordered.instance
     for pos, (rule, ok) in enumerate(verify_trace(replay, trace), start=1):
         if ok:
             print(f"trace step {pos} ({rule}): valid")
         else:
             print(f"trace step {pos} ({rule}): INVALID")
             failures += 1
-    covered = set().union(*trace.final)
-    for step in trace.steps:
-        covered |= step.items()
+    covered = [j for step in trace.steps for j in step.items()]
+    covered += [j for bundle in trace.final for j in bundle]
     remaining = replay.n - sum(len(s.agents()) for s in trace.steps)
-    if covered == set(range(1, replay.m + 1)) and len(trace.final) == remaining:
+    items = list(range(1, replay.m + 1))
+    if sorted(covered) == items and len(trace.final) == remaining:
         print("trace: steps plus final cover every item exactly once: pass")
     else:
         print("trace: coverage check failed")
         failures += 1
+
+    if failures:
+        # valid steps and full coverage are what make the trace's
+        # allocation a partition; without them there is none to check
+        print("trace: final allocation: not checked, as the checks above failed")
+    else:
+        companion = trace.allocation(replay.n)
+        short = [
+            a
+            for a in range(1, replay.n + 1)
+            if bundle_value(replay, a, companion[a - 1]) < mms_value(replay, a).mu
+        ]
+        if short:
+            print(f"trace: final allocation: agents {short} miss their shares: FAIL")
+            failures += 1
+        elif lift_allocation(ordered, companion, inst) != allocation:
+            print("trace: final allocation: does not lift to the allocation: FAIL")
+            failures += 1
+        else:
+            print("trace: final allocation: shares met, lifts to the allocation: pass")
 
     for i in range(1, inst.n + 1):
         mu = mms_value(inst, i).mu
@@ -166,6 +189,15 @@ def cmd_verify(instance_path: Path, result_path: Path) -> int:
 
 def _parse_alpha(text: str) -> Fraction:
     return Fraction(text)
+
+
+def _parse_override(text: str) -> tuple:
+    """An ``--override`` value "C=N", with integers C and N, as (C, N)."""
+    try:
+        c, n_c = text.split("=")
+        return int(c), int(n_c)
+    except ValueError:
+        raise ValueError(f"--override takes C=N with integers, got {text!r}") from None
 
 
 def cmd_bound(c: int, kind: str, params: BoundParams, overrides: tuple) -> int:
@@ -258,9 +290,7 @@ def main(argv=None) -> int:
                 kwargs["alpha_goods"] = args.alpha_goods
             if args.alpha_chores is not None:
                 kwargs["alpha_chores"] = args.alpha_chores
-            overrides = tuple(
-                (int(t.split("=")[0]), int(t.split("=")[1])) for t in args.override
-            )
+            overrides = tuple(_parse_override(t) for t in args.override)
             return cmd_bound(args.c, args.kind, BoundParams(**kwargs), overrides)
         if args.command == "order":
             return cmd_order(args.input, args.out)

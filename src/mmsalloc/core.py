@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import EmptyMatrix, ShapeMismatch, SignViolation
+from .errors import EmptyMatrix, MalformedDocument, ShapeMismatch, SignViolation
 
 GOODS = "goods"
 CHORES = "chores"
@@ -125,18 +125,6 @@ class OrderedInstance:
     instance: Instance
     source_ranks: tuple
 
-    @property
-    def n(self) -> int:
-        return self.instance.n
-
-    @property
-    def m(self) -> int:
-        return self.instance.m
-
-    @property
-    def kind(self) -> str:
-        return self.instance.kind
-
 
 def to_ordered(instance: Instance) -> OrderedInstance:
     """Sort each agent's row per kind; ties broken by original item id.
@@ -167,7 +155,7 @@ def lift_allocation(ordered: OrderedInstance, ordered_alloc, original: Instance)
     the slot picks her best remaining original item.  Every agent ends up
     with a bundle worth at least her ordered-allocation bundle.
     """
-    if ordered.instance.kind != original.kind or ordered.m != original.m:
+    if ordered.instance.kind != original.kind or ordered.instance.m != original.m:
         raise ShapeMismatch("ordered instance does not match the original")
     validate_allocation(ordered.instance, ordered_alloc)
 
@@ -176,7 +164,7 @@ def lift_allocation(ordered: OrderedInstance, ordered_alloc, original: Instance)
         for j in bundle:
             holder[j] = i
 
-    slots = range(1, ordered.m + 1)
+    slots = range(1, original.m + 1)
     if original.kind == CHORES:
         slots = reversed(slots)
 
@@ -208,7 +196,12 @@ def instance_to_json(instance: Instance) -> str:
 
 def instance_from_json(text: str) -> Instance:
     data = json.loads(text)
-    instance = make_instance(data["kind"], data["valuations"])
+    try:
+        instance = make_instance(data["kind"], data["valuations"])
+    except KeyError as exc:
+        raise MalformedDocument(f"instance document has no {exc} field") from exc
+    except TypeError as exc:
+        raise MalformedDocument(f"instance document: {exc}") from exc
     if instance.n != data.get("n", instance.n) or instance.m != data.get("m", instance.m):
         raise ShapeMismatch("declared n/m do not match the valuation matrix")
     return instance

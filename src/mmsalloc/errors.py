@@ -17,6 +17,10 @@ class ShapeMismatch(MmsError):
     """An allocation or matrix does not match the instance dimensions."""
 
 
+class MalformedDocument(MmsError):
+    """A JSON document lacks a field or holds a value of the wrong type."""
+
+
 class TooLarge(MmsError):
     """Exhaustive search was requested beyond the configured cap."""
 

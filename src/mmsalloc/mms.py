@@ -20,7 +20,7 @@ from functools import cached_property
 from math import lcm
 from typing import Callable
 
-from .core import CHORES, GOODS, Instance, OrderedInstance, as_exact
+from .core import CHORES, GOODS, Instance, as_exact
 from .errors import InternalInvariantViolation, TooLarge
 
 DEFAULT_EXHAUSTIVE_CAP = 10**8
@@ -191,11 +191,13 @@ def _unscaled(value: int, sign: int, scale: int) -> int | Fraction:
     return as_exact(Fraction(sign * value, scale))
 
 
-def _bnb_partition(instance: Instance, agent: int, items=None, bundles=None):
-    """Exact maximin value and witness for one agent via branch and bound.
+def maximin_partition(instance: Instance, agent: int, items=None, bundles=None):
+    """Best achievable worst-bundle value and a partition reaching it, via
+    branch and bound.
 
-    `items` restricts the search to a subset of item ids, `bundles` overrides
-    the bundle count (defaults to n).  Returns (mu, tuple of frozensets).
+    `items` restricts the search to a subset of item ids (default: all) and
+    `bundles` sets the bundle count (default: n); the solvers use both to
+    probe constrained partition shapes.  Returns (value, tuple of frozensets).
     """
     ids = sorted(items) if items is not None else range(1, instance.m + 1)
     k = bundles if bundles is not None else instance.n
@@ -261,17 +263,8 @@ def mms_value(
     return MmsRecord(
         agent,
         _unscaled(value, sign, scale),
-        lambda: _bnb_partition(instance, agent)[1],
+        lambda: maximin_partition(instance, agent)[1],
     )
-
-
-def maximin_partition(instance: Instance, agent: int, items=None, bundles=None):
-    """Best achievable worst-bundle value over a subset of items.
-
-    Returns (value, partition).  `items` defaults to all items and `bundles`
-    to n; used by the solvers to probe constrained partition shapes.
-    """
-    return _bnb_partition(instance, agent, items=items, bundles=bundles)
 
 
 def mu_vector(instance: Instance) -> tuple:
@@ -279,16 +272,16 @@ def mu_vector(instance: Instance) -> tuple:
     return tuple(mms_value(instance, i).mu for i in range(1, instance.n + 1))
 
 
-def count_high_items(ordered: OrderedInstance, agent: int, mu) -> int:
+def count_high_items(instance: Instance, agent: int, mu) -> int:
     """Number of leading goods the agent values at mu or higher."""
-    row = ordered.instance.row(agent)
+    row = instance.row(agent)
     k = 0
     for v in row:
         if v >= mu:
             k += 1
         else:
             break
-    n, m = ordered.n, ordered.m
+    n, m = instance.n, instance.m
     c = m - n
     if n > c > 0 and k < n - c:
         raise InternalInvariantViolation(
@@ -301,31 +294,30 @@ def _residual_feasible(instance: Instance, agent: int, items, bundles: int, mu):
     """Can `items` be split into `bundles` bundles each worth >= mu to agent?"""
     if bundles == 0:
         return tuple() if not items else None
-    value, parts = _bnb_partition(instance, agent, items=items, bundles=bundles)
+    value, parts = maximin_partition(instance, agent, items=items, bundles=bundles)
     if value >= mu:
         return parts
     return None
 
 
-def _structured(ordered: OrderedInstance, agent: int, mu) -> StructuredPartition:
-    """Max-singleton MMS partition with singletons on the leading items.
+def _structured(instance: Instance, agent: int, mu) -> StructuredPartition:
+    """Max-singleton MMS partition of a sorted instance with singletons on
+    the leading items.
 
     Any MMS partition can be rearranged, without losing value or singletons,
     so that its singleton bundles hold the leading items; searching the
     prefix length top-down therefore finds the global maximum.
     """
-    inst = ordered.instance
-    n, m = inst.n, inst.m
-    row = inst.row(agent)
+    n, m = instance.n, instance.m
     t_max = min(n, m)
-    if inst.kind == GOODS and mu > 0:
-        k = count_high_items(ordered, agent, mu)
+    if instance.kind == GOODS and mu > 0:
+        k = count_high_items(instance, agent, mu)
         t_max = min(t_max, k)
     for t in range(t_max, -1, -1):
         if t < m and n - t == 0:
             continue
         rest = range(t + 1, m + 1)
-        parts = _residual_feasible(inst, agent, list(rest), n - t, mu)
+        parts = _residual_feasible(instance, agent, list(rest), n - t, mu)
         if parts is None:
             continue
         singles = tuple(frozenset({j}) for j in range(1, t + 1))
@@ -338,13 +330,13 @@ def _structured(ordered: OrderedInstance, agent: int, mu) -> StructuredPartition
 
 
 def structured_partition_goods(
-    ordered: OrderedInstance, agent: int, mu
+    instance: Instance, agent: int, mu
 ) -> StructuredPartition:
-    if ordered.kind != GOODS:
+    if instance.kind != GOODS:
         raise ValueError("goods instance required")
-    sp = _structured(ordered, agent, mu)
-    n = ordered.n
-    k = count_high_items(ordered, agent, mu) if mu > 0 else ordered.m
+    sp = _structured(instance, agent, mu)
+    n = instance.n
+    k = count_high_items(instance, agent, mu) if mu > 0 else instance.m
     if sp.singleton_count < min(n - 1, k):
         raise InternalInvariantViolation(
             f"agent {agent}: {sp.singleton_count} singletons, "
@@ -376,13 +368,13 @@ def normalize_pair_bundle(partition: tuple, n: int) -> tuple:
 
 
 def structured_partition_chores(
-    ordered: OrderedInstance, agent: int, mu
+    instance: Instance, agent: int, mu
 ) -> StructuredPartition:
-    if ordered.kind != CHORES:
+    if instance.kind != CHORES:
         raise ValueError("chores instance required")
-    sp = _structured(ordered, agent, mu)
+    sp = _structured(instance, agent, mu)
     return StructuredPartition(
-        partition=normalize_pair_bundle(sp.partition, ordered.n),
+        partition=normalize_pair_bundle(sp.partition, instance.n),
         singleton_count=sp.singleton_count,
     )
 

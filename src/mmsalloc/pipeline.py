@@ -52,11 +52,11 @@ class SolveOutcome:
 
 
 class Pipeline:
-    """Accumulates reduction steps against a shrinking ordered instance.
+    """Accumulates reduction steps against a shrinking sorted instance.
 
-    Steps are pushed in current-residual coordinates and stored translated
-    to the companion (fully ordered) instance, so the finished trace can be
-    replayed against it.
+    ``current`` is the sorted residual that every step and rule works on.
+    Steps are pushed in its coordinates and stored translated to the
+    companion instance, so the finished trace can be replayed against it.
     """
 
     def __init__(self, companion: Instance):
@@ -65,17 +65,10 @@ class Pipeline:
         self.agent_ids = list(range(1, companion.n + 1))
         self.item_ids = list(range(1, companion.m + 1))
         self.steps: list = []
-        self.awards: dict = {}
         self.notes: list = []
 
     def note(self, text: str) -> None:
         self.notes.append(text)
-
-    def view(self) -> OrderedInstance:
-        ranks = tuple(
-            tuple(range(1, self.current.m + 1)) for _ in range(self.current.n)
-        )
-        return OrderedInstance(instance=self.current, source_ranks=ranks)
 
     def push(self, step: ReductionStep) -> None:
         translated = make_step(
@@ -86,16 +79,9 @@ class Pipeline:
             },
         )
         self.steps.append(translated)
-        for a, b in translated.assignments:
-            self.awards[a] = b
-        residual, agent_map, item_map = apply_with_maps(self.current, step)
-        self.agent_ids = [
-            self.agent_ids[agent_map[i] - 1] for i in range(1, residual.n + 1)
-        ]
-        self.item_ids = [
-            self.item_ids[item_map[j] - 1] for j in range(1, residual.m + 1)
-        ]
-        self.current = residual
+        self.current, agents, items = apply_with_maps(self.current, step)
+        self.agent_ids = [self.agent_ids[a - 1] for a in agents]
+        self.item_ids = [self.item_ids[j - 1] for j in items]
 
     def finish(self, final_current):
         """Translate a final residual allocation and close the trace."""
@@ -103,16 +89,10 @@ class Pipeline:
             frozenset(self.item_ids[j - 1] for j in b) for b in final_current
         )
         trace = ReductionTrace(steps=tuple(self.steps), final=final)
-        full = {a: b for a, b in self.awards.items()}
-        for pos, b in enumerate(final):
-            full[self.agent_ids[pos]] = b
-        allocation = tuple(
-            full.get(i, frozenset()) for i in range(1, self.companion.n + 1)
-        )
-        return trace, allocation
+        return trace, trace.allocation(self.companion.n)
 
 
-def _drive(pipe: Pipeline, step, cap: int, table, leading_note: str, over_cap: str):
+def _drive(pipe: Pipeline, step, cap: int, leading_note: str, over_cap: str):
     """Shrink the residual until it is finished.
 
     Returns (final allocation of the residual, "") or (None, reason).
@@ -133,7 +113,7 @@ def _drive(pipe: Pipeline, step, cap: int, table, leading_note: str, over_cap: s
             )
             return final, ""
         mu = mu_vector(cur)
-        result = step(pipe, mu, cap, table)
+        result = step(pipe, mu, cap)
         if result == CONTINUE:
             continue
         if result is not None and result[0] == "solved":
@@ -155,13 +135,12 @@ def run(
     kind: str,
     step,
     cap: int,
-    table,
     leading_note: str,
     over_cap: str,
 ) -> SolveOutcome:
     """Solve an instance of ``kind`` and certify the result before reporting it.
 
-    ``step(pipe, mu, cap, table)`` advances a residual of more than two
+    ``step(pipe, mu, cap)`` advances a residual of more than two
     agents and more items than agents: it pushes reductions and returns
     ``CONTINUE``, returns ``("solved", final)``, or returns
     ``("unresolved", reason)`` or ``None`` to fall back to the threshold
@@ -172,7 +151,7 @@ def run(
         raise ValueError(f"{kind} instance required")
     ordered = to_ordered(instance)
     pipe = Pipeline(ordered.instance)
-    final, reason = _drive(pipe, step, cap, table, leading_note, over_cap)
+    final, reason = _drive(pipe, step, cap, leading_note, over_cap)
     diagnostic = "; ".join(pipe.notes)
     if final is None:
         return SolveOutcome(

@@ -17,7 +17,6 @@ from .core import (
     CHORES,
     GOODS,
     Instance,
-    OrderedInstance,
     bundle_value,
 )
 from .domination import pick_dominated
@@ -81,6 +80,15 @@ class ReductionTrace:
     steps: tuple
     final: tuple  # Allocation of the residual instance (may be empty)
 
+    def allocation(self, n: int) -> tuple:
+        """The allocation of the n-agent base instance that the trace
+        describes: each step's awards, then the final bundles to the agents
+        no step awarded, in ascending id order as the residual keeps them."""
+        bundles = dict(pair for step in self.steps for pair in step.assignments)
+        rest = [a for a in range(1, n + 1) if a not in bundles]
+        bundles.update(zip(rest, self.final))
+        return tuple(bundles.get(a, frozenset()) for a in range(1, n + 1))
+
 
 # --- individual rules --------------------------------------------------------
 
@@ -133,36 +141,36 @@ def reduce_pair_blockable(instance: Instance, mu) -> ReductionStep | None:
     return None
 
 
-def reduce_pigeonhole_pair(ordered: OrderedInstance, mu) -> ReductionStep | None:
+def reduce_pigeonhole_pair(instance: Instance, mu) -> ReductionStep | None:
     """Award goods {n, n+1} to an agent who values the pair at her share.
 
     In an ordered goods instance with m > n, some bundle of any partition
     holds two of the n+1 best goods, so every agent values {n, n+1} at most
     at her share and the removal blocks nobody.
     """
-    if ordered.kind != GOODS or ordered.m < ordered.n + 1:
+    if instance.kind != GOODS or instance.m < instance.n + 1:
         return None
-    n = ordered.n
-    inst = ordered.instance
+    n = instance.n
     for i in range(1, n + 1):
-        if inst.value(i, n) + inst.value(i, n + 1) >= mu[i - 1]:
+        if instance.value(i, n) + instance.value(i, n + 1) >= mu[i - 1]:
             return make_step(RULE_PIGEONHOLE_PAIR, {i: {n, n + 1}})
     return None
 
 
-def reduce_pair_from_high(ordered: OrderedInstance, mu) -> ReductionStep | None:
+def reduce_pair_from_high(instance: Instance, mu) -> ReductionStep | None:
     """Award {j, m} when exactly one agent values good j at her share.
 
     The unique qualifier takes good j plus the worst good; everyone else
     strictly prefers each of her own bundles to {j, m}, because j alone is
     already below her share and m is the worst good.
     """
-    if ordered.kind != GOODS:
+    if instance.kind != GOODS:
         return None
-    inst = ordered.instance
-    n, m = ordered.n, ordered.m
+    n, m = instance.n, instance.m
     for j in range(1, m):
-        qualifiers = [i for i in range(1, n + 1) if inst.value(i, j) >= mu[i - 1]]
+        qualifiers = [
+            i for i in range(1, n + 1) if instance.value(i, j) >= mu[i - 1]
+        ]
         if not qualifiers:
             return None  # rows are non-increasing; later items have fewer
         if len(qualifiers) == 1:
@@ -170,7 +178,7 @@ def reduce_pair_from_high(ordered: OrderedInstance, mu) -> ReductionStep | None:
     return None
 
 
-def reduce_by_domination(ordered: OrderedInstance, group, kind: str, mu) -> ReductionStep:
+def reduce_by_domination(instance: Instance, group, mu) -> ReductionStep:
     """Composite step built around a group of same-size tail bundles.
 
     The group's bundles share a (k-1)-subset, so one of them is comparable
@@ -184,15 +192,13 @@ def reduce_by_domination(ordered: OrderedInstance, group, kind: str, mu) -> Redu
     PreconditionUnmet, since they encode assumptions about the caller's
     bundle-size bookkeeping.
     """
-    if kind != ordered.kind:
-        raise PreconditionUnmet(f"kind mismatch: {kind!r} vs {ordered.kind!r}")
     if not group:
         raise PreconditionUnmet("empty tail-bundle group")
-    inst = ordered.instance
-    n, m = ordered.n, ordered.m
+    kind = instance.kind
+    n, m = instance.n, instance.m
     c = m - n
     chosen = pick_dominated(group, kind)
-    if bundle_value(inst, chosen.agent, chosen.bundle) < mu[chosen.agent - 1]:
+    if bundle_value(instance, chosen.agent, chosen.bundle) < mu[chosen.agent - 1]:
         raise PreconditionUnmet(
             f"agent {chosen.agent} does not accept the distinguished bundle"
         )
@@ -206,7 +212,7 @@ def reduce_by_domination(ordered: OrderedInstance, group, kind: str, mu) -> Redu
         for pos, agent in enumerate(sorted(outside), start=1):
             if pos in chosen.bundle:
                 raise PreconditionUnmet("singleton chore collides with the bundle")
-            if inst.value(agent, pos) < mu[agent - 1]:
+            if instance.value(agent, pos) < mu[agent - 1]:
                 raise PreconditionUnmet(
                     f"agent {agent} values chore {pos} below her share"
                 )
@@ -223,7 +229,7 @@ def reduce_by_domination(ordered: OrderedInstance, group, kind: str, mu) -> Redu
     high_items = [n - c + t for t in range(1, d + 1)]
     eligible = [
         i for i in outside
-        if d == 0 or inst.value(i, n - c + d) >= mu[i - 1]
+        if d == 0 or instance.value(i, n - c + d) >= mu[i - 1]
     ]
     if d > 0 and len(eligible) < d:
         raise PreconditionUnmet("not enough agents accept the post-zone singletons")
@@ -232,7 +238,7 @@ def reduce_by_domination(ordered: OrderedInstance, group, kind: str, mu) -> Redu
     for item, agent in zip(high_items, high_takers):
         awards[agent] = {item}
     for item, agent in zip(range(1, q - d + 1), low_takers):
-        if inst.value(agent, item) < mu[agent - 1]:
+        if instance.value(agent, item) < mu[agent - 1]:
             raise PreconditionUnmet(
                 f"agent {agent} values good {item} below her share"
             )
@@ -263,21 +269,13 @@ def base_identical_partitions(instance: Instance) -> tuple:
 
 # --- application and verification -------------------------------------------
 
-def apply(instance: Instance, step: ReductionStep) -> Instance:
+def apply_with_maps(instance: Instance, step: ReductionStep):
     """Residual instance after removing a step's agents and items.
 
     Ids are compacted but keep their relative order, so ordered instances
     stay ordered and positional arguments (n, n+1, ...) stay meaningful.
-    """
-    residual, _, _ = apply_with_maps(instance, step)
-    return residual
-
-
-def apply_with_maps(instance: Instance, step: ReductionStep):
-    """Like apply, but also returns residual-to-original id maps.
-
-    Returns (residual, agent_map, item_map) where agent_map[i'] and
-    item_map[j'] give the original ids of residual agent i' and item j'.
+    Returns (residual, kept_agents, kept_items): residual agent i' and item
+    j' are agent kept_agents[i'-1] and item kept_items[j'-1] of `instance`.
     """
     gone_agents = set(step.agents())
     gone_items = step.items()
@@ -292,10 +290,7 @@ def apply_with_maps(instance: Instance, step: ReductionStep):
     rows = tuple(
         tuple(instance.value(i, j) for j in keep_items) for i in keep_agents
     )
-    residual = Instance(kind=instance.kind, valuations=rows)
-    agent_map = {pos: i for pos, i in enumerate(keep_agents, start=1)}
-    item_map = {pos: j for pos, j in enumerate(keep_items, start=1)}
-    return residual, agent_map, item_map
+    return Instance(kind=instance.kind, valuations=rows), keep_agents, keep_items
 
 
 def verify_step(instance: Instance, step: ReductionStep) -> bool:
@@ -309,9 +304,9 @@ def verify_step(instance: Instance, step: ReductionStep) -> bool:
     for agent, bundle in step.assignments:
         if bundle_value(instance, agent, bundle) < before[agent]:
             return False
-    residual, agent_map, _ = apply_with_maps(instance, step)
-    for pos in range(1, residual.n + 1):
-        if mms_value(residual, pos).mu < before[agent_map[pos]]:
+    residual, kept_agents, _ = apply_with_maps(instance, step)
+    for pos, agent in enumerate(kept_agents, start=1):
+        if mms_value(residual, pos).mu < before[agent]:
             return False
     return True
 
@@ -342,9 +337,9 @@ def verify_trace(instance: Instance, trace: ReductionTrace):
             verdicts.append((step.rule, False))
             return verdicts
         verdicts.append((step.rule, verify_step(cur, local)))
-        cur, agent_map, item_map = apply_with_maps(cur, local)
-        agent_ids = [agent_ids[agent_map[p] - 1] for p in range(1, cur.n + 1)]
-        item_ids = [item_ids[item_map[p] - 1] for p in range(1, cur.m + 1)]
+        cur, kept_agents, kept_items = apply_with_maps(cur, local)
+        agent_ids = [agent_ids[a - 1] for a in kept_agents]
+        item_ids = [item_ids[j - 1] for j in kept_items]
     return verdicts
 
 

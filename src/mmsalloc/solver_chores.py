@@ -13,10 +13,7 @@ pipeline's exhaustive threshold search.
 
 from __future__ import annotations
 
-from .bounds import (
-    DEFAULT_TABLE,
-    BoundTable,
-)
+from .bounds import n_c_chores
 from .core import (
     CHORES,
     Instance,
@@ -40,7 +37,7 @@ from .reductions import (
 )
 
 
-def known_solvable_chores(n: int, m: int, table: BoundTable = DEFAULT_TABLE) -> bool:
+def known_solvable_chores(n: int, m: int) -> bool:
     """Is a chores instance of this shape within this solver's reach?
 
     Shapes with at most five extra chores always admit an allocation and
@@ -48,7 +45,7 @@ def known_solvable_chores(n: int, m: int, table: BoundTable = DEFAULT_TABLE) -> 
     beyond that the tail-grouping threshold must be met.
     """
     c = m - n
-    return n <= 2 or m <= n or c <= 5 or n >= table.n_c_chores(c)
+    return n <= 2 or m <= n or c <= 5 or n >= n_c_chores(c)
 
 
 def _chores_witness_base(pipe: Pipeline, mu):
@@ -62,10 +59,9 @@ def _chores_witness_base(pipe: Pipeline, mu):
     ("solved", final), CONTINUE after pushing a step, or None.
     """
     cur = pipe.current
-    view = pipe.view()
     n = cur.n
     for i in range(1, n + 1):
-        sp = structured_partition_chores(view, i, mu[i - 1])
+        sp = structured_partition_chores(cur, i, mu[i - 1])
         bundles = sorted(sp.partition, key=lambda b: (len(b), sorted(b)))
         singles = [b for b in bundles if len(b) == 1]
         multis = [b for b in bundles if len(b) >= 2]
@@ -101,59 +97,54 @@ def _chores_witness_base(pipe: Pipeline, mu):
     return None
 
 
-def _chores_tail_step(pipe: Pipeline, mu, table: BoundTable):
+def _chores_tail_step(pipe: Pipeline, mu):
     """Domination award on a shared tail bundle, if a group is large enough."""
     cur = pipe.current
-    view = pipe.view()
     n, m = cur.n, cur.m
     c = m - n
     tails = {}
     for i in range(1, n + 1):
-        sp = structured_partition_chores(view, i, mu[i - 1])
+        sp = structured_partition_chores(cur, i, mu[i - 1])
         inside = [b for b in sp.partition if b and min(b) >= n]
         if inside:
             tails[i] = min(inside, key=lambda b: tuple(sorted(b)))
     for k in range(2, c + 2):
-        threshold = max(c - k + 2, table.n_c_chores(c - k + 1) + 1)
+        threshold = max(c - k + 2, n_c_chores(c - k + 1) + 1)
         sized = [TailBundle(i, b) for i, b in tails.items() if len(b) == k]
         groups = group_tail_bundles(sized, k)
         for key in sorted(groups, key=lambda s: tuple(sorted(s))):
             grp = groups[key]
             if len({t.agent for t in grp}) >= threshold:
                 try:
-                    return reduce_by_domination(view, grp, CHORES, mu)
+                    return reduce_by_domination(cur, grp, mu)
                 except PreconditionUnmet:
                     continue
     return None
 
 
-def _step(pipe: Pipeline, mu, cap: int, table: BoundTable):
+def _step(pipe: Pipeline, mu, cap: int):
     """One chores step: the guarded blockable pair, the witness bases, then
     the tail groups.  ``cap`` is unused; chores have no scripted search."""
     cur = pipe.current
     step = reduce_pair_blockable(cur, mu)
     if step is not None and known_solvable_chores(
-        cur.n - len(step.agents()), cur.m - len(step.items()), table
+        cur.n - len(step.agents()), cur.m - len(step.items())
     ):
         pipe.push(step)
         return CONTINUE
     result = _chores_witness_base(pipe, mu)
     if result is not None:
         return result
-    step = _chores_tail_step(pipe, mu, table)
+    step = _chores_tail_step(pipe, mu)
     if step is not None:
         pipe.push(step)
         return CONTINUE
     return None
 
 
-def solve_chores(
-    instance: Instance,
-    cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    table: BoundTable = DEFAULT_TABLE,
-) -> SolveOutcome:
+def solve_chores(instance: Instance, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> SolveOutcome:
     """Solve a chores instance, certifying the result before reporting it."""
     return run(
-        instance, CHORES, _step, cap, table,
+        instance, CHORES, _step, cap,
         "chores_base:one-each", " and beyond the search cap",
     )

@@ -10,14 +10,10 @@ pipeline's exhaustive threshold search below the oracle cap.
 
 from __future__ import annotations
 
-from .bounds import (
-    DEFAULT_TABLE,
-    BoundTable,
-)
+from .bounds import n_c_goods
 from .core import (
     GOODS,
     Instance,
-    OrderedInstance,
     bundle_value,
 )
 from .domination import TailBundle, group_tail_bundles
@@ -53,7 +49,7 @@ from .reductions import (
 )
 
 
-def known_solvable_goods(n: int, m: int, table: BoundTable = DEFAULT_TABLE) -> bool:
+def known_solvable_goods(n: int, m: int) -> bool:
     """Is a goods instance of this shape guaranteed solvable by this solver?
 
     Used as a guard so that generic reductions never strand the pipeline in
@@ -67,32 +63,29 @@ def known_solvable_goods(n: int, m: int, table: BoundTable = DEFAULT_TABLE) -> b
         return n != 3
     if c == 7:
         return n >= 8
-    return n >= table.n_c_goods(c)
+    return n >= n_c_goods(c)
 
 
-def _guarded_simple(pipe: Pipeline, mu, table: BoundTable):
+def _guarded_simple(pipe: Pipeline, mu):
     """Cheapest applicable reduction whose residual stays solvable."""
     cur = pipe.current
-    view = pipe.view()
     candidates = (
         reduce_single_item(cur, mu),
-        reduce_pigeonhole_pair(view, mu),
-        reduce_pair_from_high(view, mu),
+        reduce_pigeonhole_pair(cur, mu),
+        reduce_pair_from_high(cur, mu),
         reduce_pair_blockable(cur, mu),
     )
     for step in candidates:
         if step is None:
             continue
-        if known_solvable_goods(
-            cur.n - len(step.agents()), cur.m - len(step.items()), table
-        ):
+        if known_solvable_goods(cur.n - len(step.agents()), cur.m - len(step.items())):
             return step
     return None
 
 
 # --- shared pivot-pair reduction ---------------------------------------------
 
-def mostly_overlapping_pair(ordered: OrderedInstance, mu, pivot: int, pairs) -> ReductionStep:
+def mostly_overlapping_pair(cur: Instance, mu, pivot: int, pairs) -> ReductionStep:
     """Remove one agent with a two-good bundle around a shared pivot good.
 
     ``pairs`` maps agents to a size-2 bundle containing the pivot, taken
@@ -102,7 +95,6 @@ def mostly_overlapping_pair(ordered: OrderedInstance, mu, pivot: int, pairs) -> 
     pairless agent receives it if she clears her share with it, otherwise it
     goes back to its owner while her share survives a merge argument.
     """
-    cur = ordered.instance
     missing = [i for i in range(1, cur.n + 1) if i not in pairs]
     if len(missing) > 1:
         raise PreconditionUnmet(f"{len(missing)} agents lack a pivot pair")
@@ -131,7 +123,7 @@ def _worst_pivot_pair(cur: Instance, mu, pivot: int, companion, missing):
     return bundle, recipient
 
 
-def reduce_2n2(ordered: OrderedInstance, mu) -> ReductionStep:
+def reduce_2n2(cur: Instance, mu) -> ReductionStep:
     """Guaranteed reduction when there are at most 2n + 2 goods.
 
     Case split: a single good worth a full share; the pair of the n-th and
@@ -139,14 +131,13 @@ def reduce_2n2(ordered: OrderedInstance, mu) -> ReductionStep:
     packed with size-2 bundles hitting the leading goods, and some leading
     good is shared by enough of them to award a pivot pair.
     """
-    cur = ordered.instance
     n, m = cur.n, cur.m
     if n < 3 or m > 2 * n + 2:
         raise PreconditionUnmet(f"needs 3 <= n and m <= 2n+2, got {n}x{m}")
     step = reduce_single_item(cur, mu)
     if step is not None:
         return step
-    step = reduce_pigeonhole_pair(ordered, mu)
+    step = reduce_pigeonhole_pair(cur, mu)
     if step is not None:
         return step
     holders: dict = {}  # pivot good -> {agent: pair bundle}
@@ -157,7 +148,7 @@ def reduce_2n2(ordered: OrderedInstance, mu) -> ReductionStep:
                 holders.setdefault(g, {}).setdefault(i, b)
     for g in range(1, n):
         if g in holders and len(holders[g]) >= n - 1:
-            return mostly_overlapping_pair(ordered, mu, g, holders[g])
+            return mostly_overlapping_pair(cur, mu, g, holders[g])
     raise InternalInvariantViolation(
         "no branch fired although one is always available at this size"
     )
@@ -277,7 +268,7 @@ def _tail_bundle(sp: StructuredPartition, n: int):
     return min(tails, key=lambda b: tuple(sorted(b)))
 
 
-def tail_group_step(pipe: Pipeline, c: int, mu, table: BoundTable = DEFAULT_TABLE):
+def tail_group_step(pipe: Pipeline, c: int, mu):
     """One reduction for large agent counts via shared tail-bundle groups.
 
     Every agent's max-singleton witness has a bundle inside the last c + 1
@@ -288,13 +279,12 @@ def tail_group_step(pipe: Pipeline, c: int, mu, table: BoundTable = DEFAULT_TABL
     Pushes a step and returns CONTINUE, returns ("solved", a), or returns
     None when nothing triggers.
     """
-    ordered = pipe.view()
     cur = pipe.current
     n = cur.n
     tails = {}
     parts = {}
     for i in range(1, n + 1):
-        sp = structured_partition_goods(ordered, i, mu[i - 1])
+        sp = structured_partition_goods(cur, i, mu[i - 1])
         parts[i] = sp
         tb = _tail_bundle(sp, n)
         if mu[i - 1] == 0 or tb is None or len(tb) <= 2:
@@ -309,14 +299,14 @@ def tail_group_step(pipe: Pipeline, c: int, mu, table: BoundTable = DEFAULT_TABL
             if sum(1 for b in sp.partition if len(b) <= 2) >= n - 1:
                 return efm_step(pipe, i, sp.partition, mu)
     for k in range(3, c - 1):
-        threshold = max(c - k + 1, table.n_c_goods(c - k + 1) + 1)
+        threshold = max(c - k + 1, n_c_goods(c - k + 1) + 1)
         sized = [TailBundle(i, b) for i, b in tails.items() if len(b) == k]
         groups = group_tail_bundles(sized, k)
         for key in sorted(groups, key=lambda s: tuple(sorted(s))):
             grp = groups[key]
             if len({t.agent for t in grp}) >= threshold:
                 try:
-                    step = reduce_by_domination(ordered, grp, GOODS, mu)
+                    step = reduce_by_domination(cur, grp, mu)
                 except PreconditionUnmet:
                     continue
                 pipe.push(step)
@@ -346,15 +336,14 @@ def _solve_4x10(pipe: Pipeline, mu, cap: int):
     ("unresolved", reason).
     """
     cur = pipe.current
-    view = pipe.view()
     h1 = [i for i in range(1, 5) if cur.value(i, 1) >= mu[i - 1]]
     h2 = [i for i in range(1, 5) if cur.value(i, 2) >= mu[i - 1]]
     if not h1:
         pipe.note("c6:packed-pairs")
-        pipe.push(reduce_2n2(view, mu))
+        pipe.push(reduce_2n2(cur, mu))
         return CONTINUE
     if len(h1) == 1:
-        step = reduce_pair_from_high(view, mu)
+        step = reduce_pair_from_high(cur, mu)
         if step is None:
             raise InternalInvariantViolation("unique top-good valuer must fire")
         pipe.note("c6:unique-top")
@@ -402,13 +391,12 @@ def _pivot_pair_witness(cur: Instance, agent: int, pivot: int, mu_i):
 def _solve_8x15(pipe: Pipeline, mu, cap: int):
     """Case analysis for eight agents and fifteen goods."""
     cur = pipe.current
-    view = pipe.view()
 
     # An agent whose third-best good misses her share has a witness of five
     # pairs, one triple and two singletons: the matching step applies.
     for i in range(1, 9):
         if cur.value(i, 3) < mu[i - 1]:
-            sp = structured_partition_goods(view, i, mu[i - 1])
+            sp = structured_partition_goods(cur, i, mu[i - 1])
             pipe.note("c7:low-third")
             return efm_step(pipe, i, sp.partition, mu)
 
@@ -439,7 +427,7 @@ def _solve_8x15(pipe: Pipeline, mu, cap: int):
         return CONTINUE
 
     for i in range(1, 9):
-        sp = structured_partition_goods(view, i, mu[i - 1])
+        sp = structured_partition_goods(cur, i, mu[i - 1])
         if sum(1 for b in sp.partition if len(b) <= 2) >= 7:
             pipe.note("c7:mostly-small")
             return efm_step(pipe, i, sp.partition, mu)
@@ -552,14 +540,14 @@ def _solve_8x15_pivot(pipe: Pipeline, mu, cap: int):
 
 # --- dispatcher --------------------------------------------------------------
 
-def _step(pipe: Pipeline, mu, cap: int, table: BoundTable):
+def _step(pipe: Pipeline, mu, cap: int):
     """One goods step: guarded simple rules, the reduce_2n2 shapes, the
     scripted 4 x 10 and 8 x 15 analyses, then the tail groups."""
     n, m = pipe.current.n, pipe.current.m
     c = m - n
-    step = _guarded_simple(pipe, mu, table)
+    step = _guarded_simple(pipe, mu)
     if step is None and (c <= 5 or (c == 6 and n > 4) or (c == 7 and n > 8)):
-        step = reduce_2n2(pipe.view(), mu)
+        step = reduce_2n2(pipe.current, mu)
     if step is not None:
         pipe.push(step)
         return CONTINUE
@@ -567,19 +555,15 @@ def _step(pipe: Pipeline, mu, cap: int, table: BoundTable):
         return _solve_4x10(pipe, mu, cap)
     if c == 7 and n == 8:
         return _solve_8x15(pipe, mu, cap)
-    if n >= table.n_c_goods(c):
-        return tail_group_step(pipe, c, mu, table)
+    if n >= n_c_goods(c):
+        return tail_group_step(pipe, c, mu)
     return None
 
 
-def solve(
-    instance: Instance,
-    cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    table: BoundTable = DEFAULT_TABLE,
-) -> SolveOutcome:
+def solve(instance: Instance, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> SolveOutcome:
     """Solve a goods instance, certifying the result before reporting it."""
     return run(
-        instance, GOODS, _step, cap, table,
+        instance, GOODS, _step, cap,
         "base:leading-singletons", "; search cap exceeded",
     )
 

@@ -187,6 +187,53 @@ def test_verify_stops_at_a_malformed_trace(tmp_path, capsys, malform):
     assert "trace step" not in report and "agent " not in report
 
 
+def _one_bundle_takes_all(doc):
+    doc["trace"]["final"]["bundles"] = [[1, 2, 7, 8, 9, 10], []]
+
+
+def _item_4_twice(doc):
+    doc["trace"]["final"]["bundles"][0].append(4)
+
+
+def _bundles_swapped(doc):
+    doc["trace"]["final"]["bundles"].reverse()
+
+
+def _short_but_lifted(doc):
+    # agent 4 misses her share on the companion instance, yet the allocation
+    # this final lifts to meets every share on the original instance
+    doc["trace"]["final"]["bundles"] = [[1, 2], [7, 8, 9, 10]]
+    doc["allocation"]["bundles"] = [[2, 9], [1, 5], [7, 8], [3, 4, 6, 10]]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_one_bundle_takes_all, _item_4_twice, _bundles_swapped, _short_but_lifted],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_verify_checks_the_traces_final_allocation(tmp_path, capsys, edit):
+    # The solved 4 x 10 instance ends in two final bundles covering goods
+    # 1, 2, 7, 8, 9 and 10.  After each edit the steps stay valid and the
+    # reported allocation meets every share, so only the final allocation
+    # is wrong: it leaves a companion agent short, covers good 4 twice, or
+    # lifts to another allocation than the reported one.
+    inst_path = _gen_one(tmp_path, capsys, seed=9)
+    _, out, _ = run(capsys, "solve", "--input", str(inst_path))
+    doc = json.loads(out)
+    final = doc["trace"]["final"]["bundles"]
+    assert sorted(j for b in final for j in b) == [1, 2, 7, 8, 9, 10]
+    edit(doc)
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(doc))
+    code, report, _ = run(
+        capsys, "verify", "--instance", str(inst_path), "--result", str(result)
+    )
+    assert code == 2
+    assert "trace step 2 (pigeonhole_pair): valid" in report
+    agents = [line for line in report.splitlines() if line.startswith("agent ")]
+    assert len(agents) == 4 and all(line.endswith(": pass") for line in agents)
+
+
 def test_verify_ignores_the_outcomes_own_companion(tmp_path, capsys):
     # The trace replays against the companion of --instance.  Swapping the
     # result's "ordered" field for another, already sorted instance, under
@@ -227,10 +274,16 @@ def test_solve_writes_trace_file(tmp_path, capsys):
 
 def test_malformed_input_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run(capsys, "solve", "--input", str(bad))
+    for text in ("{not json", "{}", '{"kind": "goods", "valuations": [[1.5, 1]]}'):
+        bad.write_text(text)
+        code, _, err = run(capsys, "solve", "--input", str(bad))
+        assert code == 1
+        assert err.startswith("error: ")
+    code, _, err = run(
+        capsys, "bound", "--c", "6", "--kind", "goods", "--override", "8"
+    )
     assert code == 1
-    assert "error" in err
+    assert err.startswith("error: ")
 
 
 def test_bound_command_prints_table_rows(capsys):

@@ -3,6 +3,10 @@
 ``__init__.py`` re-exports by design and is exempt, as is any import line
 marked ``# noqa: F401``.  Only the modules at the number boundary import
 ``fractions``: the rest work on whatever exact values the instance holds.
+Two design fences keep wrappers off the solve path: the rules and the
+solvers take the sorted residual ``Instance`` itself, so only ``core`` and
+``pipeline`` name ``OrderedInstance``; and the solve path reads the default
+agent-count thresholds, so only ``bounds`` and ``cli`` name a ``BoundTable``.
 """
 
 import ast
@@ -50,3 +54,25 @@ def imports_fractions(path: Path) -> bool:
 def test_only_boundary_modules_import_fractions():
     importers = {p.name for p in PACKAGE.glob("*.py") if imports_fractions(p)}
     assert importers <= FRACTION_MODULES
+
+
+def imports_any(path: Path, names) -> bool:
+    return any(
+        alias.name in names
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+
+
+@pytest.mark.parametrize(
+    "names, allowed",
+    [
+        ({"OrderedInstance"}, {"core.py", "pipeline.py"}),
+        ({"BoundTable", "DEFAULT_TABLE"}, {"bounds.py", "cli.py"}),
+    ],
+    ids=["ordered_instance", "bound_table"],
+)
+def test_only_fenced_modules_import(names, allowed):
+    importers = {p.name for p in MODULES if imports_any(p, names)}
+    assert importers <= allowed

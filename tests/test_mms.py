@@ -175,7 +175,7 @@ def test_structured_partition_goods_layout():
         ordered = to_ordered(inst)
         for i in range(1, n + 1):
             mu = mms_value(ordered.instance, i).mu
-            sp = structured_partition_goods(ordered, i, mu)
+            sp = structured_partition_goods(ordered.instance, i, mu)
             assert len(sp.partition) == n
             for b in sp.partition:
                 assert bundle_value(ordered.instance, i, b) >= mu
@@ -183,6 +183,7 @@ def test_structured_partition_goods_layout():
             # singleton bundles sit on the leading goods
             for b in singles:
                 assert min(b) <= len(singles)
+    _check_no_more_items_than_agents(GOODS, structured_partition_goods, rng)
 
 
 def test_structured_partition_chores_layout():
@@ -196,13 +197,28 @@ def test_structured_partition_chores_layout():
         ordered = to_ordered(inst)
         for i in range(1, n + 1):
             mu = mms_value(ordered.instance, i).mu
-            sp = structured_partition_chores(ordered, i, mu)
+            sp = structured_partition_chores(ordered.instance, i, mu)
             assert len(sp.partition) == n
             for b in sp.partition:
                 assert bundle_value(ordered.instance, i, b) >= mu
             singles = sorted(min(b) for b in sp.partition if len(b) == 1)
             # singletons are carried by the worst chores, in order
             assert singles == list(range(1, len(singles) + 1))
+    _check_no_more_items_than_agents(CHORES, structured_partition_chores, rng)
+
+
+def _check_no_more_items_than_agents(kind, structured, rng):
+    # With m <= n every item is a singleton and the n - m bundles left over
+    # are empty; at m = n no bundle is left for the items after the
+    # singletons, the one shape that asks for a partition into zero bundles.
+    sign = -1 if kind == CHORES else 1
+    for m in (3, 2):
+        rows = [[sign * rng.randint(1, 12) for _ in range(m)] for _ in range(3)]
+        inst = to_ordered(make_instance(kind, rows)).instance
+        for i in range(1, 4):
+            sp = structured(inst, i, mms_value(inst, i).mu)
+            singles = tuple(frozenset({j}) for j in range(1, m + 1))
+            assert sp.partition == singles + (frozenset(),) * (3 - m)
 
 
 def _random_rows(rng, kind, n, m, hi=20):
@@ -344,7 +360,7 @@ def test_witness_is_built_on_first_use(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a share query built a witness")
 
-    monkeypatch.setattr(mms, "_bnb_partition", refuse)
+    monkeypatch.setattr(mms, "maximin_partition", refuse)
     clear_caches()
     for inst, out in zip(instances, outcomes):
         mu = mu_vector(inst)

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from mmsalloc.bounds import DEFAULT_TABLE
 from mmsalloc.core import CHORES, GOODS, bundle_value, make_instance, to_ordered
 from mmsalloc.mms import mms_value, mu_vector
 from mmsalloc.pipeline import Pipeline
@@ -88,7 +87,7 @@ def test_shared_pair_tail_fires_domination():
     ordered = to_ordered(make_instance(CHORES, rows))
     pipe = Pipeline(ordered.instance)
     mu = mu_vector(pipe.current)
-    step = _chores_tail_step(pipe, mu, DEFAULT_TABLE)
+    step = _chores_tail_step(pipe, mu)
     assert step is not None and step.rule == "domination"
     assert frozenset({4, 5}) in [b for _, b in step.assignments]
     assert verify_step(ordered.instance, step)

@@ -177,7 +177,7 @@ def test_reduce_2n2_pivot_pair_branch():
     rows = [[7, 7, 7, 3, 3, 3, 2, 2, 2]] * 4
     ordered = to_ordered(make_instance(GOODS, rows))
     mu = mu_vector(ordered.instance)
-    step = reduce_2n2(ordered, mu)
+    step = reduce_2n2(ordered.instance, mu)
     assert step.rule == "domination"
     from mmsalloc.reductions import verify_step
 
@@ -189,13 +189,13 @@ def test_mostly_overlapping_pair_prefers_exception_agent():
     ordered = to_ordered(make_instance(GOODS, rows))
     mu = mu_vector(ordered.instance)
     pairs = {1: frozenset({1, 7}), 2: frozenset({1, 8}), 3: frozenset({1, 9})}
-    step = mostly_overlapping_pair(ordered, mu, 1, pairs)
+    step = mostly_overlapping_pair(ordered.instance, mu, 1, pairs)
     [(agent, bundle)] = step.assignments
     # the worst companion is good 9; agent 4 accepts it and takes priority
     assert bundle == frozenset({1, 9})
     assert agent == 4
     with pytest.raises(PreconditionUnmet):
-        mostly_overlapping_pair(ordered, mu, 1, {1: frozenset({1, 7})})
+        mostly_overlapping_pair(ordered.instance, mu, 1, {1: frozenset({1, 7})})
 
 
 def test_solver_rejects_wrong_kind():
