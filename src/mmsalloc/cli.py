@@ -229,8 +229,17 @@ def cmd_order(input_path: Path, out_path: Path | None) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with exit code 1; argparse's own 2 would read
+    as an unresolved solve or a failed check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="mmsalloc")
+    p = _Parser(prog="mmsalloc")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate random instances")

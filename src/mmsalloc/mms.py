@@ -1,15 +1,19 @@
 """Exact MMS values, witness partitions, and threshold-feasibility search.
 
 Two independent routes compute maximin shares: a plain exhaustive
-enumeration (the oracle, capped) and a branch-and-bound search (the
-workhorse, uncapped).  Both are exact; the test suite checks they agree
-wherever the exhaustive route is feasible.
+enumeration (the oracle, capped) and the share oracle (the workhorse,
+uncapped).  Both are exact; the test suite checks they agree wherever the
+exhaustive route is feasible.
 
-A share query through the branch and bound costs one cache lookup or one
-search, nothing more: ``mms_value`` computes the value alone, and a record's
-witness partition is built on first use from the same cache entry.  The
-search stops as soon as its best partition reaches a bound the share cannot
-pass (``_share_bound``).
+The share oracle has two parts.  The value comes from a decision search
+(``_share``): can every one of the n bundles reach a target (goods), or can
+n bundles of a given capacity hold every chore?  Targets are tried from
+``_share_bound`` toward the greedy value, and the first one met is the
+share.  The witness comes from a branch and bound (``_bnb``) that stops as
+soon as its best partition reaches that exact share, which is the first
+optimal partition in its search order.  Both parts share one cache entry
+per sorted row: ``mms_value`` asks for the value alone, and a record's
+witness partition is built on first use.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapreplace
+from itertools import accumulate
 from math import lcm
 from typing import Callable
 
@@ -48,8 +54,10 @@ class StructuredPartition:
     singleton_count: int
 
 
-# Branch-and-bound results keyed by (sorted values, bundle count, goods?),
-# oldest evicted first once the cache holds _BNB_CACHE_LIMIT entries.
+# Share oracle results keyed by (sorted values, bundle count, goods?): a
+# list [share, witness assignment or None], the assignment filled in by the
+# first witness search.  The oldest entry is evicted first once the cache
+# holds _BNB_CACHE_LIMIT entries.
 _BNB_CACHE_LIMIT = 1 << 14
 _bnb_cache: dict = {}
 
@@ -81,25 +89,150 @@ def _share_bound(vals, n: int, goods: bool) -> int:
     return bound
 
 
-def _bnb(vals: tuple, n: int, goods: bool):
-    """Best n-partition of the non-increasing integer row `vals` (>= 0).
+def _suffix_sums(vals) -> list:
+    """suffix[t] = sum(vals[t:]) for t = 0..len(vals)."""
+    return list(accumulate(reversed(vals), initial=0))[::-1]
 
-    For goods it maximizes the minimum bundle sum, for chores (absolute
-    values) it minimizes the maximum.  Returns (best value, assignment list
-    mapping item position -> bundle).  Items are branched in row order;
-    bundles with equal loads are interchangeable and only the first is tried.
-    The search ends once the best value reaches `_share_bound`.  It replaces
-    its best partition only on a strict improvement, so the witness is the
-    one an exhaustive run of the same search would return.
+
+def _share(vals: tuple, n: int, goods: bool) -> int:
+    """Exact share of the non-increasing integer row `vals` (>= 0) split
+    into n bundles: for goods the best minimum bundle sum, for chores
+    (absolute values) the best maximum.
+
+    The greedy (longest processing time) value and `_share_bound` bracket
+    the share.  Targets are decided from the bound toward the greedy value,
+    and the first target that n bundles can meet is the share.
     """
-    key = (vals, n, goods)
-    hit = _bnb_cache.get(key)
-    if hit is not None:
-        return hit
     m = len(vals)
-    suffix = [0] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + vals[t]
+    if n == 1:
+        return sum(vals)
+    if goods:
+        if m <= n:
+            return vals[-1] if m == n else 0
+    elif m <= n:
+        return vals[0] if m else 0
+    loads = [0] * n
+    for v in vals:
+        heapreplace(loads, loads[0] + v)
+    greedy = loads[0] if goods else max(loads)
+    target = _share_bound(vals, n, goods)
+    if target == greedy:
+        return target
+    suffix = _suffix_sums(vals)
+    if goods:
+        while target > greedy and not _reaches(vals, suffix, n, target):
+            target -= 1
+    else:
+        while target < greedy and not _pack(vals, suffix, [0] * n, target, 0):
+            target += 1
+    return target
+
+
+def _reaches(vals, suffix, n: int, target: int) -> bool:
+    """Can the goods row `vals` be split into n bundles each worth `target`?
+
+    A good worth `target` or more takes a bundle of its own: its
+    bundle-mates, moved elsewhere, only raise the other bundles.  The rest
+    are branched in row order over the open bundles (below `target`); a
+    closed bundle never needs another good, since that good can join any
+    open bundle instead.
+    """
+    m = len(vals)
+    k = 0
+    while k < m and vals[k] >= target:
+        k += 1
+    n -= k
+    if n <= 0:
+        return True
+    # Every item left is below target, so each bundle needs two of them; with
+    # exactly two each, the best pairing is largest with smallest.
+    if m - k < 2 * n:
+        return False
+    if m - k == 2 * n:
+        return all(vals[k + t] + vals[m - 1 - t] >= target for t in range(n))
+    return _fill(vals, suffix, [0] * n, target, k, n * target)
+
+
+def _fill(vals, suffix, loads, target: int, t: int, deficit: int) -> bool:
+    """Can the goods vals[t:] raise every open bundle of `loads` to `target`?
+    `deficit` is what the open bundles still lack in total.  (A module-level
+    recursion: a nested one would leave a reference cycle per call.)"""
+    if deficit == 0:
+        return True
+    if suffix[t] < deficit:
+        return False
+    v = vals[t]
+    seen = set()
+    for j, load in enumerate(loads):
+        if load >= target or load in seen:
+            continue
+        seen.add(load)
+        loads[j] = load + v
+        lack = deficit - min(v, target - load)
+        found = _fill(vals, suffix, loads, target, t + 1, lack)
+        loads[j] = load
+        if found:
+            return True
+    return False
+
+
+def _pack(vals, suffix, loads, capacity: int, t: int) -> bool:
+    """Do the chores vals[t:] fit into the bundles of `loads`, each holding
+    at most `capacity`?  Items are branched in row order over the bundles
+    they fit in; the room left in a bundle counts only while the smallest
+    chore still fits there."""
+    if t == len(vals):
+        return True
+    smallest = vals[-1]
+    room = 0
+    for load in loads:
+        if capacity - load >= smallest:
+            room += capacity - load
+    if suffix[t] > room:
+        return False
+    v = vals[t]
+    seen = set()
+    for j, load in enumerate(loads):
+        if load + v > capacity or load in seen:
+            continue
+        seen.add(load)
+        loads[j] = load + v
+        found = _pack(vals, suffix, loads, capacity, t + 1)
+        loads[j] = load
+        if found:
+            return True
+    return False
+
+
+def _entry(vals: tuple, n: int, goods: bool) -> list:
+    """The cache entry [share, assignment or None] of a row, made on a miss."""
+    key = (vals, n, goods)
+    entry = _bnb_cache.get(key)
+    if entry is None:
+        if len(_bnb_cache) >= _BNB_CACHE_LIMIT:
+            del _bnb_cache[next(iter(_bnb_cache))]
+        entry = _bnb_cache[key] = [_share(vals, n, goods), None]
+    return entry
+
+
+def _bnb(vals: tuple, n: int, goods: bool):
+    """Witness of the share of the non-increasing integer row `vals` (>= 0).
+
+    Returns [share, assignment list mapping item position -> bundle].  The
+    search starts from the greedy partition and branches items in row order;
+    bundles with equal loads are interchangeable and only the first is
+    tried.  For goods it raises the minimum bundle sum, for chores (absolute
+    values) it lowers the maximum, and it replaces its best partition only
+    on a strict improvement.  It stops once its best reaches the exact share
+    from `_share`, so the witness is the first optimal partition in search
+    order: the one a run of the same search to exhaustion would return.
+    """
+    entry = _entry(vals, n, goods)
+    if entry[1] is not None:
+        return entry
+    share = entry[0]
+    m = len(vals)
+    suffix = _suffix_sums(vals)
 
     loads = [0] * n
     best_assign = [0] * m
@@ -108,8 +241,6 @@ def _bnb(vals: tuple, n: int, goods: bool):
         loads[j] += vals[t]
         best_assign[t] = j
     best = min(loads) if goods else max(loads)
-    bound = _share_bound(vals, n, goods)
-
     loads = [0] * n
     assign = [0] * m
 
@@ -136,7 +267,7 @@ def _bnb(vals: tuple, n: int, goods: bool):
             assign[t] = j
             maximin(t + 1)
             loads[j] -= vals[t]
-            if best >= bound:
+            if best >= share:
                 return
 
     def minimax(t: int) -> None:
@@ -161,18 +292,17 @@ def _bnb(vals: tuple, n: int, goods: bool):
                 assign[t] = j
                 minimax(t + 1)
             loads[j] -= vals[t]
-            if best <= bound:
+            if best <= share:
                 return
 
-    # One bundle, an all-zero row and many other rows have a greedy start
-    # that already meets the bound; only the others are searched.
-    if (best < bound) if goods else (best > bound):
+    if best != share:
         (maximin if goods else minimax)(0)
-    result = (best, best_assign)
-    if len(_bnb_cache) >= _BNB_CACHE_LIMIT:
-        del _bnb_cache[next(iter(_bnb_cache))]
-    _bnb_cache[key] = result
-    return result
+    if best != share:
+        raise InternalInvariantViolation(
+            f"witness search reached {best}, the share oracle gave {share}"
+        )
+    entry[1] = best_assign
+    return entry
 
 
 def _scaled(values, sign: int):
@@ -191,9 +321,19 @@ def _unscaled(value: int, sign: int, scale: int) -> int | Fraction:
     return as_exact(Fraction(sign * value, scale))
 
 
+def _value(instance: Instance, agent: int, items, bundles: int) -> int | Fraction:
+    """The agent's share of `items` (default: all) split into `bundles`
+    bundles, from the share oracle alone."""
+    row = instance.row(agent)
+    sign = 1 if instance.kind == GOODS else -1
+    scaled, scale = _scaled(row if items is None else [row[j - 1] for j in items], sign)
+    share = _entry(tuple(sorted(scaled, reverse=True)), bundles, sign == 1)[0]
+    return _unscaled(share, sign, scale)
+
+
 def maximin_partition(instance: Instance, agent: int, items=None, bundles=None):
-    """Best achievable worst-bundle value and a partition reaching it, via
-    branch and bound.
+    """Best achievable worst-bundle value and a partition reaching it: the
+    share from the decision search, the partition from the witness search.
 
     `items` restricts the search to a subset of item ids (default: all) and
     `bundles` sets the bundle count (default: n); the solvers use both to
@@ -250,19 +390,20 @@ def mms_value(
     method: str = "bnb",
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> MmsRecord:
-    """Exact maximin share of one agent; its witness partition is built on
-    first use."""
+    """Exact maximin share of one agent.
+
+    The value comes from the decision search alone; the record's witness
+    partition is built on first use, by the witness search stopped at that
+    value.
+    """
     if method == "exhaustive":
         mu, witness = _exhaustive_partition(instance, agent, cap)
         return MmsRecord(agent, mu, lambda: witness)
     if method != "bnb":
         raise ValueError(f"unknown method {method!r}")
-    sign = 1 if instance.kind == GOODS else -1
-    scaled, scale = _scaled(instance.row(agent), sign)
-    value = _bnb(tuple(sorted(scaled, reverse=True)), instance.n, sign == 1)[0]
     return MmsRecord(
         agent,
-        _unscaled(value, sign, scale),
+        _value(instance, agent, None, instance.n),
         lambda: maximin_partition(instance, agent)[1],
     )
 
@@ -294,10 +435,9 @@ def _residual_feasible(instance: Instance, agent: int, items, bundles: int, mu):
     """Can `items` be split into `bundles` bundles each worth >= mu to agent?"""
     if bundles == 0:
         return tuple() if not items else None
-    value, parts = maximin_partition(instance, agent, items=items, bundles=bundles)
-    if value >= mu:
-        return parts
-    return None
+    if _value(instance, agent, items, bundles) < mu:
+        return None
+    return maximin_partition(instance, agent, items=items, bundles=bundles)[1]
 
 
 def _structured(instance: Instance, agent: int, mu) -> StructuredPartition:

@@ -286,6 +286,28 @@ def test_malformed_input_exits_one(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve",),
+        ("bound", "--c", "6", "--kind", "goods", "--alpha-goods", "abc"),
+        (),
+    ],
+)
+def test_usage_errors_exit_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    assert "usage: mmsalloc" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--input" in capsys.readouterr().out
+
+
 def test_bound_command_prints_table_rows(capsys):
     code, out, _ = run(capsys, "bound", "--c", "5", "--kind", "goods")
     assert code == 0 and "n_c=1" in out

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from mmsalloc import (
     solve,
     solve_chores,
     to_ordered,
+    validate_allocation,
 )
 from mmsalloc import mms
 from mmsalloc.mms import (
@@ -398,3 +400,186 @@ def test_oracle_work_solving_the_criterion_3_head(monkeypatch):
     assert calls <= 168
     # Nothing was evicted, so every cache entry is one miss.
     assert len(mms._bnb_cache) <= 136
+
+
+def _reference_bnb(vals, n, goods):
+    """The witness search as it ran before the share oracle was split in
+    two: the same branch and bound, stopped only by `_share_bound` (or by
+    exhausting its tree), without a cache."""
+    m = len(vals)
+    suffix = [0] * (m + 1)
+    for t in range(m - 1, -1, -1):
+        suffix[t] = suffix[t + 1] + vals[t]
+    loads = [0] * n
+    best_assign = [0] * m
+    for t in range(m):
+        j = loads.index(min(loads))
+        loads[j] += vals[t]
+        best_assign[t] = j
+    best = min(loads) if goods else max(loads)
+    bound = mms._share_bound(vals, n, goods)
+    loads = [0] * n
+    assign = [0] * m
+
+    def maximin(t):
+        nonlocal best, best_assign
+        if t == m:
+            if min(loads) > best:
+                best, best_assign = min(loads), assign[:]
+            return
+        acc = 0
+        for k, load in enumerate(sorted(loads), start=1):
+            acc += load
+            if acc + suffix[t] <= k * best:
+                return
+        seen = set()
+        for j in range(n):
+            if loads[j] in seen:
+                continue
+            seen.add(loads[j])
+            loads[j] += vals[t]
+            assign[t] = j
+            maximin(t + 1)
+            loads[j] -= vals[t]
+            if best >= bound:
+                return
+
+    def minimax(t):
+        nonlocal best, best_assign
+        if t == m:
+            if max(loads) < best:
+                best, best_assign = max(loads), assign[:]
+            return
+        if max(loads) >= best or (sum(loads) + suffix[t] + n - 1) // n >= best:
+            return
+        seen = set()
+        for j in range(n):
+            if loads[j] in seen:
+                continue
+            seen.add(loads[j])
+            loads[j] += vals[t]
+            if loads[j] < best:
+                assign[t] = j
+                minimax(t + 1)
+            loads[j] -= vals[t]
+            if best <= bound:
+                return
+
+    if (best < bound) if goods else (best > bound):
+        (maximin if goods else minimax)(0)
+    return best, best_assign
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.booleans(),
+    st.integers(1, 6),
+    st.lists(st.integers(0, 20), max_size=12),
+)
+def test_witness_matches_the_search_stopped_at_the_bound(goods, bundles, row):
+    """The share from the decision search stops the witness search at the
+    first optimal partition, the one the search stopped at `_share_bound`
+    returns, whatever bundle count `maximin_partition` asks for."""
+    vals = tuple(sorted(row, reverse=True))
+    clear_caches()
+    value, assign = mms._bnb(vals, bundles, goods)
+    assert (value, list(assign)) == _reference_bnb(vals, bundles, goods)
+
+
+def test_decision_search_at_tight_targets():
+    """Targets met with nothing to spare: a tight pairing, peeled goods
+    with a tight rest, and chores filling their bundles exactly."""
+    def reaches(vals, n, target):
+        return mms._reaches(vals, mms._suffix_sums(vals), n, target)
+
+    def packs(vals, n, capacity):
+        return mms._pack(vals, mms._suffix_sums(vals), [0] * n, capacity, 0)
+
+    assert reaches((5, 4, 3, 2), 2, 7)
+    assert not reaches((5, 4, 3, 2), 2, 8)
+    assert reaches((9, 8, 3, 2, 2), 3, 7)
+    assert not reaches((9, 8, 3, 2, 2), 3, 8)
+    assert reaches((6, 5, 4, 3, 3, 3), 2, 12)
+    assert not reaches((6, 5, 4, 3, 3, 3), 2, 13)
+    assert packs((5, 4, 3, 2), 2, 7)
+    assert not packs((5, 4, 3, 2), 2, 6)
+    assert packs((6, 5, 4, 3, 3, 3), 2, 12)
+    assert not packs((6, 5, 4, 3, 3, 3), 2, 11)
+
+
+def _seeded_goods(seed, n, m):
+    rng = random.Random(seed)
+    return make_instance(
+        GOODS, [[rng.randint(0, 20) for _ in range(m)] for _ in range(n)]
+    )
+
+
+def test_many_agents_few_spare_goods_solve_quickly():
+    """30 agents and 33 goods: refuting `_share_bound` over 30 bundles kept
+    the maximin search running for minutes."""
+    inst = _seeded_goods(1, 30, 33)
+    clear_caches()
+    start = time.monotonic()
+    out = solve(inst)
+    assert time.monotonic() - start < 10
+    assert out.status == "solved"
+    validate_allocation(inst, out.allocation)
+    for i in range(1, inst.n + 1):
+        assert bundle_value(inst, i, out.allocation[i - 1]) >= mms_value(inst, i).mu
+
+
+def test_shares_of_twenty_agents_thirty_goods():
+    """Agents 2 and 20 have a share one below `_share_bound`; refuting the
+    bound took the maximin search seconds each."""
+    inst = _seeded_goods(1, 20, 30)
+    clear_caches()
+    start = time.monotonic()
+    assert mu_vector(inst) == (
+        8, 13, 15, 15, 16, 9, 13, 10, 12, 12, 12, 9, 11, 12, 8, 13, 11, 16, 14, 12,
+    )
+    assert time.monotonic() - start < 10
+
+
+def test_shares_agree_with_a_mixed_integer_program():
+    """The first criterion-3 instances (8 x 15, seed 103): the witness meets
+    the share exactly, and the MILP optimum of max z s.t. every bundle is
+    worth z or more, rounded down, equals the share."""
+    optimize = pytest.importorskip("scipy.optimize")
+    np = pytest.importorskip("numpy")
+    rng = random.Random(103)
+    n, m = 8, 15
+    for _ in range(2):
+        inst = make_instance(
+            GOODS, [[rng.randint(0, 20) for _ in range(m)] for _ in range(n)]
+        )
+        for i in range(1, n + 1):
+            rec = mms_value(inst, i)
+            assert sorted(j for b in rec.witness for j in b) == list(range(1, m + 1))
+            assert min(bundle_value(inst, i, b) for b in rec.witness) == rec.mu
+            # variables: x[j, b] (item j in bundle b) in item-major order, then z
+            row = inst.row(i)
+            size = m * n + 1
+            cost = np.zeros(size)
+            cost[-1] = -1
+            cover = np.zeros((m, size))
+            reach = np.zeros((n, size))
+            for j in range(m):
+                cover[j, j * n : (j + 1) * n] = 1
+                for b in range(n):
+                    reach[b, j * n + b] = float(row[j])
+            reach[:, -1] = -1
+            integrality = np.ones(size)
+            integrality[-1] = 0
+            upper = np.ones(size)
+            upper[-1] = np.inf
+            result = optimize.milp(
+                cost,
+                constraints=[
+                    optimize.LinearConstraint(cover, 1, 1),
+                    optimize.LinearConstraint(reach, 0, np.inf),
+                ],
+                integrality=integrality,
+                bounds=optimize.Bounds(np.zeros(size), upper),
+            )
+            assert result.success
+            assert int(-result.fun + 1e-6) == rec.mu
