@@ -30,7 +30,7 @@ from .core import (
     validate_allocation,
 )
 from .errors import InternalInvariantViolation, MmsError
-from .mms import DEFAULT_EXHAUSTIVE_CAP, mms_value
+from .mms import DEFAULT_EXHAUSTIVE_CAP, mms_value, mu_vector
 from .reductions import trace_from_json, trace_to_json, verify_trace
 from .solver_chores import solve_chores
 from .solver_goods import solve as solve_goods
@@ -162,10 +162,11 @@ def cmd_verify(instance_path: Path, result_path: Path) -> int:
         print("trace: final allocation: not checked, as the checks above failed")
     else:
         companion = trace.allocation(replay.n)
+        shares = mu_vector(replay)
         short = [
             a
             for a in range(1, replay.n + 1)
-            if bundle_value(replay, a, companion[a - 1]) < mms_value(replay, a).mu
+            if bundle_value(replay, a, companion[a - 1]) < shares[a - 1]
         ]
         if short:
             print(f"trace: final allocation: agents {short} miss their shares: FAIL")
@@ -176,8 +177,9 @@ def cmd_verify(instance_path: Path, result_path: Path) -> int:
         else:
             print("trace: final allocation: shares met, lifts to the allocation: pass")
 
+    shares = mu_vector(inst)
     for i in range(1, inst.n + 1):
-        mu = mms_value(inst, i).mu
+        mu = shares[i - 1]
         got = bundle_value(inst, i, allocation[i - 1])
         verdict = "pass" if got >= mu else "FAIL"
         print(f"agent {i}: mu = {mu}, received = {got}: {verdict}")

@@ -103,13 +103,14 @@ def validate_allocation(instance: Instance, allocation) -> None:
         raise ShapeMismatch(
             f"allocation has {len(allocation)} bundles for {instance.n} agents"
         )
+    m = instance.m
     seen = set()
     for bundle in allocation:
         for j in bundle:
-            if not (isinstance(j, int) and 1 <= j <= instance.m) or j in seen:
+            if not (isinstance(j, int) and 1 <= j <= m) or j in seen:
                 raise ShapeMismatch(f"item {j} missing, duplicated, or out of range")
             seen.add(j)
-    if len(seen) != instance.m:
+    if len(seen) != m:
         raise ShapeMismatch("allocation does not cover all items")
 
 
@@ -133,16 +134,14 @@ def to_ordered(instance: Instance) -> OrderedInstance:
     item values.
     """
     descending = instance.kind == GOODS
+    positions = range(instance.m)
     rows = []
     ranks = []
-    for i in range(1, instance.n + 1):
-        row = instance.row(i)
-        order = sorted(
-            range(1, instance.m + 1),
-            key=lambda j: (-row[j - 1], j) if descending else (row[j - 1], j),
-        )
-        ranks.append(tuple(order))
-        rows.append(tuple(row[j - 1] for j in order))
+    for row in instance.valuations:
+        # a stable sort keeps tied items in id order, reversed or not
+        order = sorted(positions, key=row.__getitem__, reverse=descending)
+        ranks.append(tuple([j + 1 for j in order]))
+        rows.append(tuple([row[j] for j in order]))
     ordered = Instance(kind=instance.kind, valuations=tuple(rows))
     return OrderedInstance(instance=ordered, source_ranks=tuple(ranks))
 
@@ -152,30 +151,41 @@ def lift_allocation(ordered: OrderedInstance, ordered_alloc, original: Instance)
 
     Picking sequence: slots are processed from most to least valuable
     (ordered index 1..m for goods, m..1 for chores) and the agent holding
-    the slot picks her best remaining original item.  Every agent ends up
-    with a bundle worth at least her ordered-allocation bundle.
+    the slot picks her best remaining original item, the lowest id among
+    ties.  Every agent ends up with a bundle worth at least her
+    ordered-allocation bundle.
     """
     if ordered.instance.kind != original.kind or ordered.instance.m != original.m:
         raise ShapeMismatch("ordered instance does not match the original")
     validate_allocation(ordered.instance, ordered_alloc)
 
-    holder = {}
-    for i, bundle in enumerate(ordered_alloc, start=1):
+    m = original.m
+    holder = [0] * (m + 1)
+    for i, bundle in enumerate(ordered_alloc):
         for j in bundle:
             holder[j] = i
 
-    slots = range(1, original.m + 1)
+    slots = range(1, m + 1)
     if original.kind == CHORES:
         slots = reversed(slots)
 
-    remaining = set(range(1, original.m + 1))
-    picked = [set() for _ in range(original.n)]
+    # each agent's items best first, ties by id, and how far she has picked
+    best_first = [
+        sorted(range(m), key=row.__getitem__, reverse=True)
+        for row in original.valuations
+    ]
+    picked_up_to = [0] * original.n
+    taken = [False] * m
+    picked = [[] for _ in range(original.n)]
     for slot in slots:
         agent = holder[slot]
-        row = original.row(agent)
-        best = max(remaining, key=lambda j: (row[j - 1], -j))
-        remaining.remove(best)
-        picked[agent - 1].add(best)
+        order = best_first[agent]
+        k = picked_up_to[agent]
+        while taken[order[k]]:
+            k += 1
+        picked_up_to[agent] = k + 1
+        taken[order[k]] = True
+        picked[agent].append(order[k] + 1)
     return tuple(frozenset(b) for b in picked)
 
 

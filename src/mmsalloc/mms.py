@@ -13,18 +13,18 @@ share.  The witness comes from a branch and bound (``_bnb``) that stops as
 soon as its best partition reaches that exact share, which is the first
 optimal partition in its search order.  Both parts share one cache entry
 per sorted row: ``mms_value`` asks for the value alone, and a record's
-witness partition is built on first use.
+witness partition is built on first use.  ``mu_vector`` returns the shares
+of all agents by value and skips the records; the solver, certification,
+step verification and trace replay all use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapreplace
 from itertools import accumulate
 from math import lcm
-from typing import Callable
 
 from .core import CHORES, GOODS, Instance, as_exact
 from .errors import InternalInvariantViolation, TooLarge
@@ -32,18 +32,23 @@ from .errors import InternalInvariantViolation, TooLarge
 DEFAULT_EXHAUSTIVE_CAP = 10**8
 
 
-@dataclass(frozen=True)
 class MmsRecord:
     """An agent's maximin share ``mu``; ``witness``, an n-partition in which
     every bundle is worth ``mu`` or more, is built on first use."""
 
-    agent: int
-    mu: int | Fraction
-    _find_witness: Callable[[], tuple] = field(repr=False, compare=False)
+    __slots__ = ("agent", "mu", "_find_witness", "_witness")
 
-    @cached_property
+    def __init__(self, agent: int, mu: int | Fraction, find_witness):
+        self.agent = agent
+        self.mu = mu
+        self._find_witness = find_witness
+        self._witness = None
+
+    @property
     def witness(self) -> tuple:
-        return self._find_witness()
+        if self._witness is None:
+            self._witness = self._find_witness()
+        return self._witness
 
 
 @dataclass(frozen=True)
@@ -323,11 +328,24 @@ def _unscaled(value: int, sign: int, scale: int) -> int | Fraction:
 
 def _value(instance: Instance, agent: int, items, bundles: int) -> int | Fraction:
     """The agent's share of `items` (default: all) split into `bundles`
-    bundles, from the share oracle alone."""
+    bundles, from the share oracle alone.  An integer row is its own cache
+    key once sorted (chores negated), so a hit costs one sort and one lookup."""
     row = instance.row(agent)
-    sign = 1 if instance.kind == GOODS else -1
-    scaled, scale = _scaled(row if items is None else [row[j - 1] for j in items], sign)
-    share = _entry(tuple(sorted(scaled, reverse=True)), bundles, sign == 1)[0]
+    if items is not None:
+        row = [row[j - 1] for j in items]
+    goods = instance.kind == GOODS
+    if type(sum(row)) is int:
+        if goods:
+            vals = tuple(sorted(row, reverse=True))
+        else:
+            vals = tuple([-v for v in sorted(row)])
+        entry = _bnb_cache.get((vals, bundles, goods))
+        if entry is None:
+            entry = _entry(vals, bundles, goods)
+        return entry[0] if goods else -entry[0]
+    sign = 1 if goods else -1
+    scaled, scale = _scaled(row, sign)
+    share = _entry(tuple(sorted(scaled, reverse=True)), bundles, goods)[0]
     return _unscaled(share, sign, scale)
 
 
@@ -409,8 +427,10 @@ def mms_value(
 
 
 def mu_vector(instance: Instance) -> tuple:
-    """Branch-and-bound MMS of every agent, as a tuple indexed by agent-1."""
-    return tuple(mms_value(instance, i).mu for i in range(1, instance.n + 1))
+    """Exact MMS of every agent, as a tuple indexed by agent-1: the values
+    of ``mms_value`` without building a record per agent."""
+    n = instance.n
+    return tuple([_value(instance, i, None, n) for i in range(1, n + 1)])
 
 
 def count_high_items(instance: Instance, agent: int, mu) -> int:

@@ -21,7 +21,7 @@ from .core import (
     to_ordered,
 )
 from .errors import TooLarge
-from .mms import find_allocation_meeting, mms_value, mu_vector
+from .mms import find_allocation_meeting, mu_vector
 from .reductions import (
     ReductionStep,
     ReductionTrace,
@@ -164,9 +164,9 @@ def run(
     trace, companion_alloc = pipe.finish(final)
     allocation = lift_allocation(ordered, companion_alloc, instance)
     status = "solved"
+    shares = mu_vector(instance)
     for i in range(1, instance.n + 1):
-        target = mms_value(instance, i).mu
-        if bundle_value(instance, i, allocation[i - 1]) < target:
+        if bundle_value(instance, i, allocation[i - 1]) < shares[i - 1]:
             status, allocation = "unresolved", None
             diagnostic = f"certification failed for agent {i}; " + diagnostic
             break

@@ -21,7 +21,7 @@ from .core import (
 )
 from .domination import pick_dominated
 from .errors import DanglingReference, PreconditionUnmet
-from .mms import mms_value
+from .mms import mms_value, mu_vector
 
 RULE_SINGLE_ITEM = "single_item"
 RULE_PAIR_BLOCKABLE = "pair_blockable"
@@ -122,22 +122,18 @@ def reduce_pair_blockable(instance: Instance, mu) -> ReductionStep | None:
     most at her share, so she can set the pair aside as one bundle of a new
     partition and keep her other n-1 bundles intact.
     """
-    n, m = instance.n, instance.m
-    for i in range(1, n + 1):
-        row = instance.row(i)
-        for j, jp in combinations(range(1, m + 1), 2):
-            pair_value = row[j - 1] + row[jp - 1]
-            if pair_value < mu[i - 1]:
+    rows = instance.valuations
+    for i, row in enumerate(rows):
+        for j, jp in combinations(range(instance.m), 2):
+            if row[j] + row[jp] < mu[i]:
                 continue
             blocked = False
-            for ip in range(1, n + 1):
-                if ip == i:
-                    continue
-                if instance.value(ip, j) + instance.value(ip, jp) > mu[ip - 1]:
+            for ip, other in enumerate(rows):
+                if ip != i and other[j] + other[jp] > mu[ip]:
                     blocked = True
                     break
             if not blocked:
-                return make_step(RULE_PAIR_BLOCKABLE, {i: {j, jp}})
+                return make_step(RULE_PAIR_BLOCKABLE, {i + 1: {j + 1, jp + 1}})
     return None
 
 
@@ -277,20 +273,36 @@ def apply_with_maps(instance: Instance, step: ReductionStep):
     Returns (residual, kept_agents, kept_items): residual agent i' and item
     j' are agent kept_agents[i'-1] and item kept_items[j'-1] of `instance`.
     """
+    n, m = instance.n, instance.m
     gone_agents = set(step.agents())
     gone_items = step.items()
     for a in gone_agents:
-        if not 1 <= a <= instance.n:
+        if not 1 <= a <= n:
             raise DanglingReference(f"agent {a} is not in the instance")
     for j in gone_items:
-        if not 1 <= j <= instance.m:
+        if not 1 <= j <= m:
             raise DanglingReference(f"item {j} is not in the instance")
-    keep_agents = [i for i in range(1, instance.n + 1) if i not in gone_agents]
-    keep_items = [j for j in range(1, instance.m + 1) if j not in gone_items]
+    keep_agents = [i for i in range(1, n + 1) if i not in gone_agents]
+    keep_items = [j for j in range(1, m + 1) if j not in gone_items]
+    positions = [j - 1 for j in keep_items]
+    valuations = instance.valuations
     rows = tuple(
-        tuple(instance.value(i, j) for j in keep_items) for i in keep_agents
+        tuple([valuations[i - 1][j] for j in positions]) for i in keep_agents
     )
     return Instance(kind=instance.kind, valuations=rows), keep_agents, keep_items
+
+
+def _awards_met(instance: Instance, step: ReductionStep, mu) -> bool:
+    """Does every awarded agent reach her share `mu` with her bundle?"""
+    return all(
+        bundle_value(instance, agent, bundle) >= mu[agent - 1]
+        for agent, bundle in step.assignments
+    )
+
+
+def _shares_kept(before, kept_agents, after) -> bool:
+    """Has no remaining agent's share dropped from `before` to `after`?"""
+    return all(after[p] >= before[a - 1] for p, a in enumerate(kept_agents))
 
 
 def verify_step(instance: Instance, step: ReductionStep) -> bool:
@@ -300,27 +312,28 @@ def verify_step(instance: Instance, step: ReductionStep) -> bool:
     applied to; every remaining agent's share, recomputed on the residual,
     must not have dropped.
     """
-    before = {i: mms_value(instance, i).mu for i in range(1, instance.n + 1)}
-    for agent, bundle in step.assignments:
-        if bundle_value(instance, agent, bundle) < before[agent]:
-            return False
+    before = mu_vector(instance)
+    if not _awards_met(instance, step, before):
+        return False
     residual, kept_agents, _ = apply_with_maps(instance, step)
-    for pos, agent in enumerate(kept_agents, start=1):
-        if mms_value(residual, pos).mu < before[agent]:
-            return False
-    return True
+    return _shares_kept(before, kept_agents, mu_vector(residual))
 
 
 def verify_trace(instance: Instance, trace: ReductionTrace):
     """Replay a trace from its base instance, verifying each step.
 
     Trace steps carry base-instance ids while verification runs against the
-    shrinking residual, so ids are translated along the way.  Returns a list
-    of (rule, valid) pairs in step order.
+    shrinking residual, so ids are translated along the way.  Each step is
+    applied once, and the residual's share vector, computed for its check,
+    is the "before" vector of the next step; after a failed award check it
+    is recomputed from scratch.  The verdicts are those of ``verify_step``
+    on each residual in turn.  Returns a list of (rule, valid) pairs in step
+    order.
     """
     cur = instance
     agent_ids = list(range(1, instance.n + 1))
     item_ids = list(range(1, instance.m + 1))
+    mu = None
     verdicts = []
     for step in trace.steps:
         agent_pos = {a: p for p, a in enumerate(agent_ids, start=1)}
@@ -336,8 +349,13 @@ def verify_trace(instance: Instance, trace: ReductionTrace):
         except KeyError:
             verdicts.append((step.rule, False))
             return verdicts
-        verdicts.append((step.rule, verify_step(cur, local)))
+        if mu is None:
+            mu = mu_vector(cur)
+        awarded = _awards_met(cur, local, mu)
         cur, kept_agents, kept_items = apply_with_maps(cur, local)
+        after = mu_vector(cur) if awarded else None
+        verdicts.append((step.rule, awarded and _shares_kept(mu, kept_agents, after)))
+        mu = after
         agent_ids = [agent_ids[a - 1] for a in kept_agents]
         item_ids = [item_ids[j - 1] for j in kept_items]
     return verdicts

@@ -67,18 +67,21 @@ def known_solvable_goods(n: int, m: int) -> bool:
 
 
 def _guarded_simple(pipe: Pipeline, mu):
-    """Cheapest applicable reduction whose residual stays solvable."""
+    """Cheapest applicable reduction whose residual stays solvable.
+
+    The rules are tried in order, each only when every earlier one gave no
+    step or a step the guard rejects."""
     cur = pipe.current
-    candidates = (
-        reduce_single_item(cur, mu),
-        reduce_pigeonhole_pair(cur, mu),
-        reduce_pair_from_high(cur, mu),
-        reduce_pair_blockable(cur, mu),
-    )
-    for step in candidates:
-        if step is None:
-            continue
-        if known_solvable_goods(cur.n - len(step.agents()), cur.m - len(step.items())):
+    for rule in (
+        reduce_single_item,
+        reduce_pigeonhole_pair,
+        reduce_pair_from_high,
+        reduce_pair_blockable,
+    ):
+        step = rule(cur, mu)
+        if step is not None and known_solvable_goods(
+            cur.n - len(step.agents()), cur.m - len(step.items())
+        ):
             return step
     return None
 

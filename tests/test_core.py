@@ -12,6 +12,7 @@ from mmsalloc import (
     CHORES,
     GOODS,
     Instance,
+    OrderedInstance,
     allocation_from_json,
     allocation_to_json,
     bundle_value,
@@ -167,3 +168,68 @@ def test_lift_rejects_mismatched_shapes():
     ordered = to_ordered(inst)
     with pytest.raises(ShapeMismatch):
         lift_allocation(ordered, (frozenset({1, 2}),), other)
+
+
+def _reference_to_ordered(instance):
+    """Row sorting as it was done with an explicit (value, id) key."""
+    descending = instance.kind == GOODS
+    rows, ranks = [], []
+    for i in range(1, instance.n + 1):
+        row = instance.row(i)
+        order = sorted(
+            range(1, instance.m + 1),
+            key=lambda j: (-row[j - 1], j) if descending else (row[j - 1], j),
+        )
+        ranks.append(tuple(order))
+        rows.append(tuple(row[j - 1] for j in order))
+    ordered = Instance(kind=instance.kind, valuations=tuple(rows))
+    return OrderedInstance(instance=ordered, source_ranks=tuple(ranks))
+
+
+def _reference_lift(ordered, ordered_alloc, original):
+    """The picking sequence as a scan of every remaining item per slot."""
+    holder = {j: i for i, b in enumerate(ordered_alloc, start=1) for j in b}
+    slots = range(1, original.m + 1)
+    if original.kind == CHORES:
+        slots = reversed(slots)
+    remaining = set(range(1, original.m + 1))
+    picked = [set() for _ in range(original.n)]
+    for slot in slots:
+        agent = holder[slot]
+        row = original.row(agent)
+        best = max(remaining, key=lambda j: (row[j - 1], -j))
+        remaining.remove(best)
+        picked[agent - 1].add(best)
+    return tuple(frozenset(b) for b in picked)
+
+
+# few distinct values, so most rows hold ties; halves mix with integers
+_TIED_VALUES = st.sampled_from([0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sort_and_lift_match_the_reference(data):
+    kind = data.draw(st.sampled_from([GOODS, CHORES]))
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(0, 9))
+    sign = -1 if kind == CHORES else 1
+    rows = data.draw(
+        st.lists(
+            st.lists(_TIED_VALUES.map(lambda v: sign * v), min_size=m, max_size=m),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    inst = make_instance(kind, rows)
+    ordered = to_ordered(inst)
+    reference = _reference_to_ordered(inst)
+    assert ordered.instance == reference.instance
+    assert ordered.source_ranks == reference.source_ranks
+    owners = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    ordered_alloc = tuple(
+        frozenset(j + 1 for j, o in enumerate(owners) if o == i) for i in range(n)
+    )
+    assert lift_allocation(ordered, ordered_alloc, inst) == _reference_lift(
+        ordered, ordered_alloc, inst
+    )

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -378,18 +377,18 @@ def test_witness_is_built_on_first_use(monkeypatch):
 def test_oracle_work_solving_the_criterion_3_head(monkeypatch):
     """Share queries and branch-and-bound searches (cache misses) while the
     first four criterion-3 instances (8 x 15, seed 103) are solved from a
-    cold cache.  A change that adds oracle work fails here."""
+    cold cache.  A change that adds oracle work fails here.  Every share
+    query (``mms_value``, ``mu_vector`` and the structured searches) goes
+    through ``mms._value``, so that is where queries are counted."""
     calls = 0
-    original = mms.mms_value
+    original = mms._value
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("mmsalloc") and getattr(module, "mms_value", None) is original:
-            monkeypatch.setattr(module, "mms_value", counting)
+    monkeypatch.setattr(mms, "_value", counting)
     rng = random.Random(103)
     clear_caches()
     for _ in range(4):
@@ -583,3 +582,43 @@ def test_shares_agree_with_a_mixed_integer_program():
             )
             assert result.success
             assert int(-result.fun + 1e-6) == rec.mu
+
+
+def test_share_vector_equals_the_records():
+    rng = random.Random(59)
+    half = Fraction(1, 2)
+    halves = make_instance(GOODS, [[half, 1, 2], [half, half, 1]])
+    instances = [halves]
+    for kind in (GOODS, CHORES):
+        for denominator in (1, 2, 3):
+            for _ in range(15):
+                n, m = rng.randint(1, 4), rng.randint(0, 8)
+                rows = [
+                    [Fraction(v, denominator) for v in row]
+                    for row in _random_rows(rng, kind, n, m, hi=9)
+                ]
+                instances.append(make_instance(kind, rows))
+    for inst in instances:
+        clear_caches()
+        mu = mu_vector(inst)
+        clear_caches()
+        records = tuple(mms_value(inst, i).mu for i in range(1, inst.n + 1))
+        assert mu == records
+        # exact types: an int when integral, otherwise a Fraction
+        assert [type(v) for v in mu] == [
+            int if v.denominator == 1 else Fraction for v in records
+        ]
+    assert [type(v) for v in mu_vector(halves)] == [Fraction, int]
+
+
+def test_record_builds_its_witness_once():
+    calls = []
+
+    def find():
+        calls.append(1)
+        return (frozenset({1}), frozenset({2}))
+
+    record = mms.MmsRecord(1, 3, find)
+    assert calls == []
+    assert record.witness is record.witness
+    assert (record.agent, record.mu, len(calls)) == (1, 3, 1)

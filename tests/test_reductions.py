@@ -1,8 +1,11 @@
 """Reduction rules: preconditions, validity, application, trace round trips."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsalloc.core import (
     CHORES,
@@ -28,6 +31,8 @@ from mmsalloc.reductions import (
     verify_trace,
     ReductionTrace,
 )
+from mmsalloc.solver_chores import solve_chores
+from mmsalloc.solver_goods import solve
 
 
 def ordered_goods(rows):
@@ -172,3 +177,128 @@ def test_verify_trace_translates_base_ids():
         final=(frozenset({3}),),
     )
     assert [ok for _, ok in verify_trace(inst, broken)][-1] is False
+
+
+def _reference_verify_step(instance, step):
+    """Step verification as it ran when each step was checked on its own:
+    one share record per agent, before and after."""
+    before = {i: mms_value(instance, i).mu for i in range(1, instance.n + 1)}
+    for agent, bundle in step.assignments:
+        if bundle_value(instance, agent, bundle) < before[agent]:
+            return False
+    residual, kept_agents, _ = apply_with_maps(instance, step)
+    for pos, agent in enumerate(kept_agents, start=1):
+        if mms_value(residual, pos).mu < before[agent]:
+            return False
+    return True
+
+
+def _reference_verify_trace(instance, trace):
+    """Trace replay that verifies each step on its own and then applies it
+    again to advance, recomputing every share vector."""
+    cur = instance
+    agent_ids = list(range(1, instance.n + 1))
+    item_ids = list(range(1, instance.m + 1))
+    verdicts = []
+    for step in trace.steps:
+        agent_pos = {a: p for p, a in enumerate(agent_ids, start=1)}
+        item_pos = {j: p for p, j in enumerate(item_ids, start=1)}
+        try:
+            local = make_step(
+                step.rule,
+                {
+                    agent_pos[a]: frozenset(item_pos[j] for j in b)
+                    for a, b in step.assignments
+                },
+            )
+        except KeyError:
+            verdicts.append((step.rule, False))
+            return verdicts
+        verdicts.append((step.rule, _reference_verify_step(cur, local)))
+        cur, kept_agents, kept_items = apply_with_maps(cur, local)
+        agent_ids = [agent_ids[a - 1] for a in kept_agents]
+        item_ids = [item_ids[j - 1] for j in kept_items]
+    return verdicts
+
+
+def _tampered(trace, n, m, mode, k, rng):
+    """`trace` with step k replaced (or, past the last step, a step
+    appended) by a step of the given mode, in base ids:
+
+    - "subset": a remaining agent takes a random set of remaining items,
+      which often falls below her share or lowers another agent's share;
+    - "all": a remaining agent takes every remaining item;
+    - "dangling": a step names an item that earlier steps removed, or
+      item m + 1 when none did.
+    """
+    steps = list(trace.steps)
+    gone_agents = {a for s in steps[:k] for a in s.agents()}
+    gone_items = set().union(*(s.items() for s in steps[:k]))
+    agents = [a for a in range(1, n + 1) if a not in gone_agents]
+    items = [j for j in range(1, m + 1) if j not in gone_items]
+    if not agents:
+        return None
+    agent = rng.choice(agents)
+    if mode == "subset":
+        bundle = {j for j in items if rng.random() < 0.4} or set(items[:1])
+    elif mode == "all":
+        bundle = set(items)
+    else:
+        bundle = {rng.choice(sorted(gone_items)) if gone_items else m + 1}
+    steps[k:k + 1] = [make_step("single_item", {agent: bundle})]
+    return ReductionTrace(steps=tuple(steps), final=trace.final)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from([GOODS, CHORES]),
+    n=st.integers(2, 4),
+    extra=st.integers(0, 5),
+    denominator=st.sampled_from([1, 1, 2, 3]),
+    mode=st.sampled_from([None, "subset", "all", "dangling"]),
+    seed=st.integers(0, 10**6),
+)
+def test_one_pass_replay_matches_per_step_verification(
+    kind, n, extra, denominator, mode, seed
+):
+    rng = random.Random(seed)
+    m = n + extra
+    sign = -1 if kind == CHORES else 1
+    rows = [
+        [Fraction(sign * rng.randint(0, 8), denominator) for _ in range(m)]
+        for _ in range(n)
+    ]
+    inst = make_instance(kind, rows)
+    out = (solve if kind == GOODS else solve_chores)(inst)
+    if out.trace is None:
+        return
+    replay = to_ordered(inst).instance
+    trace = out.trace
+    if mode is not None:
+        k = rng.randint(0, len(trace.steps))
+        trace = _tampered(trace, n, m, mode, k, rng)
+        if trace is None:
+            return
+    verdicts = verify_trace(replay, trace)
+    assert verdicts == _reference_verify_trace(replay, trace)
+    if mode is None:
+        assert all(ok for _, ok in verdicts)
+    if mode == "dangling":
+        # replay stops at the step that names a missing item
+        assert len(verdicts) == k + 1 and verdicts[-1][1] is False
+
+
+def test_replay_after_a_failed_award_recomputes_shares():
+    # step 1 gives agent 1 a good below her share of 9; step 2 gives agent 2
+    # a good worth her residual share of 1, far below agent 1's old share
+    inst = make_instance(GOODS, [[9, 9, 9, 0], [1, 1, 1, 1], [4, 4, 4, 4]])
+    trace = ReductionTrace(
+        steps=(
+            make_step("single_item", {1: {4}}),
+            make_step("single_item", {2: {1}}),
+        ),
+        final=(frozenset({2, 3}),),
+    )
+    verdicts = verify_trace(inst, trace)
+    assert verdicts == _reference_verify_trace(inst, trace)
+    assert [ok for _, ok in verdicts] == [False, True]

@@ -15,7 +15,15 @@ from mmsalloc.errors import NEqualsThree, PreconditionUnmet, TooFewAgents
 from mmsalloc.mms import mms_value, mu_vector
 from mmsalloc.reductions import ReductionTrace, verify_trace
 from mmsalloc.pipeline import Pipeline
+from mmsalloc import solver_goods
+from mmsalloc.reductions import (
+    reduce_pair_blockable,
+    reduce_pair_from_high,
+    reduce_pigeonhole_pair,
+    reduce_single_item,
+)
 from mmsalloc.solver_goods import (
+    _guarded_simple,
     _solve_4x10,
     _solve_8x15,
     known_solvable_goods,
@@ -210,3 +218,61 @@ def test_two_agents_without_goods():
     out = solve(make_instance(GOODS, [[], []]))
     assert out.status == "solved"
     assert out.allocation == (frozenset(), frozenset())
+
+
+def _eager_guarded_simple(cur, mu):
+    """The guarded rules as they ran when every candidate was built first."""
+    candidates = (
+        reduce_single_item(cur, mu),
+        reduce_pigeonhole_pair(cur, mu),
+        reduce_pair_from_high(cur, mu),
+        reduce_pair_blockable(cur, mu),
+    )
+    for step in candidates:
+        if step is None:
+            continue
+        if known_solvable_goods(cur.n - len(step.agents()), cur.m - len(step.items())):
+            return step
+    return None
+
+
+def _pipe(rows):
+    return Pipeline(to_ordered(make_instance(GOODS, rows)).instance)
+
+
+def test_later_rules_wait_for_the_first_guarded_step(monkeypatch):
+    pipe = _pipe([[10, 1, 1, 1, 1], [3, 3, 3, 3, 3], [2, 2, 2, 2, 2]])
+    mu = mu_vector(pipe.current)
+    expected = reduce_single_item(pipe.current, mu)
+
+    def refuse(*args):
+        raise AssertionError("a later rule ran after a guarded step was found")
+
+    later = ("reduce_pigeonhole_pair", "reduce_pair_from_high", "reduce_pair_blockable")
+    for name in later:
+        monkeypatch.setattr(solver_goods, name, refuse)
+    assert expected is not None
+    assert _guarded_simple(pipe, mu) == expected
+
+
+def test_a_step_the_guard_rejects_falls_through():
+    # agent 1 takes good 1 alone, which would leave three agents with nine
+    # goods; the {4, 5} pair goes to agent 2 instead
+    pipe = _pipe([[20] + [5] * 9] + [[5] * 10] * 3)
+    mu = mu_vector(pipe.current)
+    single = reduce_single_item(pipe.current, mu)
+    assert single is not None and not known_solvable_goods(3, 9)
+    step = _guarded_simple(pipe, mu)
+    assert step == reduce_pigeonhole_pair(pipe.current, mu)
+    assert step.assignments == ((2, frozenset({4, 5})),)
+    assert step == _eager_guarded_simple(pipe.current, mu)
+
+
+def test_lazy_rules_choose_the_eager_step():
+    rng = random.Random(71)
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        m = n + rng.randint(0, 7)
+        pipe = _pipe([[rng.randint(0, 12) for _ in range(m)] for _ in range(n)])
+        mu = mu_vector(pipe.current)
+        assert _guarded_simple(pipe, mu) == _eager_guarded_simple(pipe.current, mu)
