@@ -21,7 +21,7 @@ ALPHA_GOODS = Fraction(6597, 10000)
 ALPHA_CHORES = Fraction(7838, 10000)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundParams:
     alpha_goods: Fraction = ALPHA_GOODS
     alpha_chores: Fraction = ALPHA_CHORES
@@ -40,7 +40,7 @@ def _ceil(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundTable:
     """n_c lookup with optional per-entry overrides."""
 

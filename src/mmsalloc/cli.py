@@ -36,7 +36,7 @@ from .solver_chores import solve_chores
 from .solver_goods import solve as solve_goods
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunConfig:
     seed: int = 0
     count: int = 1

@@ -43,7 +43,7 @@ def format_fraction(x: int | Fraction) -> object:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """A fair-allocation instance: n agents, m items, exact valuations.
 
@@ -68,6 +68,9 @@ class Instance:
         return self.valuations[agent - 1]
 
 
+_INT_ONLY = frozenset({int})
+
+
 def make_instance(kind: str, valuations: Iterable[Iterable]) -> Instance:
     """Validate and build an Instance from a rectangular matrix.
 
@@ -76,18 +79,25 @@ def make_instance(kind: str, valuations: Iterable[Iterable]) -> Instance:
     """
     if kind not in (GOODS, CHORES):
         raise ValueError(f"kind must be {GOODS!r} or {CHORES!r}, got {kind!r}")
-    rows = [tuple(as_exact(v) for v in row) for row in valuations]
+    rows = []
+    for row in valuations:
+        row = tuple(row)
+        # plain ints are exact already; only other rows go through as_exact
+        if not set(map(type, row)) <= _INT_ONLY:
+            row = tuple([as_exact(v) for v in row])
+        rows.append(row)
     if not rows:
         raise EmptyMatrix("instance needs at least one agent")
     m = len(rows[0])
     for row in rows:
         if len(row) != m:
             raise ShapeMismatch("valuation matrix is not rectangular")
-        for v in row:
-            if kind == GOODS and v < 0:
-                raise SignViolation(f"negative value {v} in a goods instance")
-            if kind == CHORES and v > 0:
-                raise SignViolation(f"positive value {v} in a chores instance")
+        if kind == GOODS and min(row, default=0) < 0:
+            v = next(v for v in row if v < 0)
+            raise SignViolation(f"negative value {v} in a goods instance")
+        if kind == CHORES and max(row, default=0) > 0:
+            v = next(v for v in row if v > 0)
+            raise SignViolation(f"positive value {v} in a chores instance")
     return Instance(kind=kind, valuations=tuple(rows))
 
 
@@ -114,7 +124,7 @@ def validate_allocation(instance: Instance, allocation) -> None:
         raise ShapeMismatch("allocation does not cover all items")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderedInstance:
     """An instance whose rows are sorted per kind, plus the sort permutations.
 

@@ -14,14 +14,14 @@ from .core import CHORES, GOODS
 from .errors import EmptyGroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DominationWitness:
     """Injective map from items of B' to items of B with f(j) <= j."""
 
     mapping: tuple  # of (j, f(j)) pairs, ascending in j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TailBundle:
     agent: int
     bundle: frozenset

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BipartiteGraph:
     x_size: int
     y_size: int
@@ -29,7 +29,7 @@ class BipartiteGraph:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matching:
     pairs: frozenset  # of (x, y)
 

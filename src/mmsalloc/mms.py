@@ -51,7 +51,7 @@ class MmsRecord:
         return self._witness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructuredPartition:
     """An MMS partition whose singletons are the leading items 1..t."""
 
@@ -245,69 +245,77 @@ def _bnb(vals: tuple, n: int, goods: bool):
         j = loads.index(min(loads))
         loads[j] += vals[t]
         best_assign[t] = j
-    best = min(loads) if goods else max(loads)
-    loads = [0] * n
-    assign = [0] * m
-
-    def maximin(t: int) -> None:
-        nonlocal best, best_assign
-        if t == m:
-            v = min(loads)
-            if v > best:
-                best = v
-                best_assign = assign[:]
-            return
-        rest = suffix[t]
-        acc = 0
-        for k, load in enumerate(sorted(loads), start=1):
-            acc += load
-            if acc + rest <= k * best:
-                return
-        seen = set()
-        for j in range(n):
-            if loads[j] in seen:
-                continue
-            seen.add(loads[j])
-            loads[j] += vals[t]
-            assign[t] = j
-            maximin(t + 1)
-            loads[j] -= vals[t]
-            if best >= share:
-                return
-
-    def minimax(t: int) -> None:
-        nonlocal best, best_assign
-        if t == m:
-            v = max(loads)
-            if v < best:
-                best = v
-                best_assign = assign[:]
-            return
-        if max(loads) >= best:
-            return
-        if (sum(loads) + suffix[t] + n - 1) // n >= best:
-            return
-        seen = set()
-        for j in range(n):
-            if loads[j] in seen:
-                continue
-            seen.add(loads[j])
-            loads[j] += vals[t]
-            if loads[j] < best:
-                assign[t] = j
-                minimax(t + 1)
-            loads[j] -= vals[t]
-            if best <= share:
-                return
-
-    if best != share:
-        (maximin if goods else minimax)(0)
-    if best != share:
+    found = [min(loads) if goods else max(loads), best_assign]
+    if found[0] != share:
+        (_maximin if goods else _minimax)(vals, suffix, [0] * n, [0] * m, 0, found, share)
+    if found[0] != share:
         raise InternalInvariantViolation(
-            f"witness search reached {best}, the share oracle gave {share}"
+            f"witness search reached {found[0]}, the share oracle gave {share}"
         )
-    entry[1] = best_assign
+    entry[1] = found[1]
     return entry
+
+
+def _maximin(vals, suffix, loads, assign, t: int, found: list, share: int) -> None:
+    """Branch the goods vals[t:] over `loads`, `assign` recording each
+    item's bundle; found = [best minimum bundle sum, its assignment] is
+    replaced on a strict improvement, and the search stops once it reaches
+    `share`.  (A module-level recursion: a nested one would leave a
+    reference cycle per witness search.)"""
+    if t == len(vals):
+        v = min(loads)
+        if v > found[0]:
+            found[0] = v
+            found[1] = assign[:]
+        return
+    rest = suffix[t]
+    best = found[0]
+    acc = 0
+    for k, load in enumerate(sorted(loads), start=1):
+        acc += load
+        if acc + rest <= k * best:
+            return
+    v = vals[t]
+    seen = set()
+    for j, load in enumerate(loads):
+        if load in seen:
+            continue
+        seen.add(load)
+        loads[j] = load + v
+        assign[t] = j
+        _maximin(vals, suffix, loads, assign, t + 1, found, share)
+        loads[j] = load
+        if found[0] >= share:
+            return
+
+
+def _minimax(vals, suffix, loads, assign, t: int, found: list, share: int) -> None:
+    """The chores counterpart of `_maximin`: found[0] is the best maximum
+    bundle sum, lowered on a strict improvement down to `share`."""
+    if t == len(vals):
+        v = max(loads)
+        if v < found[0]:
+            found[0] = v
+            found[1] = assign[:]
+        return
+    best = found[0]
+    if max(loads) >= best:
+        return
+    if (sum(loads) + suffix[t] + len(loads) - 1) // len(loads) >= best:
+        return
+    v = vals[t]
+    seen = set()
+    for j, load in enumerate(loads):
+        if load in seen:
+            continue
+        seen.add(load)
+        loads[j] = load + v
+        if load + v < found[0]:
+            assign[t] = j
+            _minimax(vals, suffix, loads, assign, t + 1, found, share)
+        loads[j] = load
+        if found[0] <= share:
+            return
 
 
 def _scaled(values, sign: int):

@@ -33,22 +33,38 @@ from .reductions import (
 CONTINUE = ("continue",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveOutcome:
     """Result of a solve run.
 
-    ``allocation`` is in original-instance coordinates; ``trace`` and
-    ``ordered_allocation`` refer to the sorted companion instance, whose
-    per-agent item permutations make an item-faithful translation of trace
-    steps back to the original impossible.
+    Stored: ``status``, ``allocation`` (in original-instance coordinates),
+    ``trace``, ``diagnostic`` and ``instance``, the solved instance itself
+    (shared with the caller, not copied).  Derived on each access, so an
+    outcome holds no second copy of either: ``ordered``, the sorted
+    companion ``to_ordered(instance)``, and ``ordered_allocation``, the
+    companion allocation ``trace.allocation(n)``.  The trace and the
+    companion allocation refer to the sorted companion, whose per-agent
+    item permutations make an item-faithful translation of trace steps
+    back to the original impossible.
     """
 
     status: str  # "solved" | "unresolved"
     allocation: tuple | None
     trace: ReductionTrace | None
     diagnostic: str
-    ordered: OrderedInstance | None = None
-    ordered_allocation: tuple | None = None
+    instance: Instance | None = None
+
+    @property
+    def ordered(self) -> OrderedInstance | None:
+        if self.instance is None:
+            return None
+        return to_ordered(self.instance)
+
+    @property
+    def ordered_allocation(self) -> tuple | None:
+        if self.trace is None or self.instance is None:
+            return None
+        return self.trace.allocation(self.instance.n)
 
 
 class Pipeline:
@@ -159,7 +175,7 @@ def run(
             allocation=None,
             trace=None,
             diagnostic="; ".join(filter(None, [diagnostic, reason])),
-            ordered=ordered,
+            instance=instance,
         )
     trace, companion_alloc = pipe.finish(final)
     allocation = lift_allocation(ordered, companion_alloc, instance)
@@ -175,6 +191,5 @@ def run(
         allocation=allocation,
         trace=trace,
         diagnostic=diagnostic,
-        ordered=ordered,
-        ordered_allocation=companion_alloc,
+        instance=instance,
     )

@@ -40,7 +40,7 @@ ALL_RULES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionStep:
     """One valid reduction: a rule id plus the removed agents' awards."""
 
@@ -72,7 +72,7 @@ def make_step(rule: str, awards) -> ReductionStep:
     return ReductionStep(rule=rule, assignments=tuple(pairs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionTrace:
     """A replayable certificate: steps applied in order, then a final
     allocation of whatever instance remains."""

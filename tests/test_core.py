@@ -24,6 +24,7 @@ from mmsalloc import (
     to_ordered,
     validate_allocation,
 )
+from mmsalloc.core import as_exact
 from mmsalloc.errors import EmptyMatrix, ShapeMismatch, SignViolation
 
 
@@ -45,6 +46,76 @@ def test_make_instance_rejects_bad_input():
         make_instance(CHORES, [[-1, 2]])
     with pytest.raises(ValueError):
         make_instance("bads", [[1]])
+
+
+def _reference_make_instance(kind, valuations):
+    """`make_instance` as it was before plain-int rows skipped `as_exact`:
+    every entry converted, then shapes and signs checked entry by entry."""
+    if kind not in (GOODS, CHORES):
+        raise ValueError(f"kind must be {GOODS!r} or {CHORES!r}, got {kind!r}")
+    rows = [tuple(as_exact(v) for v in row) for row in valuations]
+    if not rows:
+        raise EmptyMatrix("instance needs at least one agent")
+    m = len(rows[0])
+    for row in rows:
+        if len(row) != m:
+            raise ShapeMismatch("valuation matrix is not rectangular")
+        for v in row:
+            if kind == GOODS and v < 0:
+                raise SignViolation(f"negative value {v} in a goods instance")
+            if kind == CHORES and v > 0:
+                raise SignViolation(f"positive value {v} in a chores instance")
+    return Instance(kind=kind, valuations=tuple(rows))
+
+
+def _built_or_raised(build, kind, rows):
+    """The instance with each value's exact type, or the error's class and text."""
+    try:
+        inst = build(kind, rows)
+    except Exception as exc:  # the outcome under comparison, whatever it is
+        return type(exc), str(exc)
+    return inst, [[type(v) for v in row] for row in inst.valuations]
+
+
+@pytest.mark.parametrize(
+    "kind, rows",
+    [
+        (GOODS, [[3, 1, 2], [0, 0, 5]]),
+        (GOODS, [[True, False, 2]]),
+        (CHORES, [[-1, False], [-True, 0]]),
+        (GOODS, [[Fraction(1, 3), 2], [Fraction(4, 2), 0]]),
+        (CHORES, [[Fraction(-1, 3), -2], [0, Fraction(-6, 3)]]),
+        (GOODS, [["1/3", "2", 3], ["4/2", 0, "0/5"]]),
+        (CHORES, [["-1/3", -2], [0, "-6/3"]]),
+        (GOODS, [[1, 2], [3]]),
+        (GOODS, [[1, 2], [3, "1/2", 4]]),
+        (CHORES, [[-1, -2], []]),
+        (GOODS, [[1, -2, -5], [1, 1, 1]]),
+        (GOODS, [[1, 2, 3], [1, Fraction(-1, 2), -3]]),
+        (CHORES, [[-1, 2, 5], [-1, -1, -1]]),
+        (CHORES, [[-1, -2, -3], [-1, "1/2", 3]]),
+        (GOODS, [[1, -2], [3]]),
+        (GOODS, []),
+        (GOODS, [[]]),
+        (GOODS, [[1, 2.5]]),
+        (GOODS, [[1, "x"]]),
+        (GOODS, [5]),
+        ("bads", [[1]]),
+    ],
+)
+def test_make_instance_matches_the_reference(kind, rows):
+    """Plain-int rows skip `as_exact`; every other row, and every error
+    class and message, is as before."""
+    assert _built_or_raised(make_instance, kind, rows) == _built_or_raised(
+        _reference_make_instance, kind, rows
+    )
+
+
+def test_make_instance_reads_rows_from_iterators():
+    rows = (iter([4, 2]) for _ in range(3))
+    assert make_instance(GOODS, rows).valuations == ((4, 2),) * 3
+    with pytest.raises(EmptyMatrix):
+        make_instance(CHORES, iter([]))
 
 
 def test_zero_values_allowed_for_both_kinds():

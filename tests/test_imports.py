@@ -7,6 +7,7 @@ Two design fences keep wrappers off the solve path: the rules and the
 solvers take the sorted residual ``Instance`` itself, so only ``core`` and
 ``pipeline`` name ``OrderedInstance``; and the solve path reads the default
 agent-count thresholds, so only ``bounds`` and ``cli`` name a ``BoundTable``.
+A third fence keeps records small: every frozen dataclass is also slotted.
 """
 
 import ast
@@ -76,3 +77,32 @@ def imports_any(path: Path, names) -> bool:
 def test_only_fenced_modules_import(names, allowed):
     importers = {p.name for p in MODULES if imports_any(p, names)}
     assert importers <= allowed
+
+
+def frozen_dataclasses(path: Path):
+    """(class name, whether it passes slots=True) for each class decorated
+    with ``@dataclass(frozen=True, ...)``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            func = deco.func if isinstance(deco, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) != "dataclass":
+                continue
+            flags = {
+                kw.arg: kw.value.value
+                for kw in deco.keywords
+                if isinstance(kw.value, ast.Constant)
+            }
+            if flags.get("frozen"):
+                yield node.name, flags.get("slots") is True
+
+
+def test_frozen_dataclasses_are_slotted():
+    found = {
+        f"{path.stem}.{name}": slotted
+        for path in MODULES
+        for name, slotted in frozen_dataclasses(path)
+    }
+    assert {"bounds.BoundParams", "bounds.BoundTable", "cli.RunConfig"} <= set(found)
+    assert [name for name, slotted in found.items() if not slotted] == []

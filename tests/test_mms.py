@@ -1,5 +1,6 @@
 """Maximin-share oracles: exact values, witnesses, and helper searches."""
 
+import gc
 import itertools
 import random
 import time
@@ -483,6 +484,22 @@ def test_witness_matches_the_search_stopped_at_the_bound(goods, bundles, row):
     clear_caches()
     value, assign = mms._bnb(vals, bundles, goods)
     assert (value, list(assign)) == _reference_bnb(vals, bundles, goods)
+
+
+@pytest.mark.parametrize("kind", [GOODS, CHORES])
+def test_witness_search_leaves_no_reference_cycle(kind):
+    """A witness search that branches leaves nothing for the cycle
+    collector: its recursions are module-level functions, not closures."""
+    sign = 1 if kind == GOODS else -1
+    inst = make_instance(kind, [[sign * v for v in (9, 7, 7, 5, 4, 4, 3, 2, 1)]] * 3)
+    clear_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        maximin_partition(inst, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_decision_search_at_tight_targets():

@@ -1,9 +1,32 @@
-"""The shared solve pipeline: fallback reasons and the certification gate."""
+"""The shared solve pipeline: fallback reasons, the certification gate, and
+what an outcome keeps."""
 
-from mmsalloc.core import GOODS, make_instance
+import gc
+import json
+import random
+import tracemalloc
+from pathlib import Path
+
+from mmsalloc import mms
+from mmsalloc.core import CHORES, GOODS, make_instance, to_ordered
 from mmsalloc.pipeline import run
+from mmsalloc.solver_chores import solve_chores
+from mmsalloc.solver_goods import solve
 
 ROWS = [[5, 5, 5, 5]] * 3  # three agents, four goods: every share is 5
+GOLDEN = Path(__file__).with_name("golden_outcomes.json")
+
+# Bytes an outcome keeps alive, traced by tracemalloc: about 2,330 B each on
+# the corpus below.  Storing the sorted companion and its allocation in the
+# outcome, with unslotted records, takes about 3,650 B.
+RETAINED_BYTES_PER_OUTCOME = 3000
+
+
+def assert_derived_views(out, inst):
+    """The companion and its allocation are what the instance and trace give."""
+    assert out.ordered == to_ordered(inst)
+    expected = None if out.trace is None else out.trace.allocation(inst.n)
+    assert out.ordered_allocation == expected
 
 
 def test_uncertified_allocation_is_reported_unresolved():
@@ -11,10 +34,12 @@ def test_uncertified_allocation_is_reported_unresolved():
         pipe.note("test:all-to-one")
         return ("solved", (frozenset({1, 2, 3, 4}), frozenset(), frozenset()))
 
-    out = run(make_instance(GOODS, ROWS), GOODS, all_to_agent_one, 10**8, "", "")
+    inst = make_instance(GOODS, ROWS)
+    out = run(inst, GOODS, all_to_agent_one, 10**8, "", "")
     assert out.status == "unresolved" and out.allocation is None
     assert out.diagnostic == "certification failed for agent 2; test:all-to-one"
     assert out.ordered_allocation == (frozenset({1, 2, 3, 4}), frozenset(), frozenset())
+    assert_derived_views(out, inst)
 
 
 def test_step_reason_ends_with_the_callers_over_cap_text():
@@ -22,6 +47,56 @@ def test_step_reason_ends_with_the_callers_over_cap_text():
         pipe.note("test:no-route")
         return ("unresolved", "scripted reason")
 
-    out = run(make_instance(GOODS, ROWS), GOODS, give_up, 1, "", " (over cap)")
+    inst = make_instance(GOODS, ROWS)
+    out = run(inst, GOODS, give_up, 1, "", " (over cap)")
     assert out.status == "unresolved" and out.trace is None
     assert out.diagnostic == "test:no-route; scripted reason (over cap)"
+    assert out.ordered_allocation is None
+    assert_derived_views(out, inst)
+
+
+def test_outcome_views_match_the_instance_and_trace_on_the_golden_corpus():
+    statuses = set()
+    for case in json.loads(GOLDEN.read_text()):
+        inst = make_instance(case["kind"], case["valuations"])
+        kwargs = {} if case["cap"] is None else {"cap": case["cap"]}
+        out = (solve if inst.kind == GOODS else solve_chores)(inst, **kwargs)
+        assert out.instance is inst
+        assert_derived_views(out, inst)
+        statuses.add(out.status)
+    assert statuses == {"solved", "unresolved"}
+
+
+def _retained_corpus():
+    rng = random.Random(9)
+    instances = []
+    for kind in (GOODS, CHORES):
+        sign = 1 if kind == GOODS else -1
+        for _ in range(100):
+            m = rng.randint(5, 9)
+            rows = [[sign * rng.randint(0, 20) for _ in range(m)] for _ in range(4)]
+            instances.append(make_instance(kind, rows))
+    return instances
+
+
+def test_retained_bytes_per_outcome_stay_bounded():
+    """Outcomes kept by a caller hold no copies of what they can derive."""
+    instances = _retained_corpus()
+
+    def solve_all():
+        return [(solve if i.kind == GOODS else solve_chores)(i) for i in instances]
+
+    solve_all()  # lazy set-up and interned strings are not what is measured
+    mms.clear_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        outcomes = solve_all()
+        mms.clear_caches()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(out.status == "solved" for out in outcomes)
+    assert retained / len(outcomes) < RETAINED_BYTES_PER_OUTCOME
