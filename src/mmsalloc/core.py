@@ -126,34 +126,23 @@ def validate_allocation(instance: Instance, allocation) -> None:
 
 @dataclass(frozen=True, slots=True)
 class OrderedInstance:
-    """An instance whose rows are sorted per kind, plus the sort permutations.
-
-    For goods each row is non-increasing, for chores non-decreasing (worst
-    chore first).  ``source_ranks[i-1][j-1]`` is the original item id whose
-    value sits at ordered position j in agent i's row.
-    """
+    """An instance whose rows are sorted per kind: for goods each row is
+    non-increasing, for chores non-decreasing (worst chore first)."""
 
     instance: Instance
-    source_ranks: tuple
 
 
 def to_ordered(instance: Instance) -> OrderedInstance:
-    """Sort each agent's row per kind; ties broken by original item id.
+    """Sort each agent's row per kind.
 
     Each agent's MMS is unchanged, because sorting is a bijection on her
     item values.
     """
     descending = instance.kind == GOODS
-    positions = range(instance.m)
-    rows = []
-    ranks = []
-    for row in instance.valuations:
-        # a stable sort keeps tied items in id order, reversed or not
-        order = sorted(positions, key=row.__getitem__, reverse=descending)
-        ranks.append(tuple([j + 1 for j in order]))
-        rows.append(tuple([row[j] for j in order]))
-    ordered = Instance(kind=instance.kind, valuations=tuple(rows))
-    return OrderedInstance(instance=ordered, source_ranks=tuple(ranks))
+    rows = tuple(
+        tuple(sorted(row, reverse=descending)) for row in instance.valuations
+    )
+    return OrderedInstance(instance=Instance(kind=instance.kind, valuations=rows))
 
 
 def lift_allocation(ordered: OrderedInstance, ordered_alloc, original: Instance):

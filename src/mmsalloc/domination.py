@@ -49,6 +49,16 @@ def strictly_dominates(b, b_prime) -> bool:
     return frozenset(b) != frozenset(b_prime) and dominates(b, b_prime) is not None
 
 
+def tail_bundle(partition, n: int):
+    """The lexicographically first bundle living entirely past position
+    n - 1, or None."""
+    return min(
+        (b for b in partition if b and min(b) >= n),
+        key=lambda b: tuple(sorted(b)),
+        default=None,
+    )
+
+
 def group_tail_bundles(tails, k: int):
     """Multimap from each (k-1)-subset to the size-k tail bundles containing it."""
     groups: dict = {}

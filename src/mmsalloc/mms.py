@@ -572,36 +572,34 @@ def find_allocation_meeting(
     for t in range(m - 1, -1, -1):
         cheapest[t] = cheapest[t + 1] + min(max(rows[i][t] for i in range(n)), 0)
 
-    sums = [0] * n
     assign = [0] * m
-    found = None
-
-    def dfs(t: int) -> bool:
-        nonlocal found
-        if t == m:
-            if all(sums[i] >= xs[i] for i in range(n)):
-                found = assign[:]
-                return True
-            return False
-        slack = 0
-        for i in range(n):
-            if sums[i] + gain[i][t] < xs[i]:
-                return False
-            slack += sums[i] - xs[i] + gain[i][t]
-        if slack + cheapest[t] < 0:
-            return False
-        for j in range(n):
-            sums[j] += rows[j][t]
-            assign[t] = j
-            if dfs(t + 1):
-                return True
-            sums[j] -= rows[j][t]
-        return False
-
-    if not dfs(0):
+    if not _meet(rows, gain, cheapest, xs, [0] * n, assign, 0):
         return None
     parts = [set() for _ in range(n)]
-    for pos, b in enumerate(found):
+    for pos, b in enumerate(assign):
         parts[b].add(pos + 1)
     return tuple(frozenset(p) for p in parts)
 
+
+def _meet(rows, gain, cheapest, xs, sums, assign, t: int) -> bool:
+    """Can items t.. be assigned so that every agent i's total in `sums`
+    reaches xs[i]?  On success `assign` holds the assignment found.  (A
+    module-level recursion: a nested one would leave a reference cycle per
+    search.)"""
+    n = len(xs)
+    if t == len(assign):
+        return all(sums[i] >= xs[i] for i in range(n))
+    slack = 0
+    for i in range(n):
+        if sums[i] + gain[i][t] < xs[i]:
+            return False
+        slack += sums[i] - xs[i] + gain[i][t]
+    if slack + cheapest[t] < 0:
+        return False
+    for j in range(n):
+        sums[j] += rows[j][t]
+        assign[t] = j
+        if _meet(rows, gain, cheapest, xs, sums, assign, t + 1):
+            return True
+        sums[j] -= rows[j][t]
+    return False

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    CHORES,
+    GOODS,
     Instance,
     OrderedInstance,
     bundle_value,
@@ -21,7 +23,7 @@ from .core import (
     to_ordered,
 )
 from .errors import TooLarge
-from .mms import find_allocation_meeting, mu_vector
+from .mms import DEFAULT_EXHAUSTIVE_CAP, find_allocation_meeting, mu_vector
 from .reductions import (
     ReductionStep,
     ReductionTrace,
@@ -31,6 +33,11 @@ from .reductions import (
 )
 
 CONTINUE = ("continue",)
+
+# The pipeline's own branches, named per kind: the one-item-each base case,
+# and the end of the reason when a search exceeds the cap.
+LEADING_NOTE = {GOODS: "base:leading-singletons", CHORES: "chores_base:one-each"}
+OVER_CAP = {GOODS: "; search cap exceeded", CHORES: " and beyond the search cap"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,10 +80,13 @@ class Pipeline:
     ``current`` is the sorted residual that every step and rule works on.
     Steps are pushed in its coordinates and stored translated to the
     companion instance, so the finished trace can be replayed against it.
+    ``cap`` bounds every assignment search of the solve, scripted or
+    fallback, in ``n ** m`` assignments.
     """
 
-    def __init__(self, companion: Instance):
+    def __init__(self, companion: Instance, cap: int = DEFAULT_EXHAUSTIVE_CAP):
         self.companion = companion
+        self.cap = cap
         self.current = companion
         self.agent_ids = list(range(1, companion.n + 1))
         self.item_ids = list(range(1, companion.m + 1))
@@ -108,11 +118,14 @@ class Pipeline:
         return trace, trace.allocation(self.companion.n)
 
 
-def _drive(pipe: Pipeline, step, cap: int, leading_note: str, over_cap: str):
+def _drive(pipe: Pipeline, step):
     """Shrink the residual until it is finished.
 
-    Returns (final allocation of the residual, "") or (None, reason).
+    Returns (final allocation of the residual, "") or (None, reason).  A
+    search past ``pipe.cap``, in the step or in the fallback, leaves the
+    residual unresolved.
     """
+    kind = pipe.companion.kind
     while True:
         cur = pipe.current
         n, m = cur.n, cur.m
@@ -123,51 +136,44 @@ def _drive(pipe: Pipeline, step, cap: int, leading_note: str, over_cap: str):
             return base_identical_partitions(cur), ""
         if m <= n:
             # one leading item each, in order; empties beyond that
-            pipe.note(leading_note)
+            pipe.note(LEADING_NOTE[kind])
             final = tuple(
                 frozenset({i}) if i <= m else frozenset() for i in range(1, n + 1)
             )
             return final, ""
         mu = mu_vector(cur)
-        result = step(pipe, mu, cap)
-        if result == CONTINUE:
-            continue
-        if result is not None and result[0] == "solved":
-            return result[1], ""
-        # no constructive route: exhaustive threshold search or give up
-        reason = result[1] if result is not None else f"no constructive route at {n}x{m}"
+        result = None
         try:
-            final = find_allocation_meeting(cur, mu, cap)
+            result = step(pipe, mu)
+            if result == CONTINUE:
+                continue
+            if result is not None and result[0] == "solved":
+                return result[1], ""
+            # no constructive route: exhaustive threshold search or give up
+            final = find_allocation_meeting(cur, mu, pipe.cap)
         except TooLarge:
-            return None, reason + over_cap
+            reason = result[1] if result else f"no constructive route at {n}x{m}"
+            return None, reason + OVER_CAP[kind]
         if final is None:
             return None, f"no allocation meets all shares at {n}x{m}"
         pipe.note("fallback:threshold-search")
         return final, ""
 
 
-def run(
-    instance: Instance,
-    kind: str,
-    step,
-    cap: int,
-    leading_note: str,
-    over_cap: str,
-) -> SolveOutcome:
+def run(instance: Instance, kind: str, step, cap: int) -> SolveOutcome:
     """Solve an instance of ``kind`` and certify the result before reporting it.
 
-    ``step(pipe, mu, cap)`` advances a residual of more than two
-    agents and more items than agents: it pushes reductions and returns
-    ``CONTINUE``, returns ``("solved", final)``, or returns
-    ``("unresolved", reason)`` or ``None`` to fall back to the threshold
-    search.  ``leading_note`` names the one-item-each base case, and
-    ``over_cap`` ends the reason when the search exceeds ``cap``.
+    ``step(pipe, mu)`` advances a residual of more than two agents and
+    more items than agents: it pushes reductions and returns ``CONTINUE``,
+    returns ``("solved", final)``, or returns ``("unresolved", reason)`` or
+    ``None`` to fall back to the threshold search.  Every search, the
+    step's own included, stops at ``cap`` assignments (``pipe.cap``).
     """
     if instance.kind != kind:
         raise ValueError(f"{kind} instance required")
     ordered = to_ordered(instance)
-    pipe = Pipeline(ordered.instance)
-    final, reason = _drive(pipe, step, cap, leading_note, over_cap)
+    pipe = Pipeline(ordered.instance, cap)
+    final, reason = _drive(pipe, step)
     diagnostic = "; ".join(pipe.notes)
     if final is None:
         return SolveOutcome(

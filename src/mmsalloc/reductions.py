@@ -19,7 +19,7 @@ from .core import (
     Instance,
     bundle_value,
 )
-from .domination import pick_dominated
+from .domination import TailBundle, group_tail_bundles, pick_dominated
 from .errors import DanglingReference, PreconditionUnmet
 from .mms import mms_value, mu_vector
 
@@ -243,6 +243,30 @@ def reduce_by_domination(instance: Instance, group, mu) -> ReductionStep:
     if len(claimed) != sum(len(b) for b in awards.values()):
         raise PreconditionUnmet("singleton awards collide with the bundle")
     return make_step(RULE_DOMINATION, awards)
+
+
+def reduce_by_tail_group(
+    instance: Instance, tails, mu, thresholds
+) -> ReductionStep | None:
+    """Domination award on the first large enough group of tail bundles.
+
+    ``tails`` maps agents to their tail bundle.  For each ``(k, threshold)``
+    in ``thresholds``, in order, the size-k tails are grouped by shared
+    (k-1)-subsets, and the groups are tried in sorted-key order: the first
+    with ``threshold`` distinct agents whose domination award goes through
+    gives the step.  Returns None when no group fires.
+    """
+    for k, threshold in thresholds:
+        sized = [TailBundle(i, b) for i, b in tails.items() if len(b) == k]
+        groups = group_tail_bundles(sized, k)
+        for key in sorted(groups, key=lambda s: tuple(sorted(s))):
+            grp = groups[key]
+            if len({t.agent for t in grp}) >= threshold:
+                try:
+                    return reduce_by_domination(instance, grp, mu)
+                except PreconditionUnmet:
+                    continue
+    return None
 
 
 def base_identical_partitions(instance: Instance) -> tuple:

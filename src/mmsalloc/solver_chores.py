@@ -19,8 +19,7 @@ from .core import (
     Instance,
     bundle_value,
 )
-from .domination import TailBundle, group_tail_bundles
-from .errors import PreconditionUnmet
+from .domination import tail_bundle
 from .mms import (
     DEFAULT_EXHAUSTIVE_CAP,
     # Unused here; kept so that every solver module carries an mms_value
@@ -32,7 +31,7 @@ from .mms import (
 from .pipeline import CONTINUE, Pipeline, SolveOutcome, run
 from .reductions import (
     make_step,
-    reduce_by_domination,
+    reduce_by_tail_group,
     reduce_pair_blockable,
 )
 
@@ -100,31 +99,25 @@ def _chores_witness_base(pipe: Pipeline, mu):
 def _chores_tail_step(pipe: Pipeline, mu):
     """Domination award on a shared tail bundle, if a group is large enough."""
     cur = pipe.current
-    n, m = cur.n, cur.m
-    c = m - n
+    n = cur.n
+    c = cur.m - n
     tails = {}
     for i in range(1, n + 1):
         sp = structured_partition_chores(cur, i, mu[i - 1])
-        inside = [b for b in sp.partition if b and min(b) >= n]
-        if inside:
-            tails[i] = min(inside, key=lambda b: tuple(sorted(b)))
-    for k in range(2, c + 2):
-        threshold = max(c - k + 2, n_c_chores(c - k + 1) + 1)
-        sized = [TailBundle(i, b) for i, b in tails.items() if len(b) == k]
-        groups = group_tail_bundles(sized, k)
-        for key in sorted(groups, key=lambda s: tuple(sorted(s))):
-            grp = groups[key]
-            if len({t.agent for t in grp}) >= threshold:
-                try:
-                    return reduce_by_domination(cur, grp, mu)
-                except PreconditionUnmet:
-                    continue
-    return None
+        tb = tail_bundle(sp.partition, n)
+        if tb is not None:
+            tails[i] = tb
+    return reduce_by_tail_group(
+        cur,
+        tails,
+        mu,
+        ((k, max(c - k + 2, n_c_chores(c - k + 1) + 1)) for k in range(2, c + 2)),
+    )
 
 
-def _step(pipe: Pipeline, mu, cap: int):
+def _step(pipe: Pipeline, mu):
     """One chores step: the guarded blockable pair, the witness bases, then
-    the tail groups.  ``cap`` is unused; chores have no scripted search."""
+    the tail groups."""
     cur = pipe.current
     step = reduce_pair_blockable(cur, mu)
     if step is not None and known_solvable_chores(
@@ -144,7 +137,4 @@ def _step(pipe: Pipeline, mu, cap: int):
 
 def solve_chores(instance: Instance, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> SolveOutcome:
     """Solve a chores instance, certifying the result before reporting it."""
-    return run(
-        instance, CHORES, _step, cap,
-        "chores_base:one-each", " and beyond the search cap",
-    )
+    return run(instance, CHORES, _step, cap)

@@ -16,7 +16,7 @@ from .core import (
     Instance,
     bundle_value,
 )
-from .domination import TailBundle, group_tail_bundles
+from .domination import tail_bundle
 from .errors import (
     InternalInvariantViolation,
     NEqualsThree,
@@ -26,7 +26,6 @@ from .errors import (
 from .matching import BipartiteGraph, hall_deficient_split, max_matching, envy_free_matching
 from .mms import (
     DEFAULT_EXHAUSTIVE_CAP,
-    StructuredPartition,
     find_allocation_meeting,
     maximin_partition,
     mms_value,
@@ -41,7 +40,7 @@ from .reductions import (
     RULE_SINGLE_ITEM,
     ReductionStep,
     make_step,
-    reduce_by_domination,
+    reduce_by_tail_group,
     reduce_pair_blockable,
     reduce_pair_from_high,
     reduce_pigeonhole_pair,
@@ -178,19 +177,20 @@ def efm_step(pipe: Pipeline, agent: int, part, mu):
     if len(small) < n - 1:
         raise PreconditionUnmet("witness needs at least n-1 bundles of size < 3")
 
-    def accepts(i: int, b) -> bool:
-        return bundle_value(cur, i, b) >= mu[i - 1]
+    def acceptance(agents, bundles) -> BipartiteGraph:
+        """Agents x bundle indices into ``part``, an edge where accepted."""
+        return BipartiteGraph.from_edges(
+            len(agents),
+            len(bundles),
+            [
+                (x, y)
+                for x, i in enumerate(agents, start=1)
+                for y, idx in enumerate(bundles, start=1)
+                if bundle_value(cur, i, part[idx]) >= mu[i - 1]
+            ],
+        )
 
-    full = BipartiteGraph.from_edges(
-        n,
-        len(part),
-        [
-            (i, idx + 1)
-            for i in range(1, n + 1)
-            for idx, b in enumerate(part)
-            if accepts(i, b)
-        ],
-    )
+    full = acceptance(range(1, n + 1), range(len(part)))
     mm = max_matching(full)
     if len(mm.pairs) == n:
         alloc = [None] * n
@@ -199,16 +199,7 @@ def efm_step(pipe: Pipeline, agent: int, part, mu):
         return ("solved", tuple(alloc))
 
     others = [i for i in range(1, n + 1) if i != agent]
-    g2 = BipartiteGraph.from_edges(
-        len(others),
-        len(small),
-        [
-            (xi + 1, yi + 1)
-            for xi, i in enumerate(others)
-            for yi, idx in enumerate(small)
-            if accepts(i, part[idx])
-        ],
-    )
+    g2 = acceptance(others, small)
     split = hall_deficient_split(g2)
     if split is None:
         # The other agents match into the small bundles; the witness owner
@@ -230,16 +221,7 @@ def efm_step(pipe: Pipeline, agent: int, part, mu):
     x3.append(agent)
     x3.sort()
     y3 = [idx for yi, idx in enumerate(small) if (yi + 1) not in blocked_y]
-    g3 = BipartiteGraph.from_edges(
-        len(x3),
-        len(y3),
-        [
-            (xi + 1, yi + 1)
-            for xi, i in enumerate(x3)
-            for yi, idx in enumerate(y3)
-            if accepts(i, part[idx])
-        ],
-    )
+    g3 = acceptance(x3, y3)
     efm = envy_free_matching(g3)
     if not efm.pairs:
         raise InternalInvariantViolation("envy-free matching unexpectedly empty")
@@ -263,14 +245,6 @@ def efm_step(pipe: Pipeline, agent: int, part, mu):
 
 # --- large-n tail grouping ---------------------------------------------------
 
-def _tail_bundle(sp: StructuredPartition, n: int):
-    """The lexicographically first bundle living entirely past position n-1."""
-    tails = [b for b in sp.partition if b and min(b) >= n]
-    if not tails:
-        return None
-    return min(tails, key=lambda b: tuple(sorted(b)))
-
-
 def tail_group_step(pipe: Pipeline, c: int, mu):
     """One reduction for large agent counts via shared tail-bundle groups.
 
@@ -289,7 +263,7 @@ def tail_group_step(pipe: Pipeline, c: int, mu):
     for i in range(1, n + 1):
         sp = structured_partition_goods(cur, i, mu[i - 1])
         parts[i] = sp
-        tb = _tail_bundle(sp, n)
+        tb = tail_bundle(sp.partition, n)
         if mu[i - 1] == 0 or tb is None or len(tb) <= 2:
             if cur.m >= n + 1:
                 pipe.push(make_step(RULE_PIGEONHOLE_PAIR, {i: {n, n + 1}}))
@@ -301,38 +275,35 @@ def tail_group_step(pipe: Pipeline, c: int, mu):
             sp = parts[i]
             if sum(1 for b in sp.partition if len(b) <= 2) >= n - 1:
                 return efm_step(pipe, i, sp.partition, mu)
-    for k in range(3, c - 1):
-        threshold = max(c - k + 1, n_c_goods(c - k + 1) + 1)
-        sized = [TailBundle(i, b) for i, b in tails.items() if len(b) == k]
-        groups = group_tail_bundles(sized, k)
-        for key in sorted(groups, key=lambda s: tuple(sorted(s))):
-            grp = groups[key]
-            if len({t.agent for t in grp}) >= threshold:
-                try:
-                    step = reduce_by_domination(cur, grp, mu)
-                except PreconditionUnmet:
-                    continue
-                pipe.push(step)
-                return CONTINUE
-    return None
+    step = reduce_by_tail_group(
+        cur,
+        tails,
+        mu,
+        ((k, max(c - k + 1, n_c_goods(c - k + 1) + 1)) for k in range(3, c - 1)),
+    )
+    if step is None:
+        return None
+    pipe.push(step)
+    return CONTINUE
 
 
 # --- scripted case analyses --------------------------------------------------
 
-def _threshold_final(pipe: Pipeline, removed_items, kept_agents, thresholds, cap):
+def _threshold_final(pipe: Pipeline, removed_items, kept_agents, thresholds):
     """Search the residual (after hypothetically removing items) for an
     allocation meeting original-share thresholds.  Returns the residual
-    allocation in post-removal coordinates, or None."""
+    allocation in post-removal coordinates, or None.  Past ``pipe.cap``
+    assignments it raises TooLarge, which the pipeline reports."""
     cur = pipe.current
     keep = [j for j in range(1, cur.m + 1) if j not in removed_items]
     rows = tuple(
         tuple(cur.value(i, j) for j in keep) for i in kept_agents
     )
     sub = Instance(kind=cur.kind, valuations=rows)
-    return find_allocation_meeting(sub, thresholds, cap)
+    return find_allocation_meeting(sub, thresholds, pipe.cap)
 
 
-def _solve_4x10(pipe: Pipeline, mu, cap: int):
+def _solve_4x10(pipe: Pipeline, mu):
     """Case analysis for four agents and ten goods.
 
     Returns CONTINUE, ("solved", final_alloc_in_current_coords) or
@@ -363,9 +334,7 @@ def _solve_4x10(pipe: Pipeline, mu, cap: int):
     # remaining nine goods up to their old shares.
     for star in h1:
         kept = [a for a in range(1, 5) if a != star]
-        final = _threshold_final(
-            pipe, {1}, kept, [mu[a - 1] for a in kept], cap
-        )
+        final = _threshold_final(pipe, {1}, kept, [mu[a - 1] for a in kept])
         if final is not None:
             pipe.note(f"c6:payoff-good1:agent{star}")
             pipe.push(make_step(RULE_SINGLE_ITEM, {star: {1}}))
@@ -391,7 +360,7 @@ def _pivot_pair_witness(cur: Instance, agent: int, pivot: int, mu_i):
     return None
 
 
-def _solve_8x15(pipe: Pipeline, mu, cap: int):
+def _solve_8x15(pipe: Pipeline, mu):
     """Case analysis for eight agents and fifteen goods."""
     cur = pipe.current
 
@@ -437,11 +406,11 @@ def _solve_8x15(pipe: Pipeline, mu, cap: int):
 
     high5 = [i for i in range(1, 9) if cur.value(i, 5) >= mu[i - 1]]
     if high5:
-        return _solve_8x15_with_five_singles(pipe, mu, cap, high5)
-    return _solve_8x15_pivot(pipe, mu, cap)
+        return _solve_8x15_with_five_singles(pipe, mu, high5)
+    return _solve_8x15_pivot(pipe, mu)
 
 
-def _solve_8x15_with_five_singles(pipe: Pipeline, mu, cap: int, high5):
+def _solve_8x15_with_five_singles(pipe: Pipeline, mu, high5):
     """Agents valuing the fifth good at their share exist (five-singleton
     witnesses); peel them off with leading singletons plus one pair."""
     cur = pipe.current
@@ -465,7 +434,7 @@ def _solve_8x15_with_five_singles(pipe: Pipeline, mu, cap: int, high5):
             awards[second] = {5}
             kept = [a for a in chosen if a not in (first, second)]
             final = _threshold_final(
-                pipe, {1, 2, 3, 4, 5}, kept, [mu[a - 1] for a in kept], cap
+                pipe, {1, 2, 3, 4, 5}, kept, [mu[a - 1] for a in kept]
             )
             if final is not None:
                 pipe.note("c7:five-high:batch")
@@ -474,7 +443,7 @@ def _solve_8x15_with_five_singles(pipe: Pipeline, mu, cap: int, high5):
     return ("unresolved", "8x15: five-singleton batch admits no completion")
 
 
-def _solve_8x15_pivot(pipe: Pipeline, mu, cap: int):
+def _solve_8x15_pivot(pipe: Pipeline, mu):
     """No agent accepts good 5 alone: witnesses have three or four leading
     singletons and pair bundles through goods 5-7.  Group by pivot good."""
     cur = pipe.current
@@ -520,11 +489,7 @@ def _solve_8x15_pivot(pipe: Pipeline, mu, cap: int):
                 awards[i] = bundle
                 awards[ip] = {4}
                 final = _threshold_final(
-                    pipe,
-                    {1, 2, 3, 4} | bundle,
-                    crowd,
-                    [mu[a - 1] for a in crowd],
-                    cap,
+                    pipe, {1, 2, 3, 4} | bundle, crowd, [mu[a - 1] for a in crowd]
                 )
                 if final is not None:
                     pipe.note(f"c7:pivot{g}:pack")
@@ -543,7 +508,7 @@ def _solve_8x15_pivot(pipe: Pipeline, mu, cap: int):
 
 # --- dispatcher --------------------------------------------------------------
 
-def _step(pipe: Pipeline, mu, cap: int):
+def _step(pipe: Pipeline, mu):
     """One goods step: guarded simple rules, the reduce_2n2 shapes, the
     scripted 4 x 10 and 8 x 15 analyses, then the tail groups."""
     n, m = pipe.current.n, pipe.current.m
@@ -555,9 +520,9 @@ def _step(pipe: Pipeline, mu, cap: int):
         pipe.push(step)
         return CONTINUE
     if c == 6 and n == 4:
-        return _solve_4x10(pipe, mu, cap)
+        return _solve_4x10(pipe, mu)
     if c == 7 and n == 8:
-        return _solve_8x15(pipe, mu, cap)
+        return _solve_8x15(pipe, mu)
     if n >= n_c_goods(c):
         return tail_group_step(pipe, c, mu)
     return None
@@ -565,10 +530,7 @@ def _step(pipe: Pipeline, mu, cap: int):
 
 def solve(instance: Instance, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> SolveOutcome:
     """Solve a goods instance, certifying the result before reporting it."""
-    return run(
-        instance, GOODS, _step, cap,
-        "base:leading-singletons", "; search cap exceeded",
-    )
+    return run(instance, GOODS, _step, cap)
 
 
 def solve_c6(instance: Instance, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> SolveOutcome:

@@ -272,6 +272,19 @@ def test_solve_writes_trace_file(tmp_path, capsys):
     assert "steps" in doc and "final" in doc
 
 
+def test_scripted_search_past_the_oracle_cap_exits_two(tmp_path, capsys):
+    """A cap overrun inside a scripted branch is an unresolved solve, not an
+    input error."""
+    path = tmp_path / "payoff.json"
+    rows = [[20] + [3] * 9] * 2 + [[10, 5] + [2] * 8] * 2
+    path.write_text(json.dumps({"kind": "goods", "valuations": rows}))
+    code, out, err = run(capsys, "solve", "--input", str(path), "--oracle-cap", "1000")
+    assert code == 2 and err == ""
+    doc = json.loads(out)
+    assert doc["status"] == "unresolved"
+    assert doc["diagnostic"].endswith("; search cap exceeded")
+
+
 def test_malformed_input_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for text in ("{not json", "{}", '{"kind": "goods", "valuations": [[1.5, 1]]}'):

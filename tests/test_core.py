@@ -185,10 +185,8 @@ def test_to_ordered_sorts_rows_per_kind():
                     assert all(row[j] >= row[j + 1] for j in range(len(row) - 1))
                 else:
                     assert all(row[j] <= row[j + 1] for j in range(len(row) - 1))
-                # the permutation really is a permutation of the row
-                src = ordered.source_ranks[i - 1]
-                assert sorted(src) == list(range(1, inst.m + 1))
-                assert row == tuple(inst.row(i)[j - 1] for j in src)
+                # the sorted row holds the original row's values
+                assert sorted(row) == sorted(inst.row(i))
 
 
 def test_to_ordered_preserves_mms():
@@ -244,17 +242,16 @@ def test_lift_rejects_mismatched_shapes():
 def _reference_to_ordered(instance):
     """Row sorting as it was done with an explicit (value, id) key."""
     descending = instance.kind == GOODS
-    rows, ranks = [], []
+    rows = []
     for i in range(1, instance.n + 1):
         row = instance.row(i)
         order = sorted(
             range(1, instance.m + 1),
             key=lambda j: (-row[j - 1], j) if descending else (row[j - 1], j),
         )
-        ranks.append(tuple(order))
         rows.append(tuple(row[j - 1] for j in order))
     ordered = Instance(kind=instance.kind, valuations=tuple(rows))
-    return OrderedInstance(instance=ordered, source_ranks=tuple(ranks))
+    return OrderedInstance(instance=ordered)
 
 
 def _reference_lift(ordered, ordered_alloc, original):
@@ -295,8 +292,7 @@ def test_sort_and_lift_match_the_reference(data):
     inst = make_instance(kind, rows)
     ordered = to_ordered(inst)
     reference = _reference_to_ordered(inst)
-    assert ordered.instance == reference.instance
-    assert ordered.source_ranks == reference.source_ranks
+    assert ordered == reference
     owners = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
     ordered_alloc = tuple(
         frozenset(j + 1 for j, o in enumerate(owners) if o == i) for i in range(n)

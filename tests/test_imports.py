@@ -7,7 +7,9 @@ Two design fences keep wrappers off the solve path: the rules and the
 solvers take the sorted residual ``Instance`` itself, so only ``core`` and
 ``pipeline`` name ``OrderedInstance``; and the solve path reads the default
 agent-count thresholds, so only ``bounds`` and ``cli`` name a ``BoundTable``.
-A third fence keeps records small: every frozen dataclass is also slotted.
+A third keeps the search cap with the pipeline: only ``mms``, which raises
+``TooLarge``, and ``pipeline``, which reports it, name it.  A fourth fence
+keeps records small: every frozen dataclass is also slotted.
 """
 
 import ast
@@ -71,8 +73,9 @@ def imports_any(path: Path, names) -> bool:
     [
         ({"OrderedInstance"}, {"core.py", "pipeline.py"}),
         ({"BoundTable", "DEFAULT_TABLE"}, {"bounds.py", "cli.py"}),
+        ({"TooLarge"}, {"mms.py", "pipeline.py"}),
     ],
-    ids=["ordered_instance", "bound_table"],
+    ids=["ordered_instance", "bound_table", "too_large"],
 )
 def test_only_fenced_modules_import(names, allowed):
     importers = {p.name for p in MODULES if imports_any(p, names)}

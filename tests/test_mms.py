@@ -502,6 +502,23 @@ def test_witness_search_leaves_no_reference_cycle(kind):
         gc.enable()
 
 
+@pytest.mark.parametrize("kind", [GOODS, CHORES])
+def test_threshold_search_leaves_no_reference_cycle(kind):
+    """The threshold search, met and refuted, leaves nothing for the cycle
+    collector: its recursion is a module-level function, not a closure."""
+    sign = 1 if kind == GOODS else -1
+    inst = make_instance(kind, [[sign * v for v in (9, 7, 7, 5, 4, 4, 3, 2, 1)]] * 3)
+    shares = mu_vector(inst)
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_allocation_meeting(inst, shares) is not None
+        assert find_allocation_meeting(inst, [s + 1 for s in shares]) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_decision_search_at_tight_targets():
     """Targets met with nothing to spare: a tight pairing, peeled goods
     with a tight rest, and chores filling their bundles exactly."""

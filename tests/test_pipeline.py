@@ -1,11 +1,13 @@
-"""The shared solve pipeline: fallback reasons, the certification gate, and
-what an outcome keeps."""
+"""The shared solve pipeline: fallback reasons, the search cap, the
+certification gate, and what an outcome keeps."""
 
 import gc
 import json
 import random
 import tracemalloc
 from pathlib import Path
+
+import pytest
 
 from mmsalloc import mms
 from mmsalloc.core import CHORES, GOODS, make_instance, to_ordered
@@ -30,29 +32,47 @@ def assert_derived_views(out, inst):
 
 
 def test_uncertified_allocation_is_reported_unresolved():
-    def all_to_agent_one(pipe, mu, cap):
+    def all_to_agent_one(pipe, mu):
         pipe.note("test:all-to-one")
         return ("solved", (frozenset({1, 2, 3, 4}), frozenset(), frozenset()))
 
     inst = make_instance(GOODS, ROWS)
-    out = run(inst, GOODS, all_to_agent_one, 10**8, "", "")
+    out = run(inst, GOODS, all_to_agent_one, 10**8)
     assert out.status == "unresolved" and out.allocation is None
     assert out.diagnostic == "certification failed for agent 2; test:all-to-one"
     assert out.ordered_allocation == (frozenset({1, 2, 3, 4}), frozenset(), frozenset())
     assert_derived_views(out, inst)
 
 
-def test_step_reason_ends_with_the_callers_over_cap_text():
-    def give_up(pipe, mu, cap):
+@pytest.mark.parametrize(
+    "kind, over_cap",
+    [(GOODS, "; search cap exceeded"), (CHORES, " and beyond the search cap")],
+    ids=[GOODS, CHORES],
+)
+def test_step_reason_ends_with_the_kinds_over_cap_text(kind, over_cap):
+    def give_up(pipe, mu):
         pipe.note("test:no-route")
         return ("unresolved", "scripted reason")
 
-    inst = make_instance(GOODS, ROWS)
-    out = run(inst, GOODS, give_up, 1, "", " (over cap)")
+    sign = 1 if kind == GOODS else -1
+    inst = make_instance(kind, [[sign * v for v in row] for row in ROWS])
+    out = run(inst, kind, give_up, 1)
     assert out.status == "unresolved" and out.trace is None
-    assert out.diagnostic == "test:no-route; scripted reason (over cap)"
+    assert out.diagnostic == "test:no-route; scripted reason" + over_cap
     assert out.ordered_allocation is None
     assert_derived_views(out, inst)
+
+
+def test_a_scripted_search_past_the_cap_is_unresolved():
+    """The pipeline holds the cap, and the scripted branches search under it:
+    paying good 1 off at 4 x 10 searches 3^9 assignments for the rest, past
+    a cap of 1,000, and the solve comes back unresolved.  The default cap
+    solves the same instance."""
+    inst = make_instance(GOODS, [[20] + [3] * 9] * 2 + [[10, 5] + [2] * 8] * 2)
+    out = solve(inst, cap=1000)
+    assert out.status == "unresolved" and out.trace is None
+    assert out.diagnostic == "no constructive route at 4x10; search cap exceeded"
+    assert solve(inst).diagnostic == "c6:payoff-good1:agent1"
 
 
 def test_outcome_views_match_the_instance_and_trace_on_the_golden_corpus():

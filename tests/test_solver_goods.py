@@ -95,7 +95,7 @@ def run_script(rows, script):
     """Drive one scripted step directly and re-verify whatever it pushed."""
     ordered = to_ordered(make_instance(GOODS, [list(r) for r in rows]))
     pipe = Pipeline(ordered.instance)
-    res = script(pipe, mu_vector(pipe.current), 10**8)
+    res = script(pipe, mu_vector(pipe.current))
     trace = ReductionTrace(steps=tuple(pipe.steps), final=())
     for _, ok in verify_trace(ordered.instance, trace):
         assert ok
