@@ -96,9 +96,14 @@ def cmd_solve(input_path: Path, trace_out: Path | None, oracle: str, cap: int) -
     if outcome.status != "solved":
         return 2
     if oracle == "exhaustive":
-        # re-certify with the second oracle for belt and braces
+        # re-certify with the second oracle for belt and braces; a share it
+        # cannot compute (a search past the cap) fails the re-certification
         for i in range(1, inst.n + 1):
-            mu = mms_value(inst, i, method="exhaustive", cap=cap).mu
+            try:
+                mu = mms_value(inst, i, method="exhaustive", cap=cap).mu
+            except MmsError as exc:
+                print(f"exhaustive re-certification: {exc}")
+                return 2
             if bundle_value(inst, i, outcome.allocation[i - 1]) < mu:
                 print(f"exhaustive re-certification failed for agent {i}")
                 return 2

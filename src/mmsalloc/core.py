@@ -23,6 +23,27 @@ CHORES = "chores"
 Bundle = frozenset  # of 1-based item ids
 Allocation = tuple  # of n Bundles, pairwise disjoint, covering {1..m}
 
+# The one frozenset of each distinct bundle, keyed by itself.  Instances have
+# n agents and about n items, so the allocations and traces of many solves
+# reuse few distinct bundles; every bundle an outcome keeps is built by
+# shared_bundle and points here.  The oldest entry is evicted first once the
+# table holds _SHARED_BUNDLE_LIMIT bundles; an evicted bundle lives on in
+# whatever still holds it.
+_SHARED_BUNDLE_LIMIT = 1 << 12
+_shared_bundles: dict = {}
+
+
+def shared_bundle(items) -> frozenset:
+    """The shared frozenset of ``items``, which must be plain int item ids:
+    a float or bool id equals an int one and would stand in for it."""
+    bundle = frozenset(items)
+    shared = _shared_bundles.get(bundle)
+    if shared is None:
+        if len(_shared_bundles) >= _SHARED_BUNDLE_LIMIT:
+            del _shared_bundles[next(iter(_shared_bundles))]
+        shared = _shared_bundles[bundle] = bundle
+    return shared
+
 
 def as_exact(x) -> int | Fraction:
     """An int, Fraction, or "p/q" string as an exact number: an int when
@@ -185,7 +206,7 @@ def lift_allocation(ordered: OrderedInstance, ordered_alloc, original: Instance)
         picked_up_to[agent] = k + 1
         taken[order[k]] = True
         picked[agent].append(order[k] + 1)
-    return tuple(frozenset(b) for b in picked)
+    return tuple(shared_bundle(b) for b in picked)
 
 
 # --- JSON wire formats -------------------------------------------------------
@@ -221,5 +242,10 @@ def allocation_to_json(allocation) -> str:
 
 
 def allocation_from_json(text: str):
+    """The allocation of a document.  A bundle with an item that is not a
+    plain int is left unshared, for ``validate_allocation`` to judge."""
     data = json.loads(text)
-    return tuple(frozenset(b) for b in data["bundles"])
+    bundles = (frozenset(b) for b in data["bundles"])
+    return tuple(
+        shared_bundle(b) if all(type(j) is int for j in b) else b for b in bundles
+    )

@@ -20,6 +20,7 @@ from .core import (
     OrderedInstance,
     bundle_value,
     lift_allocation,
+    shared_bundle,
     to_ordered,
 )
 from .errors import TooLarge
@@ -49,10 +50,13 @@ class SolveOutcome:
     (shared with the caller, not copied).  Derived on each access, so an
     outcome holds no second copy of either: ``ordered``, the sorted
     companion ``to_ordered(instance)``, and ``ordered_allocation``, the
-    companion allocation ``trace.allocation(n)``.  The trace and the
-    companion allocation refer to the sorted companion, whose per-agent
-    item permutations make an item-faithful translation of trace steps
-    back to the original impossible.
+    companion allocation ``trace.allocation(n)``.  Every bundle of the
+    allocation and the trace is the one shared frozenset of its items
+    (``core.shared_bundle``), so outcomes that hold equal bundles hold one
+    copy between them.  The trace and the companion allocation refer to
+    the sorted companion, whose per-agent item permutations make an
+    item-faithful translation of trace steps back to the original
+    impossible.
     """
 
     status: str  # "solved" | "unresolved"
@@ -100,7 +104,7 @@ class Pipeline:
         translated = make_step(
             step.rule,
             {
-                self.agent_ids[a - 1]: frozenset(self.item_ids[j - 1] for j in b)
+                self.agent_ids[a - 1]: [self.item_ids[j - 1] for j in b]
                 for a, b in step.assignments
             },
         )
@@ -112,7 +116,7 @@ class Pipeline:
     def finish(self, final_current):
         """Translate a final residual allocation and close the trace."""
         final = tuple(
-            frozenset(self.item_ids[j - 1] for j in b) for b in final_current
+            shared_bundle([self.item_ids[j - 1] for j in b]) for b in final_current
         )
         trace = ReductionTrace(steps=tuple(self.steps), final=final)
         return trace, trace.allocation(self.companion.n)

@@ -18,9 +18,10 @@ from .core import (
     GOODS,
     Instance,
     bundle_value,
+    shared_bundle,
 )
 from .domination import TailBundle, group_tail_bundles, pick_dominated
-from .errors import DanglingReference, PreconditionUnmet
+from .errors import DanglingReference, MalformedDocument, PreconditionUnmet
 from .mms import mms_value, mu_vector
 
 RULE_SINGLE_ITEM = "single_item"
@@ -58,10 +59,11 @@ class ReductionStep:
 
 
 def make_step(rule: str, awards) -> ReductionStep:
-    """Normalize and sanity-check an (agent -> bundle) mapping into a step."""
+    """Normalize and sanity-check an (agent -> bundle) mapping into a step;
+    its bundles are shared (``core.shared_bundle``)."""
     if rule not in ALL_RULES:
         raise ValueError(f"unknown rule id {rule!r}")
-    pairs = sorted((a, frozenset(b)) for a, b in dict(awards).items())
+    pairs = sorted((a, shared_bundle(b)) for a, b in dict(awards).items())
     if not pairs:
         raise PreconditionUnmet("a step must award at least one agent")
     seen: set = set()
@@ -406,13 +408,25 @@ def trace_to_json(trace: ReductionTrace) -> str:
 
 
 def trace_from_json(text: str) -> ReductionTrace:
+    """The trace of a document; every item must be a plain int id."""
     data = json.loads(text)
     steps = tuple(
         make_step(
             entry["rule"],
-            {award["agent"]: frozenset(award["bundle"]) for award in entry["awards"]},
+            {award["agent"]: _read_bundle(award["bundle"])
+             for award in entry["awards"]},
         )
         for entry in data["steps"]
     )
-    final = tuple(frozenset(b) for b in data["final"]["bundles"])
+    final = tuple(_read_bundle(b) for b in data["final"]["bundles"])
     return ReductionTrace(steps=steps, final=final)
+
+
+def _read_bundle(items) -> frozenset:
+    """The shared bundle of a trace document's items.  Every item must be a
+    plain int: a float or bool item would pass for the int id it equals."""
+    bundle = frozenset(items)
+    for j in bundle:
+        if type(j) is not int:
+            raise MalformedDocument(f"trace item {j!r} is not an item id")
+    return shared_bundle(bundle)

@@ -166,9 +166,22 @@ def _awards_not_a_list(trace):
     return _with_first_step(trace, awards=trace["steps"][0]["awards"][0])
 
 
+def _float_item(trace):
+    award = trace["steps"][0]["awards"][0]
+    bundle = [float(j) for j in award["bundle"]]
+    return _with_first_step(trace, awards=[dict(award, bundle=bundle)])
+
+
 @pytest.mark.parametrize(
     "malform",
-    [_empty_trace, _no_final, _unknown_rule, _overlapping_awards, _awards_not_a_list],
+    [
+        _empty_trace,
+        _no_final,
+        _unknown_rule,
+        _overlapping_awards,
+        _awards_not_a_list,
+        _float_item,
+    ],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_verify_stops_at_a_malformed_trace(tmp_path, capsys, malform):
@@ -283,6 +296,22 @@ def test_scripted_search_past_the_oracle_cap_exits_two(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "unresolved"
     assert doc["diagnostic"].endswith("; search cap exceeded")
+
+
+def test_exhaustive_recertification_past_the_oracle_cap_exits_two(tmp_path, capsys):
+    """The solve fits under the cap, but the second oracle's 4^10
+    assignments do not: the re-certification fails, not the input."""
+    path = tmp_path / "identical.json"
+    rows = [[9, 8, 7, 6, 5, 4, 3, 2, 1, 1]] * 4
+    path.write_text(json.dumps({"kind": "goods", "valuations": rows}))
+    code, out, err = run(
+        capsys, "solve", "--input", str(path),
+        "--oracle", "exhaustive", "--oracle-cap", "1000",
+    )
+    assert code == 2 and err == ""
+    document, last = out.rstrip("\n").rsplit("\n", 1)
+    assert json.loads(document)["status"] == "solved"
+    assert last == "exhaustive re-certification: 4^10 assignments exceed the cap 1000"
 
 
 def test_malformed_input_exits_one(tmp_path, capsys):

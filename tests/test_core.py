@@ -24,8 +24,14 @@ from mmsalloc import (
     to_ordered,
     validate_allocation,
 )
-from mmsalloc.core import as_exact
-from mmsalloc.errors import EmptyMatrix, ShapeMismatch, SignViolation
+from mmsalloc.core import as_exact, shared_bundle
+from mmsalloc.errors import (
+    EmptyMatrix,
+    MalformedDocument,
+    ShapeMismatch,
+    SignViolation,
+)
+from mmsalloc.reductions import trace_from_json
 
 
 def test_make_instance_basic():
@@ -144,6 +150,25 @@ def test_integral_values_are_stored_as_int():
 def test_allocation_json_round_trip():
     alloc = (frozenset({1, 3}), frozenset(), frozenset({2}))
     assert allocation_from_json(allocation_to_json(alloc)) == alloc
+
+
+def test_documents_share_only_bundles_of_integer_ids():
+    """A float or bool item equals an int id; a document holding one gets
+    neither the shared bundle of that id nor a place in the table."""
+    one = shared_bundle([1])
+    alloc = allocation_from_json(json.dumps({"bundles": [[1.0], [True], [2]]}))
+    assert [type(j) for b in alloc for j in b] == [float, bool, int]
+    assert alloc[2] is shared_bundle({2})
+    with pytest.raises(ShapeMismatch):
+        validate_allocation(make_instance(GOODS, [[1, 1]] * 3), alloc)
+    fresh = 987_654_321  # an id no solve has shared
+    allocation_from_json(json.dumps({"bundles": [[float(fresh)]]}))
+    for item in (1.0, True, float(fresh)):
+        doc = {"steps": [], "final": {"bundles": [[item]]}}
+        with pytest.raises(MalformedDocument):
+            trace_from_json(json.dumps(doc))
+    assert shared_bundle([1]) is one
+    assert [type(j) for j in shared_bundle([fresh])] == [int]
 
 
 def test_bundle_value_empty_is_zero():

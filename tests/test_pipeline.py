@@ -1,27 +1,39 @@
 """The shared solve pipeline: fallback reasons, the search cap, the
-certification gate, and what an outcome keeps."""
+certification gate, and what an outcome keeps: shared bundles only."""
 
 import gc
 import json
 import random
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from mmsalloc import mms
-from mmsalloc.core import CHORES, GOODS, make_instance, to_ordered
+from mmsalloc import core, mms
+from mmsalloc.core import (
+    CHORES,
+    GOODS,
+    allocation_from_json,
+    allocation_to_json,
+    bundle_value,
+    make_instance,
+    shared_bundle,
+    to_ordered,
+)
 from mmsalloc.pipeline import run
+from mmsalloc.reductions import trace_from_json, trace_to_json, verify_trace
 from mmsalloc.solver_chores import solve_chores
 from mmsalloc.solver_goods import solve
 
 ROWS = [[5, 5, 5, 5]] * 3  # three agents, four goods: every share is 5
 GOLDEN = Path(__file__).with_name("golden_outcomes.json")
 
-# Bytes an outcome keeps alive, traced by tracemalloc: about 2,330 B each on
-# the corpus below.  Storing the sorted companion and its allocation in the
-# outcome, with unslotted records, takes about 3,650 B.
-RETAINED_BYTES_PER_OUTCOME = 3000
+# Bytes an outcome keeps alive, traced by tracemalloc: about 600 B each on
+# the corpus below.  A private frozenset per kept bundle takes about
+# 2,330 B; storing the sorted companion and its allocation in the outcome
+# as well, with unslotted records, about 3,650 B.
+RETAINED_BYTES_PER_OUTCOME = 1000
 
 
 def assert_derived_views(out, inst):
@@ -29,6 +41,23 @@ def assert_derived_views(out, inst):
     assert out.ordered == to_ordered(inst)
     expected = None if out.trace is None else out.trace.allocation(inst.n)
     assert out.ordered_allocation == expected
+
+
+def kept_bundles(out):
+    """Every bundle an outcome keeps: its allocation, each step's awards and
+    the trace's final bundles."""
+    bundles = list(out.allocation or ())
+    if out.trace is not None:
+        bundles += [b for step in out.trace.steps for _, b in step.assignments]
+        bundles += out.trace.final
+    return bundles
+
+
+def _solve_golden():
+    for case in json.loads(GOLDEN.read_text()):
+        inst = make_instance(case["kind"], case["valuations"])
+        kwargs = {} if case["cap"] is None else {"cap": case["cap"]}
+        yield inst, (solve if inst.kind == GOODS else solve_chores)(inst, **kwargs)
 
 
 def test_uncertified_allocation_is_reported_unresolved():
@@ -77,14 +106,48 @@ def test_a_scripted_search_past_the_cap_is_unresolved():
 
 def test_outcome_views_match_the_instance_and_trace_on_the_golden_corpus():
     statuses = set()
-    for case in json.loads(GOLDEN.read_text()):
-        inst = make_instance(case["kind"], case["valuations"])
-        kwargs = {} if case["cap"] is None else {"cap": case["cap"]}
-        out = (solve if inst.kind == GOODS else solve_chores)(inst, **kwargs)
+    for inst, out in _solve_golden():
         assert out.instance is inst
         assert_derived_views(out, inst)
         statuses.add(out.status)
     assert statuses == {"solved", "unresolved"}
+
+
+def test_every_kept_bundle_is_the_shared_one_on_the_golden_corpus():
+    """A bundle built past ``shared_bundle`` is a second copy: the table
+    then hands out its own object for the same items, not the kept one."""
+    kept = 0
+    for _, out in _solve_golden():
+        for bundle in kept_bundles(out):
+            assert shared_bundle(set(bundle)) is bundle
+            kept += 1
+    assert kept > 6000
+
+
+def test_the_shared_bundle_table_is_bounded():
+    """Past its limit the table drops its oldest bundles; outcomes that hold
+    them are unchanged, still verify and still round-trip through JSON."""
+    solved = ((inst, out) for inst, out in _solve_golden() if out.status == "solved")
+    kept = list(islice(solved, 50))
+    documents = [
+        (trace_to_json(out.trace), allocation_to_json(out.allocation))
+        for _, out in kept
+    ]
+    limit = core._SHARED_BUNDLE_LIMIT
+    for k in range(limit + 100):
+        shared_bundle({1000 + k, 1001 + k})
+        assert len(core._shared_bundles) <= limit
+    evicted = [b for _, out in kept for b in kept_bundles(out)]
+    assert not any(bundle in core._shared_bundles for bundle in evicted)
+    for (inst, out), (trace_doc, allocation_doc) in zip(kept, documents):
+        assert trace_to_json(out.trace) == trace_doc
+        assert allocation_to_json(out.allocation) == allocation_doc
+        assert all(ok for _, ok in verify_trace(to_ordered(inst).instance, out.trace))
+        shares = mms.mu_vector(inst)
+        for i in range(1, inst.n + 1):
+            assert bundle_value(inst, i, out.allocation[i - 1]) >= shares[i - 1]
+        assert trace_from_json(trace_doc) == out.trace
+        assert allocation_from_json(allocation_doc) == out.allocation
 
 
 def _retained_corpus():
