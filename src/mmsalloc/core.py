@@ -138,7 +138,7 @@ def validate_allocation(instance: Instance, allocation) -> None:
     seen = set()
     for bundle in allocation:
         for j in bundle:
-            if not (isinstance(j, int) and 1 <= j <= m) or j in seen:
+            if not (type(j) is int and 1 <= j <= m) or j in seen:
                 raise ShapeMismatch(f"item {j} missing, duplicated, or out of range")
             seen.add(j)
     if len(seen) != m:

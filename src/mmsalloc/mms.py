@@ -7,15 +7,19 @@ exhaustive route is feasible.
 
 The share oracle has two parts.  The value comes from a decision search
 (``_share``): can every one of the n bundles reach a target (goods), or can
-n bundles of a given capacity hold every chore?  Targets are tried from
-``_share_bound`` toward the greedy value, and the first one met is the
-share.  The witness comes from a branch and bound (``_bnb``) that stops as
-soon as its best partition reaches that exact share, which is the first
-optimal partition in its search order.  Both parts share one cache entry
-per sorted row: ``mms_value`` asks for the value alone, and a record's
-witness partition is built on first use.  ``mu_vector`` returns the shares
-of all agents by value and skips the records; the solver, certification,
-step verification and trace replay all use it.
+n bundles of a given capacity hold every chore?  A share is a bundle sum,
+so targets are the row's subset sums (one big-int bitset per row), stepped
+from the greedy value toward ``_share_bound``; the last one met is the
+share, and two bundles need no search.  Goods are decided by peeling the
+goods worth the target and bin completion on the rest (``_complete``);
+chores are packed item by item (``_pack``).
+The witness comes from a branch and bound (``_bnb``) that stops as soon as
+its best partition reaches that exact share, which is the first optimal
+partition in its search order.  Both parts share one cache entry per
+sorted row: ``mms_value`` asks for the value alone, and a record's witness
+partition is built on first use.  ``mu_vector`` returns the shares of all
+agents by value and skips the records; the solver, certification, step
+verification and trace replay all use it.
 """
 
 from __future__ import annotations
@@ -66,6 +70,10 @@ class StructuredPartition:
 _BNB_CACHE_LIMIT = 1 << 14
 _bnb_cache: dict = {}
 
+# Rows whose values sum past this get no subset-sum bitset (one bit per
+# attainable sum): their targets are bisected and two bundles are searched.
+_SUBSET_SUM_LIMIT = 1 << 20
+
 
 def clear_caches() -> None:
     _bnb_cache.clear()
@@ -99,14 +107,43 @@ def _suffix_sums(vals) -> list:
     return list(accumulate(reversed(vals), initial=0))[::-1]
 
 
+def _subset_sums(vals):
+    """The subset sums of the integers `vals` (>= 0) as a bitset: bit s is
+    set when some sub-multiset sums to s.  None when the sum passes
+    _SUBSET_SUM_LIMIT, which bounds the bitset at 128 KiB."""
+    if sum(vals) > _SUBSET_SUM_LIMIT:
+        return None
+    bits = 1
+    for v in vals:
+        bits |= bits << v
+    return bits
+
+
+def _above(bits, t: int) -> int:
+    """The least subset sum above t; some subset sum must lie above t."""
+    higher = bits >> (t + 1)
+    return t + (higher & -higher).bit_length()
+
+
+def _below(bits, t: int) -> int:
+    """The greatest subset sum at or below t >= 0."""
+    return (bits & ((2 << t) - 1)).bit_length() - 1
+
+
 def _share(vals: tuple, n: int, goods: bool) -> int:
     """Exact share of the non-increasing integer row `vals` (>= 0) split
     into n bundles: for goods the best minimum bundle sum, for chores
     (absolute values) the best maximum.
 
-    The greedy (longest processing time) value and `_share_bound` bracket
-    the share.  Targets are decided from the bound toward the greedy value,
-    and the first target that n bundles can meet is the share.
+    The greedy (longest processing time) value is met and `_share_bound`
+    cannot be passed, and the share lies between them.  A share is a bundle
+    sum, so only the row's subset sums are candidates: targets step from
+    the greedy value toward the bound over subset sums, and the last target
+    met is the share.  On most rows the share is the greedy value and one
+    refuted decision settles it.  Two bundles need no search: the best
+    split puts the largest subset sum at or below half the total on one
+    side.  A row too large for a bitset bisects the integers between the
+    greedy value and the bound instead.
     """
     m = len(vals)
     if n == 1:
@@ -120,27 +157,53 @@ def _share(vals: tuple, n: int, goods: bool) -> int:
     for v in vals:
         heapreplace(loads, loads[0] + v)
     greedy = loads[0] if goods else max(loads)
-    target = _share_bound(vals, n, goods)
-    if target == greedy:
-        return target
-    suffix = _suffix_sums(vals)
+    bound = _share_bound(vals, n, goods)
+    if greedy == bound:
+        return greedy
+    bits = _subset_sums(vals)
+    if bits is None:
+        met, refuted = greedy, bound + 1 if goods else bound - 1
+        while abs(refuted - met) > 1:
+            mid = (met + refuted) // 2
+            if _meets(vals, n, goods, mid):
+                met = mid
+            else:
+                refuted = mid
+        return met
+    if n == 2:
+        total = sum(vals)
+        half = _below(bits, total // 2)
+        return half if goods else total - half
+    share = greedy
     if goods:
-        while target > greedy and not _reaches(vals, suffix, n, target):
-            target -= 1
+        target = _above(bits, share)
+        while target <= bound and _reaches(vals, n, target):
+            share = target
+            target = _above(bits, share)
     else:
-        while target < greedy and not _pack(vals, suffix, [0] * n, target, 0):
-            target += 1
-    return target
+        suffix = _suffix_sums(vals)
+        capacity = _below(bits, share - 1)
+        while capacity >= bound and _pack(vals, suffix, [0] * n, capacity, 0):
+            share = capacity
+            capacity = _below(bits, share - 1)
+    return share
 
 
-def _reaches(vals, suffix, n: int, target: int) -> bool:
-    """Can the goods row `vals` be split into n bundles each worth `target`?
+def _meets(vals, n: int, goods: bool, target: int) -> bool:
+    """Does some split of the row `vals` into n bundles meet `target`: each
+    bundle worth at least it (goods), or at most it (chores)?"""
+    if goods:
+        return _reaches(vals, n, target)
+    return _pack(vals, _suffix_sums(vals), [0] * n, target, 0)
+
+
+def _reaches(vals, n: int, target: int) -> bool:
+    """Can the goods row `vals` (non-increasing, >= 0) be split into n
+    bundles each worth `target` (> 0)?
 
     A good worth `target` or more takes a bundle of its own: its
-    bundle-mates, moved elsewhere, only raise the other bundles.  The rest
-    are branched in row order over the open bundles (below `target`); a
-    closed bundle never needs another good, since that good can join any
-    open bundle instead.
+    bundle-mates, moved elsewhere, only raise the other bundles.  Zero goods
+    raise no bundle.  The rest go to bin completion (`_complete`).
     """
     m = len(vals)
     k = 0
@@ -149,33 +212,64 @@ def _reaches(vals, suffix, n: int, target: int) -> bool:
     n -= k
     if n <= 0:
         return True
-    # Every item left is below target, so each bundle needs two of them; with
-    # exactly two each, the best pairing is largest with smallest.
-    if m - k < 2 * n:
+    while m > k and vals[m - 1] == 0:
+        m -= 1
+    slack = sum(vals[k:m]) - n * target
+    if slack < 0:
         return False
-    if m - k == 2 * n:
-        return all(vals[k + t] + vals[m - 1 - t] >= target for t in range(n))
-    return _fill(vals, suffix, [0] * n, target, k, n * target)
+    return _complete(list(vals[k:m]), n, target, slack)
 
 
-def _fill(vals, suffix, loads, target: int, t: int, deficit: int) -> bool:
-    """Can the goods vals[t:] raise every open bundle of `loads` to `target`?
-    `deficit` is what the open bundles still lack in total.  (A module-level
-    recursion: a nested one would leave a reference cycle per call.)"""
-    if deficit == 0:
+def _complete(items: list, n: int, target: int, slack: int) -> bool:
+    """Bin completion: can the goods `items` (non-increasing, each in
+    (0, target), summing to n * target + slack) fill n bundles to `target`?
+
+    The bundle of the largest good is completed first, in every way that is
+    minimal (dropping its smallest good leaves it below `target`) and wastes
+    no more than `slack`: a good beyond a minimal completion can join any
+    other bundle instead.  Every good is below `target`, so each bundle
+    needs two."""
+    if n == 1:
         return True
-    if suffix[t] < deficit:
+    if len(items) < 2 * n:
         return False
-    v = vals[t]
-    seen = set()
-    for j, load in enumerate(loads):
-        if load >= target or load in seen:
+    rest = items[1:]
+    return _extend(rest, _suffix_sums(rest), 0, target - items[0], [], n, target, slack)
+
+
+def _extend(
+    rest, suffix, start: int, need: int, chosen: list, n: int, target: int, slack: int
+) -> bool:
+    """Add goods of rest[start:] to the bundle being completed, which lacks
+    `need`; `chosen` lists the positions in `rest` it already holds.
+
+    Of the goods that close the bundle alone only the smallest is tried:
+    swapped with a larger one, it leaves the bundle closed and raises the
+    other.  The goods below `need` are added in turn, each value once, and
+    the search goes on from the next position.  (A module-level recursion:
+    a nested one would leave a reference cycle per call.)"""
+    m = len(rest)
+    j = start
+    while j < m and rest[j] >= need:
+        j += 1
+    if j > start and rest[j - 1] - need <= slack:
+        chosen.append(j - 1)
+        left = [v for i, v in enumerate(rest) if i not in chosen]
+        found = _complete(left, n - 1, target, slack - rest[j - 1] + need)
+        chosen.pop()
+        if found:
+            return True
+    last = None
+    for i in range(j, m):
+        if suffix[i] < need:
+            return False
+        v = rest[i]
+        if v == last:
             continue
-        seen.add(load)
-        loads[j] = load + v
-        lack = deficit - min(v, target - load)
-        found = _fill(vals, suffix, loads, target, t + 1, lack)
-        loads[j] = load
+        last = v
+        chosen.append(i)
+        found = _extend(rest, suffix, i + 1, need - v, chosen, n, target, slack)
+        chosen.pop()
         if found:
             return True
     return False
@@ -336,21 +430,20 @@ def _unscaled(value: int, sign: int, scale: int) -> int | Fraction:
 
 def _value(instance: Instance, agent: int, items, bundles: int) -> int | Fraction:
     """The agent's share of `items` (default: all) split into `bundles`
-    bundles, from the share oracle alone.  An integer row is its own cache
-    key once sorted (chores negated), so a hit costs one sort and one lookup."""
+    bundles, from the share oracle alone."""
     row = instance.row(agent)
     if items is not None:
         row = [row[j - 1] for j in items]
-    goods = instance.kind == GOODS
+    return _row_share(row, bundles, instance.kind == GOODS)
+
+
+def _row_share(row, bundles: int, goods: bool) -> int | Fraction:
+    """The share of one row of values.  An integer row is its own cache key
+    once sorted (chores negated), so a hit costs one sort and one probe."""
     if type(sum(row)) is int:
         if goods:
-            vals = tuple(sorted(row, reverse=True))
-        else:
-            vals = tuple([-v for v in sorted(row)])
-        entry = _bnb_cache.get((vals, bundles, goods))
-        if entry is None:
-            entry = _entry(vals, bundles, goods)
-        return entry[0] if goods else -entry[0]
+            return _entry(tuple(sorted(row, reverse=True)), bundles, True)[0]
+        return -_entry(tuple([-v for v in sorted(row)]), bundles, False)[0]
     sign = 1 if goods else -1
     scaled, scale = _scaled(row, sign)
     share = _entry(tuple(sorted(scaled, reverse=True)), bundles, goods)[0]
@@ -438,7 +531,8 @@ def mu_vector(instance: Instance) -> tuple:
     """Exact MMS of every agent, as a tuple indexed by agent-1: the values
     of ``mms_value`` without building a record per agent."""
     n = instance.n
-    return tuple([_value(instance, i, None, n) for i in range(1, n + 1)])
+    goods = instance.kind == GOODS
+    return tuple([_row_share(row, n, goods) for row in instance.valuations])
 
 
 def count_high_items(instance: Instance, agent: int, mu) -> int:

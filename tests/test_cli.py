@@ -114,13 +114,25 @@ def _item_0(bundles):
     return {"bundles": [bundles[0] + [0]] + bundles[1:]}
 
 
+def _true_item(bundles):
+    return {"bundles": [[True if j == 1 else j for j in b] for b in bundles]}
+
+
 def _no_bundles(bundles):
     return {"parts": bundles}
 
 
 @pytest.mark.parametrize(
     "malform",
-    [_too_few, _item_99, _text_item, _fractional_item, _item_0, _no_bundles],
+    [
+        _too_few,
+        _item_99,
+        _text_item,
+        _fractional_item,
+        _item_0,
+        _true_item,
+        _no_bundles,
+    ],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_verify_stops_at_a_malformed_allocation(tmp_path, capsys, malform):

@@ -189,6 +189,9 @@ def test_validate_allocation_catches_misallocations():
     for stray in ("2", 1.5, 0, 3):
         with pytest.raises(ShapeMismatch):
             validate_allocation(inst, (frozenset({1}), frozenset({stray})))
+    # True equals item 1 but is not an item id
+    with pytest.raises(ShapeMismatch):
+        validate_allocation(inst, (frozenset({True}), frozenset({2})))
 
 
 def _random_instance(rng, kind, n, m, hi=10):

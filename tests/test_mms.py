@@ -1,6 +1,7 @@
 """Maximin-share oracles: exact values, witnesses, and helper searches."""
 
 import gc
+import heapq
 import itertools
 import random
 import time
@@ -380,16 +381,16 @@ def test_oracle_work_solving_the_criterion_3_head(monkeypatch):
     first four criterion-3 instances (8 x 15, seed 103) are solved from a
     cold cache.  A change that adds oracle work fails here.  Every share
     query (``mms_value``, ``mu_vector`` and the structured searches) goes
-    through ``mms._value``, so that is where queries are counted."""
+    through ``mms._row_share``, so that is where queries are counted."""
     calls = 0
-    original = mms._value
+    original = mms._row_share
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(mms, "_value", counting)
+    monkeypatch.setattr(mms, "_row_share", counting)
     rng = random.Random(103)
     clear_caches()
     for _ in range(4):
@@ -519,25 +520,182 @@ def test_threshold_search_leaves_no_reference_cycle(kind):
         gc.enable()
 
 
-def test_decision_search_at_tight_targets():
-    """Targets met with nothing to spare: a tight pairing, peeled goods
-    with a tight rest, and chores filling their bundles exactly."""
-    def reaches(vals, n, target):
-        return mms._reaches(vals, mms._suffix_sums(vals), n, target)
+def test_decision_search_at_tight_targets(monkeypatch):
+    """Targets met with nothing to spare: peeled goods with a tight rest,
+    two bundles splitting the total exactly, two goods a bundle, bin
+    completion with no slack, and chores filling their bundles exactly."""
+    reaches = mms._reaches
 
     def packs(vals, n, capacity):
         return mms._pack(vals, mms._suffix_sums(vals), [0] * n, capacity, 0)
 
-    assert reaches((5, 4, 3, 2), 2, 7)
-    assert not reaches((5, 4, 3, 2), 2, 8)
     assert reaches((9, 8, 3, 2, 2), 3, 7)
     assert not reaches((9, 8, 3, 2, 2), 3, 8)
-    assert reaches((6, 5, 4, 3, 3, 3), 2, 12)
-    assert not reaches((6, 5, 4, 3, 3, 3), 2, 13)
     assert packs((5, 4, 3, 2), 2, 7)
     assert not packs((5, 4, 3, 2), 2, 6)
     assert packs((6, 5, 4, 3, 3, 3), 2, 12)
     assert not packs((6, 5, 4, 3, 3, 3), 2, 11)
+    # Two bundles left, some after a peel, also at total = 2T.
+    assert reaches((5, 4, 3, 2), 2, 7)
+    assert not reaches((5, 4, 3, 2), 2, 8)
+    assert reaches((10, 6, 5, 4, 3), 3, 9)
+    assert not reaches((10, 6, 5, 4, 3), 3, 10)
+    assert reaches((6, 5, 4, 3, 3, 3), 2, 12)
+    assert not reaches((6, 5, 4, 3, 3, 3), 2, 13)
+    assert reaches((7, 5, 4, 3, 1), 2, 10)
+    assert not reaches((7, 7, 7, 2, 1), 2, 12)
+    # The two-bundle share needs no decision at all, for either kind.
+    monkeypatch.setattr(mms, "_reaches", None)
+    monkeypatch.setattr(mms, "_pack", None)
+    assert mms._share((7, 7, 7, 2, 1), 2, True) == 10
+    assert mms._share((7, 7, 7, 2, 1), 2, False) == 14
+    monkeypatch.undo()
+    # Three or more bundles: exactly two goods a bundle, equal goods, zero
+    # goods and slack 0.  Each decision enters `_complete` first with (open
+    # bundles, target, slack).
+    calls = []
+    complete = mms._complete
+    monkeypatch.setattr(
+        mms, "_complete", lambda *args: calls.append(args[1:]) or complete(*args)
+    )
+    for vals, n, target, met, entry in [
+        ((9, 8, 8, 3, 2, 1), 3, 10, True, (3, 10, 1)),
+        ((9, 8, 8, 3, 1, 1, 0), 3, 10, False, (3, 10, 0)),
+        ((6, 6, 6, 6, 1, 1, 1, 0, 0), 3, 7, True, (3, 7, 6)),
+        ((6, 6, 6, 6, 1, 1, 1, 0, 0), 3, 8, False, (3, 8, 3)),
+        ((5, 5, 4, 4, 3, 2, 1, 0), 3, 8, True, (3, 8, 0)),
+        ((6, 6, 6, 6, 1, 1, 1), 3, 9, False, (3, 9, 0)),
+        ((9, 6, 6, 6, 6, 1, 1, 1, 0), 4, 9, False, (3, 9, 0)),
+    ]:
+        calls.clear()
+        assert reaches(vals, n, target) is met
+        assert calls[0] == entry
+
+
+def _reference_share(vals, n, goods):
+    """The share search before subset-sum targets and bin completion:
+    targets from `_share_bound` toward the greedy value, one at a time,
+    goods decided item by item (`_reference_fill`), chores by `_pack`."""
+    m = len(vals)
+    if n == 1:
+        return sum(vals)
+    if goods:
+        if m <= n:
+            return vals[-1] if m == n else 0
+    elif m <= n:
+        return vals[0] if m else 0
+    loads = [0] * n
+    for v in vals:
+        heapq.heapreplace(loads, loads[0] + v)
+    greedy = loads[0] if goods else max(loads)
+    target = mms._share_bound(vals, n, goods)
+    suffix = mms._suffix_sums(vals)
+    if goods:
+        while target > greedy and not _reference_reaches(vals, suffix, n, target):
+            target -= 1
+    else:
+        while target < greedy and not _reference_pack(vals, suffix, [0] * n, target, 0):
+            target += 1
+    return target
+
+
+def _reference_reaches(vals, suffix, n, target):
+    m = len(vals)
+    k = 0
+    while k < m and vals[k] >= target:
+        k += 1
+    n -= k
+    if n <= 0:
+        return True
+    if m - k < 2 * n:
+        return False
+    if m - k == 2 * n:
+        return all(vals[k + t] + vals[m - 1 - t] >= target for t in range(n))
+    return _reference_fill(vals, suffix, [0] * n, target, k, n * target)
+
+
+def _reference_fill(vals, suffix, loads, target, t, deficit):
+    if deficit == 0:
+        return True
+    if suffix[t] < deficit:
+        return False
+    v = vals[t]
+    seen = set()
+    for j, load in enumerate(loads):
+        if load >= target or load in seen:
+            continue
+        seen.add(load)
+        loads[j] = load + v
+        lack = deficit - min(v, target - load)
+        found = _reference_fill(vals, suffix, loads, target, t + 1, lack)
+        loads[j] = load
+        if found:
+            return True
+    return False
+
+
+def _reference_pack(vals, suffix, loads, capacity, t):
+    if t == len(vals):
+        return True
+    smallest = vals[-1]
+    room = 0
+    for load in loads:
+        if capacity - load >= smallest:
+            room += capacity - load
+    if suffix[t] > room:
+        return False
+    v = vals[t]
+    seen = set()
+    for j, load in enumerate(loads):
+        if load + v > capacity or load in seen:
+            continue
+        seen.add(load)
+        loads[j] = load + v
+        found = _reference_pack(vals, suffix, loads, capacity, t + 1)
+        loads[j] = load
+        if found:
+            return True
+    return False
+
+
+_ROWS = st.one_of(
+    st.lists(st.integers(0, 30), max_size=12),
+    # few distinct values: duplicates and zeros throughout
+    st.lists(st.sampled_from([0, 1, 2, 5, 30]), max_size=12),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.booleans(), st.integers(1, 7), _ROWS)
+def test_share_matches_the_previous_search(goods, bundles, row):
+    """Subset-sum targets, the two-bundle closed form and bin completion
+    give the share the item-by-item search gave, and the exhaustive oracle
+    agrees wherever it enumerates at most 10^5 assignments."""
+    vals = tuple(sorted(row, reverse=True))
+    share = mms._share(vals, bundles, goods)
+    assert share == _reference_share(vals, bundles, goods)
+    if bundles ** len(vals) <= 10**5:
+        sign = 1 if goods else -1
+        inst = make_instance(
+            GOODS if goods else CHORES, [[sign * v for v in row]] * bundles
+        )
+        assert mms._exhaustive_partition(inst, 1, 10**5)[0] == sign * share
+
+
+def test_share_without_the_subset_sum_bitset(monkeypatch):
+    """Rows past the bitset's limit bisect their targets and search two
+    bundles; the shares are the same."""
+    rng = random.Random(61)
+    rows = []
+    for goods in (True, False):
+        for _ in range(150):
+            row = [rng.randint(0, 30) for _ in range(rng.randint(3, 11))]
+            rows.append((goods, rng.randint(2, 6), row))
+    expected = [mms._share(tuple(sorted(r, reverse=True)), n, g) for g, n, r in rows]
+    monkeypatch.setattr(mms, "_SUBSET_SUM_LIMIT", -1)
+    for (goods, n, row), share in zip(rows, expected):
+        vals = tuple(sorted(row, reverse=True))
+        assert mms._share(vals, n, goods) == share == _reference_share(vals, n, goods)
 
 
 def _seeded_goods(seed, n, m):
@@ -571,6 +729,56 @@ def test_shares_of_twenty_agents_thirty_goods():
         8, 13, 15, 15, 16, 9, 13, 10, 12, 12, 12, 9, 11, 12, 8, 13, 11, 16, 14, 12,
     )
     assert time.monotonic() - start < 10
+
+
+def test_shares_of_ten_agents_twenty_goods():
+    """Ten bundles of twenty goods leave up to ten open bundles after the
+    peel.  The item-by-item decision search took about 0.45 s over these
+    five instances, bin completion about 0.002 s."""
+    clear_caches()
+    start = time.monotonic()
+    assert [mu_vector(_seeded_goods(seed, 10, 20)) for seed in range(1, 6)] == [
+        (18, 16, 20, 19, 19, 19, 19, 14, 16, 16),
+        (20, 15, 23, 24, 20, 14, 8, 19, 20, 12),
+        (20, 19, 20, 20, 16, 18, 21, 20, 20, 18),
+        (15, 18, 18, 21, 19, 15, 18, 15, 20, 18),
+        (20, 11, 17, 15, 19, 18, 20, 16, 20, 19),
+    ]
+    assert time.monotonic() - start < 0.1
+
+
+@pytest.mark.parametrize("goods", [True, False], ids=["goods", "chores"])
+def test_shares_of_rows_past_the_bitset_limit(monkeypatch, goods):
+    """Rows whose values sum past `_SUBSET_SUM_LIMIT` get no subset-sum
+    bitset, and their targets are bisected between the greedy value and the
+    bound.  Stepping one integer at a time took about 10^7 decisions on the
+    first row (from the greedy value) and 45 s on the second (from the
+    bound)."""
+    decisions = 0
+    meets = mms._meets
+
+    def counting(*args):
+        nonlocal decisions
+        decisions += 1
+        return meets(*args)
+
+    monkeypatch.setattr(mms, "_meets", counting)
+    rows = [
+        (tuple(v * 10**7 for v in (5, 5, 4, 3, 3)), 2, 10**8, 10**8),
+        (
+            (85774273, 85209555, 63935045, 53302500, 31128044, 20350410, 20215394),
+            3,
+            116902317,
+            125775359,
+        ),
+    ]
+    start = time.monotonic()
+    for vals, n, goods_share, chores_share in rows:
+        assert sum(vals) > mms._SUBSET_SUM_LIMIT
+        decisions = 0
+        assert mms._share(vals, n, goods) == (goods_share if goods else chores_share)
+        assert decisions <= 27  # 2^27 > 10^8 > any gap between greedy and bound
+    assert time.monotonic() - start < 1
 
 
 def test_shares_agree_with_a_mixed_integer_program():
