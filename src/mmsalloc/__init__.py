@@ -2,7 +2,7 @@
 
 Solves fair-division instances with n agents and up to n + c indivisible
 goods or chores by chaining valid reductions, certifying every result
-against exact branch-and-bound maximin values.
+against exact maximin values.
 """
 
 from .core import (

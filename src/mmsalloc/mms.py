@@ -5,21 +5,21 @@ enumeration (the oracle, capped) and the share oracle (the workhorse,
 uncapped).  Both are exact; the test suite checks they agree wherever the
 exhaustive route is feasible.
 
-The share oracle has two parts.  The value comes from a decision search
-(``_share``): can every one of the n bundles reach a target (goods), or can
-n bundles of a given capacity hold every chore?  A share is a bundle sum,
-so targets are the row's subset sums (one big-int bitset per row), stepped
-from the greedy value toward ``_share_bound``; the last one met is the
-share, and two bundles need no search.  Goods are decided by peeling the
-goods worth the target and bin completion on the rest (``_complete``);
-chores are packed item by item (``_pack``).
-The witness comes from a branch and bound (``_bnb``) that stops as soon as
-its best partition reaches that exact share, which is the first optimal
-partition in its search order.  Both parts share one cache entry per
-sorted row: ``mms_value`` asks for the value alone, and a record's witness
-partition is built on first use.  ``mu_vector`` returns the shares of all
-agents by value and skips the records; the solver, certification, step
-verification and trace replay all use it.
+The share oracle is one decision search: can every one of the n bundles
+reach a target (goods), or can n bundles of a given capacity hold every
+chore?  A decision returns the split it finds, or None.  The share
+(``_share``) is a bundle sum, so targets are the row's subset sums (one
+big-int bitset per row), stepped from the greedy value toward
+``_share_bound``; the last one met is the share, and two bundles need no
+search.  Goods are decided by peeling the goods worth the target and bin
+completion on the rest (``_complete``); chores are packed item by item
+(``_pack``).  The witness partition (``_split``) is the greedy partition
+when that meets the share, and otherwise the split of one decision at the
+share.  Both share one cache entry per sorted row: ``mms_value`` asks for
+the value alone, and a record's witness partition is built on first use.
+``mu_vector`` returns the shares of all agents by value and skips the
+records; the solver, certification, step verification and trace replay
+all use it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import accumulate
 from math import lcm
 
 from .core import CHORES, GOODS, Instance, as_exact
-from .errors import InternalInvariantViolation, TooLarge
+from .errors import DanglingReference, InternalInvariantViolation, TooLarge
 
 DEFAULT_EXHAUSTIVE_CAP = 10**8
 
@@ -64,9 +64,9 @@ class StructuredPartition:
 
 
 # Share oracle results keyed by (sorted values, bundle count, goods?): a
-# list [share, witness assignment or None], the assignment filled in by the
-# first witness search.  The oldest entry is evicted first once the cache
-# holds _BNB_CACHE_LIMIT entries.
+# list [share, witness assignment or None], the assignment filled in when a
+# witness is first asked for (`_split`).  The oldest entry is evicted first
+# once the cache holds _BNB_CACHE_LIMIT entries.
 _BNB_CACHE_LIMIT = 1 << 14
 _bnb_cache: dict = {}
 
@@ -165,7 +165,7 @@ def _share(vals: tuple, n: int, goods: bool) -> int:
         met, refuted = greedy, bound + 1 if goods else bound - 1
         while abs(refuted - met) > 1:
             mid = (met + refuted) // 2
-            if _meets(vals, n, goods, mid):
+            if _meets(vals, n, goods, mid) is not None:
                 met = mid
             else:
                 refuted = mid
@@ -177,71 +177,88 @@ def _share(vals: tuple, n: int, goods: bool) -> int:
     share = greedy
     if goods:
         target = _above(bits, share)
-        while target <= bound and _reaches(vals, n, target):
+        while target <= bound and _reaches(vals, n, target) is not None:
             share = target
             target = _above(bits, share)
     else:
         suffix = _suffix_sums(vals)
         capacity = _below(bits, share - 1)
-        while capacity >= bound and _pack(vals, suffix, [0] * n, capacity, 0):
+        while (
+            capacity >= bound
+            and _pack(vals, suffix, [0] * n, capacity, 0) is not None
+        ):
             share = capacity
             capacity = _below(bits, share - 1)
     return share
 
 
-def _meets(vals, n: int, goods: bool, target: int) -> bool:
-    """Does some split of the row `vals` into n bundles meet `target`: each
-    bundle worth at least it (goods), or at most it (chores)?"""
+def _meets(vals, n: int, goods: bool, target: int):
+    """A split of the row `vals` into n bundles that meets `target`, each
+    bundle worth at least it (goods) or at most it (chores), as `_reaches`
+    or `_pack` returns it, or None when there is none."""
     if goods:
         return _reaches(vals, n, target)
     return _pack(vals, _suffix_sums(vals), [0] * n, target, 0)
 
 
-def _reaches(vals, n: int, target: int) -> bool:
-    """Can the goods row `vals` (non-increasing, >= 0) be split into n
-    bundles each worth `target` (> 0)?
+def _reaches(vals, n: int, target: int):
+    """A split of the goods row `vals` (non-increasing, >= 0) into n bundles
+    each worth `target` (> 0), as lists of values, or None.
 
     A good worth `target` or more takes a bundle of its own: its
     bundle-mates, moved elsewhere, only raise the other bundles.  Zero goods
-    raise no bundle.  The rest go to bin completion (`_complete`).
+    raise no bundle and join any.  The rest go to bin completion
+    (`_complete`).
     """
     m = len(vals)
     k = 0
     while k < m and vals[k] >= target:
         k += 1
-    n -= k
-    if n <= 0:
-        return True
+    if k >= n:
+        split = [[v] for v in vals[: n - 1]]
+        split.append(list(vals[n - 1 :]))
+        return split
     while m > k and vals[m - 1] == 0:
         m -= 1
-    slack = sum(vals[k:m]) - n * target
+    slack = sum(vals[k:m]) - (n - k) * target
     if slack < 0:
-        return False
-    return _complete(list(vals[k:m]), n, target, slack)
+        return None
+    split = _complete(list(vals[k:m]), n - k, target, slack)
+    if split is not None:
+        split[-1] += vals[m:]
+        split += ([v] for v in vals[:k])
+    return split
 
 
-def _complete(items: list, n: int, target: int, slack: int) -> bool:
-    """Bin completion: can the goods `items` (non-increasing, each in
-    (0, target), summing to n * target + slack) fill n bundles to `target`?
+def _complete(items: list, n: int, target: int, slack: int):
+    """Bin completion: a split of the goods `items` (non-increasing, each in
+    (0, target), summing to n * target + slack) into n bundles each worth
+    `target`, or None.
 
     The bundle of the largest good is completed first, in every way that is
     minimal (dropping its smallest good leaves it below `target`) and wastes
     no more than `slack`: a good beyond a minimal completion can join any
-    other bundle instead.  Every good is below `target`, so each bundle
-    needs two."""
+    other bundle instead, and the last bundle takes every good left.  Every
+    good is below `target`, so each bundle needs two.  The completed bundle
+    comes last in the split."""
     if n == 1:
-        return True
+        return [items]
     if len(items) < 2 * n:
-        return False
+        return None
     rest = items[1:]
-    return _extend(rest, _suffix_sums(rest), 0, target - items[0], [], n, target, slack)
+    need = target - items[0]
+    split = _extend(rest, _suffix_sums(rest), 0, need, [], n, target, slack)
+    if split is not None:
+        split[-1].append(items[0])
+    return split
 
 
 def _extend(
     rest, suffix, start: int, need: int, chosen: list, n: int, target: int, slack: int
-) -> bool:
+):
     """Add goods of rest[start:] to the bundle being completed, which lacks
-    `need`; `chosen` lists the positions in `rest` it already holds.
+    `need`; `chosen` lists the positions in `rest` it already holds.  On
+    success the split's last bundle holds the goods of `chosen`.
 
     Of the goods that close the bundle alone only the smallest is tried:
     swapped with a larger one, it leaves the bundle closed and raises the
@@ -255,40 +272,42 @@ def _extend(
     if j > start and rest[j - 1] - need <= slack:
         chosen.append(j - 1)
         left = [v for i, v in enumerate(rest) if i not in chosen]
-        found = _complete(left, n - 1, target, slack - rest[j - 1] + need)
+        split = _complete(left, n - 1, target, slack - rest[j - 1] + need)
+        if split is not None:
+            split.append([rest[i] for i in chosen])
+            return split
         chosen.pop()
-        if found:
-            return True
     last = None
     for i in range(j, m):
         if suffix[i] < need:
-            return False
+            return None
         v = rest[i]
         if v == last:
             continue
         last = v
         chosen.append(i)
-        found = _extend(rest, suffix, i + 1, need - v, chosen, n, target, slack)
+        split = _extend(rest, suffix, i + 1, need - v, chosen, n, target, slack)
+        if split is not None:
+            return split
         chosen.pop()
-        if found:
-            return True
-    return False
+    return None
 
 
-def _pack(vals, suffix, loads, capacity: int, t: int) -> bool:
-    """Do the chores vals[t:] fit into the bundles of `loads`, each holding
-    at most `capacity`?  Items are branched in row order over the bundles
+def _pack(vals, suffix, loads, capacity: int, t: int):
+    """A split of the chores vals[t:] over the bundles of `loads`, each
+    holding at most `capacity`, as a list whose entry t' >= t is the bundle
+    of chore t', or None.  Items are branched in row order over the bundles
     they fit in; the room left in a bundle counts only while the smallest
     chore still fits there."""
     if t == len(vals):
-        return True
+        return [0] * t
     smallest = vals[-1]
     room = 0
     for load in loads:
         if capacity - load >= smallest:
             room += capacity - load
     if suffix[t] > room:
-        return False
+        return None
     v = vals[t]
     seen = set()
     for j, load in enumerate(loads):
@@ -296,11 +315,12 @@ def _pack(vals, suffix, loads, capacity: int, t: int) -> bool:
             continue
         seen.add(load)
         loads[j] = load + v
-        found = _pack(vals, suffix, loads, capacity, t + 1)
+        split = _pack(vals, suffix, loads, capacity, t + 1)
         loads[j] = load
-        if found:
-            return True
-    return False
+        if split is not None:
+            split[t] = j
+            return split
+    return None
 
 
 def _entry(vals: tuple, n: int, goods: bool) -> list:
@@ -314,102 +334,40 @@ def _entry(vals: tuple, n: int, goods: bool) -> list:
     return entry
 
 
-def _bnb(vals: tuple, n: int, goods: bool):
-    """Witness of the share of the non-increasing integer row `vals` (>= 0).
+def _split(vals: tuple, n: int, goods: bool) -> list:
+    """The cache entry of the non-increasing integer row `vals` (>= 0) with
+    its witness: [share, assignment list mapping item position -> bundle].
 
-    Returns [share, assignment list mapping item position -> bundle].  The
-    search starts from the greedy partition and branches items in row order;
-    bundles with equal loads are interchangeable and only the first is
-    tried.  For goods it raises the minimum bundle sum, for chores (absolute
-    values) it lowers the maximum, and it replaces its best partition only
-    on a strict improvement.  It stops once its best reaches the exact share
-    from `_share`, so the witness is the first optimal partition in search
-    order: the one a run of the same search to exhaustion would return.
+    The witness is the greedy partition (each item in row order to the
+    first least-loaded bundle) when that meets the share, and otherwise the
+    split one decision at the share returns; a goods split holds values,
+    which map back to positions because equal values are interchangeable.
     """
     entry = _entry(vals, n, goods)
     if entry[1] is not None:
         return entry
     share = entry[0]
-    m = len(vals)
-    suffix = _suffix_sums(vals)
-
     loads = [0] * n
-    best_assign = [0] * m
-    for t in range(m):
+    assign = [0] * len(vals)
+    for t, v in enumerate(vals):
         j = loads.index(min(loads))
-        loads[j] += vals[t]
-        best_assign[t] = j
-    found = [min(loads) if goods else max(loads), best_assign]
-    if found[0] != share:
-        (_maximin if goods else _minimax)(vals, suffix, [0] * n, [0] * m, 0, found, share)
-    if found[0] != share:
-        raise InternalInvariantViolation(
-            f"witness search reached {found[0]}, the share oracle gave {share}"
-        )
-    entry[1] = found[1]
-    return entry
-
-
-def _maximin(vals, suffix, loads, assign, t: int, found: list, share: int) -> None:
-    """Branch the goods vals[t:] over `loads`, `assign` recording each
-    item's bundle; found = [best minimum bundle sum, its assignment] is
-    replaced on a strict improvement, and the search stops once it reaches
-    `share`.  (A module-level recursion: a nested one would leave a
-    reference cycle per witness search.)"""
-    if t == len(vals):
-        v = min(loads)
-        if v > found[0]:
-            found[0] = v
-            found[1] = assign[:]
-        return
-    rest = suffix[t]
-    best = found[0]
-    acc = 0
-    for k, load in enumerate(sorted(loads), start=1):
-        acc += load
-        if acc + rest <= k * best:
-            return
-    v = vals[t]
-    seen = set()
-    for j, load in enumerate(loads):
-        if load in seen:
-            continue
-        seen.add(load)
-        loads[j] = load + v
+        loads[j] += v
         assign[t] = j
-        _maximin(vals, suffix, loads, assign, t + 1, found, share)
-        loads[j] = load
-        if found[0] >= share:
-            return
-
-
-def _minimax(vals, suffix, loads, assign, t: int, found: list, share: int) -> None:
-    """The chores counterpart of `_maximin`: found[0] is the best maximum
-    bundle sum, lowered on a strict improvement down to `share`."""
-    if t == len(vals):
-        v = max(loads)
-        if v < found[0]:
-            found[0] = v
-            found[1] = assign[:]
-        return
-    best = found[0]
-    if max(loads) >= best:
-        return
-    if (sum(loads) + suffix[t] + len(loads) - 1) // len(loads) >= best:
-        return
-    v = vals[t]
-    seen = set()
-    for j, load in enumerate(loads):
-        if load in seen:
-            continue
-        seen.add(load)
-        loads[j] = load + v
-        if load + v < found[0]:
-            assign[t] = j
-            _minimax(vals, suffix, loads, assign, t + 1, found, share)
-        loads[j] = load
-        if found[0] <= share:
-            return
+    if (min(loads) if goods else max(loads)) != share:
+        split = _meets(vals, n, goods, share)
+        if split is None:
+            raise InternalInvariantViolation(f"no split meets the share {share}")
+        if goods:
+            where = {}
+            for t, v in enumerate(vals):
+                where.setdefault(v, []).append(t)
+            for b, bundle in enumerate(split):
+                for v in bundle:
+                    assign[where[v].pop()] = b
+        else:
+            assign = split
+    entry[1] = assign
+    return entry
 
 
 def _scaled(values, sign: int):
@@ -450,21 +408,40 @@ def _row_share(row, bundles: int, goods: bool) -> int | Fraction:
     return _unscaled(share, sign, scale)
 
 
+def _check_agent(instance: Instance, agent: int) -> None:
+    if not 1 <= agent <= instance.n:
+        raise DanglingReference(f"agent {agent} is not in the instance")
+
+
 def maximin_partition(instance: Instance, agent: int, items=None, bundles=None):
-    """Best achievable worst-bundle value and a partition reaching it: the
-    share from the decision search, the partition from the witness search.
+    """Best achievable worst-bundle value and a partition reaching it, both
+    from the share oracle's decision search: the greedy partition when it
+    meets the share, otherwise the split a decision at the share returns.
 
     `items` restricts the search to a subset of item ids (default: all) and
     `bundles` sets the bundle count (default: n); the solvers use both to
     probe constrained partition shapes.  Returns (value, tuple of frozensets).
+    Raises DanglingReference for an agent or item id outside the instance
+    and ValueError for repeated items or fewer than one bundle.
     """
-    ids = sorted(items) if items is not None else range(1, instance.m + 1)
+    _check_agent(instance, agent)
+    if items is None:
+        ids = range(1, instance.m + 1)
+    else:
+        ids = sorted(items)
+        for j in ids:
+            if not 1 <= j <= instance.m:
+                raise DanglingReference(f"item {j} is not in the instance")
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"items repeat: {ids}")
     k = bundles if bundles is not None else instance.n
+    if k < 1:
+        raise ValueError(f"at least one bundle required, not {k}")
     row = instance.row(agent)
     sign = 1 if instance.kind == GOODS else -1
     scaled, scale = _scaled([row[j - 1] for j in ids], sign)
     order = sorted(range(len(scaled)), key=lambda t: -scaled[t])
-    value, assign = _bnb(tuple(scaled[t] for t in order), k, sign == 1)
+    value, assign = _split(tuple(scaled[t] for t in order), k, sign == 1)
     parts = [set() for _ in range(k)]
     for t, b in zip(order, assign):
         parts[b].add(ids[t])
@@ -512,9 +489,12 @@ def mms_value(
     """Exact maximin share of one agent.
 
     The value comes from the decision search alone; the record's witness
-    partition is built on first use, by the witness search stopped at that
-    value.
+    partition is built on first use, as ``maximin_partition`` builds it.
+    `method` "bnb" names this exact oracle (the name is kept for
+    compatibility), "exhaustive" the capped enumeration.  Raises
+    DanglingReference for an agent outside the instance.
     """
+    _check_agent(instance, agent)
     if method == "exhaustive":
         mu, witness = _exhaustive_partition(instance, agent, cap)
         return MmsRecord(agent, mu, lambda: witness)

@@ -7,9 +7,10 @@ import random
 import time
 from decimal import Decimal
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmsalloc import (
@@ -27,6 +28,7 @@ from mmsalloc import (
     validate_allocation,
 )
 from mmsalloc import mms
+from mmsalloc.errors import DanglingReference
 from mmsalloc.mms import (
     clear_caches,
     structured_partition_chores,
@@ -127,6 +129,28 @@ def test_bnb_matches_brute_force_small():
             kind, [[sign * rng.randint(0, 9) for _ in range(m)] for _ in range(n)]
         )
         assert mms_value(inst, 1).mu == brute_force_mu(inst, 1)
+
+
+def test_oracle_entry_points_reject_bad_arguments():
+    """Agent and item ids outside the instance, repeated items and fewer
+    than one bundle are refused, not read from the wrong row or item."""
+    inst = make_instance(GOODS, [[5, 4, 3], [3, 3, 3]])
+    for agent in (0, -1, 3):
+        for method in ("bnb", "exhaustive"):
+            with pytest.raises(DanglingReference):
+                mms_value(inst, agent, method=method)
+        with pytest.raises(DanglingReference):
+            maximin_partition(inst, agent)
+    for items in ([0], [4], [1, 2, 4], [-1, 2]):
+        with pytest.raises(DanglingReference):
+            maximin_partition(inst, 1, items=items)
+    with pytest.raises(ValueError):
+        maximin_partition(inst, 1, items=[1, 1, 2])
+    for bundles in (0, -1):
+        with pytest.raises(ValueError):
+            maximin_partition(inst, 1, bundles=bundles)
+    assert maximin_partition(inst, 2, items=[], bundles=1) == (0, (frozenset(),))
+    assert maximin_partition(inst, 1, items=[3, 1], bundles=1) == (8, ({1, 3},))
 
 
 def test_maximin_partition_subset_and_bundle_count():
@@ -377,7 +401,7 @@ def test_witness_is_built_on_first_use(monkeypatch):
 
 
 def test_oracle_work_solving_the_criterion_3_head(monkeypatch):
-    """Share queries and branch-and-bound searches (cache misses) while the
+    """Share queries and share searches (cache misses) while the
     first four criterion-3 instances (8 x 15, seed 103) are solved from a
     cold cache.  A change that adds oracle work fails here.  Every share
     query (``mms_value``, ``mu_vector`` and the structured searches) goes
@@ -403,96 +427,35 @@ def test_oracle_work_solving_the_criterion_3_head(monkeypatch):
     assert len(mms._bnb_cache) <= 136
 
 
-def _reference_bnb(vals, n, goods):
-    """The witness search as it ran before the share oracle was split in
-    two: the same branch and bound, stopped only by `_share_bound` (or by
-    exhausting its tree), without a cache."""
-    m = len(vals)
-    suffix = [0] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + vals[t]
+def _greedy(vals, n, goods):
+    """The value of the greedy (longest processing time) partition."""
     loads = [0] * n
-    best_assign = [0] * m
-    for t in range(m):
-        j = loads.index(min(loads))
-        loads[j] += vals[t]
-        best_assign[t] = j
-    best = min(loads) if goods else max(loads)
-    bound = mms._share_bound(vals, n, goods)
-    loads = [0] * n
-    assign = [0] * m
-
-    def maximin(t):
-        nonlocal best, best_assign
-        if t == m:
-            if min(loads) > best:
-                best, best_assign = min(loads), assign[:]
-            return
-        acc = 0
-        for k, load in enumerate(sorted(loads), start=1):
-            acc += load
-            if acc + suffix[t] <= k * best:
-                return
-        seen = set()
-        for j in range(n):
-            if loads[j] in seen:
-                continue
-            seen.add(loads[j])
-            loads[j] += vals[t]
-            assign[t] = j
-            maximin(t + 1)
-            loads[j] -= vals[t]
-            if best >= bound:
-                return
-
-    def minimax(t):
-        nonlocal best, best_assign
-        if t == m:
-            if max(loads) < best:
-                best, best_assign = max(loads), assign[:]
-            return
-        if max(loads) >= best or (sum(loads) + suffix[t] + n - 1) // n >= best:
-            return
-        seen = set()
-        for j in range(n):
-            if loads[j] in seen:
-                continue
-            seen.add(loads[j])
-            loads[j] += vals[t]
-            if loads[j] < best:
-                assign[t] = j
-                minimax(t + 1)
-            loads[j] -= vals[t]
-            if best <= bound:
-                return
-
-    if (best < bound) if goods else (best > bound):
-        (maximin if goods else minimax)(0)
-    return best, best_assign
+    for v in vals:
+        heapq.heapreplace(loads, loads[0] + v)
+    return loads[0] if goods else max(loads)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.booleans(),
-    st.integers(1, 6),
-    st.lists(st.integers(0, 20), max_size=12),
-)
-def test_witness_matches_the_search_stopped_at_the_bound(goods, bundles, row):
-    """The share from the decision search stops the witness search at the
-    first optimal partition, the one the search stopped at `_share_bound`
-    returns, whatever bundle count `maximin_partition` asks for."""
-    vals = tuple(sorted(row, reverse=True))
-    clear_caches()
-    value, assign = mms._bnb(vals, bundles, goods)
-    assert (value, list(assign)) == _reference_bnb(vals, bundles, goods)
+def _split_meets(split, vals, n, target, goods):
+    """Is `split` a split of the values `vals` into n bundles, each worth
+    `target` or more (goods) or at most `target` (chores)?"""
+    return (
+        len(split) == n
+        and sorted(v for bundle in split for v in bundle) == sorted(vals)
+        and all((sum(b) >= target) if goods else (sum(b) <= target) for b in split)
+    )
 
 
 @pytest.mark.parametrize("kind", [GOODS, CHORES])
 def test_witness_search_leaves_no_reference_cycle(kind):
     """A witness search that branches leaves nothing for the cycle
-    collector: its recursions are module-level functions, not closures."""
+    collector: its recursions are module-level functions, not closures.
+    The greedy partition misses these shares, so the witness comes from a
+    decision at the share (`_complete`/`_extend` for goods, `_pack` for
+    chores)."""
     sign = 1 if kind == GOODS else -1
-    inst = make_instance(kind, [[sign * v for v in (9, 7, 7, 5, 4, 4, 3, 2, 1)]] * 3)
+    row = (9, 9, 8, 8, 6, 6, 6, 5, 2) if kind == GOODS else (8, 8, 7, 5, 5, 5, 3, 3, 1)
+    assert _greedy(row, 3, kind == GOODS) != mms._share(row, 3, kind == GOODS)
+    inst = make_instance(kind, [[sign * v for v in row]] * 3)
     clear_caches()
     gc.collect()
     gc.disable()
@@ -523,11 +486,20 @@ def test_threshold_search_leaves_no_reference_cycle(kind):
 def test_decision_search_at_tight_targets(monkeypatch):
     """Targets met with nothing to spare: peeled goods with a tight rest,
     two bundles splitting the total exactly, two goods a bundle, bin
-    completion with no slack, and chores filling their bundles exactly."""
-    reaches = mms._reaches
+    completion with no slack, and chores filling their bundles exactly.  A
+    met target returns a split that meets it, a refuted one None."""
+
+    def reaches(vals, n, target):
+        split = mms._reaches(vals, n, target)
+        assert split is None or _split_meets(split, vals, n, target, True)
+        return split is not None
 
     def packs(vals, n, capacity):
-        return mms._pack(vals, mms._suffix_sums(vals), [0] * n, capacity, 0)
+        split = mms._pack(vals, mms._suffix_sums(vals), [0] * n, capacity, 0)
+        if split is not None:
+            bundles = [[v for v, b in zip(vals, split) if b == j] for j in range(n)]
+            assert _split_meets(bundles, vals, n, capacity, False)
+        return split is not None
 
     assert reaches((9, 8, 3, 2, 2), 3, 7)
     assert not reaches((9, 8, 3, 2, 2), 3, 8)
@@ -680,6 +652,51 @@ def test_share_matches_the_previous_search(goods, bundles, row):
             GOODS if goods else CHORES, [[sign * v for v in row]] * bundles
         )
         assert mms._exhaustive_partition(inst, 1, 10**5)[0] == sign * share
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.booleans(),
+    st.integers(1, 7),
+    _ROWS,
+    st.lists(st.integers(0, 30), max_size=3),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+# The greedy partition misses both shares, so each witness comes from a
+# decision at the share; the goods one peels the three goods worth 8.
+@example(True, 6, [1, 2, 2, 3, 4, 5, 7, 8, 8, 8], [], False, random.Random(0))
+@example(False, 3, [8, 8, 7, 5, 5, 5, 3, 3, 1], [4], True, random.Random(1))
+def test_witness_is_a_partition_whose_worst_bundle_is_the_share(
+    goods, bundles, row, others, bitset, rng
+):
+    """`maximin_partition` over the items of `row`, placed among other items
+    at random ids, returns a partition of exactly those items into
+    `bundles` bundles whose worst bundle is the share; with or without the
+    subset-sum bitset, and equal to the exhaustive oracle's share wherever
+    it enumerates at most 10^5 assignments."""
+    sign = 1 if goods else -1
+    kind = GOODS if goods else CHORES
+    full = row + others
+    ids = list(range(1, len(full) + 1))
+    rng.shuffle(ids)
+    values = [0] * len(full)
+    for j, v in zip(ids, full):
+        values[j - 1] = sign * v
+    items = ids[: len(row)]
+    inst = make_instance(kind, [values])
+    limit = mms._SUBSET_SUM_LIMIT if bitset else -1
+    clear_caches()
+    with patch.object(mms, "_SUBSET_SUM_LIMIT", limit):
+        value, parts = maximin_partition(inst, 1, items=items, bundles=bundles)
+    clear_caches()
+    assert len(parts) == bundles
+    assert sorted(j for b in parts for j in b) == sorted(items)
+    assert min(bundle_value(inst, 1, b) for b in parts) == value
+    assert value == sign * mms._share(tuple(sorted(row, reverse=True)), bundles, goods)
+    if bundles ** len(row) <= 10**5:
+        alone = make_instance(kind, [[sign * v for v in row]] * bundles)
+        assert mms._exhaustive_partition(alone, 1, 10**5)[0] == value
 
 
 def test_share_without_the_subset_sum_bitset(monkeypatch):
