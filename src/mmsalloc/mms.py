@@ -19,12 +19,15 @@ share.  Both share one cache entry per sorted row: ``mms_value`` asks for
 the value alone, and a record's witness partition is built on first use.
 ``mu_vector`` returns the shares of all agents by value and skips the
 records; the solver, certification, step verification and trace replay
-all use it.
+all use it.  A structured witness (``structured_partition_goods``,
+``structured_partition_chores``) is a tuple of n frozensets with as many
+leading singletons as the other items allow.  ``find_allocation_meeting``
+is the exhaustive threshold search; on the solve path only the pipeline
+runs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapreplace
 from itertools import accumulate
@@ -53,14 +56,6 @@ class MmsRecord:
         if self._witness is None:
             self._witness = self._find_witness()
         return self._witness
-
-
-@dataclass(frozen=True, slots=True)
-class StructuredPartition:
-    """An MMS partition whose singletons are the leading items 1..t."""
-
-    partition: tuple
-    singleton_count: int
 
 
 # Share oracle results keyed by (sorted values, bundle count, goods?): a
@@ -518,12 +513,7 @@ def mu_vector(instance: Instance) -> tuple:
 def count_high_items(instance: Instance, agent: int, mu) -> int:
     """Number of leading goods the agent values at mu or higher."""
     row = instance.row(agent)
-    k = 0
-    for v in row:
-        if v >= mu:
-            k += 1
-        else:
-            break
+    k = next((t for t, v in enumerate(row) if v < mu), len(row))
     n, m = instance.n, instance.m
     c = m - n
     if n > c > 0 and k < n - c:
@@ -533,58 +523,43 @@ def count_high_items(instance: Instance, agent: int, mu) -> int:
     return k
 
 
-def _residual_feasible(instance: Instance, agent: int, items, bundles: int, mu):
-    """Can `items` be split into `bundles` bundles each worth >= mu to agent?"""
-    if bundles == 0:
-        return tuple() if not items else None
-    if _value(instance, agent, items, bundles) < mu:
-        return None
-    return maximin_partition(instance, agent, items=items, bundles=bundles)[1]
-
-
-def _structured(instance: Instance, agent: int, mu) -> StructuredPartition:
-    """Max-singleton MMS partition of a sorted instance with singletons on
-    the leading items.
+def _structured(instance: Instance, agent: int, mu, high: int) -> tuple:
+    """Max-singleton MMS partition of a sorted instance: singletons {1}..{t},
+    with t <= `high` as large as the other items allow, then n - t bundles of
+    the other items, each worth mu or more.
 
     Any MMS partition can be rearranged, without losing value or singletons,
     so that its singleton bundles hold the leading items; searching the
-    prefix length top-down therefore finds the global maximum.
+    prefix length top-down therefore finds the global maximum.  The prefix
+    t = n leaves no bundle for other items: it works only when there are none.
     """
     n, m = instance.n, instance.m
-    t_max = min(n, m)
-    if instance.kind == GOODS and mu > 0:
-        k = count_high_items(instance, agent, mu)
-        t_max = min(t_max, k)
-    for t in range(t_max, -1, -1):
-        if t < m and n - t == 0:
-            continue
+    if n == m <= high:
+        return tuple(frozenset({j}) for j in range(1, n + 1))
+    for t in range(min(n - 1, high), -1, -1):
         rest = range(t + 1, m + 1)
-        parts = _residual_feasible(instance, agent, list(rest), n - t, mu)
-        if parts is None:
-            continue
-        singles = tuple(frozenset({j}) for j in range(1, t + 1))
-        partition = singles + parts
-        count = sum(1 for b in partition if len(b) == 1)
-        return StructuredPartition(partition=partition, singleton_count=count)
+        if _value(instance, agent, rest, n - t) >= mu:
+            singles = tuple(frozenset({j}) for j in range(1, t + 1))
+            return singles + maximin_partition(instance, agent, rest, n - t)[1]
     raise InternalInvariantViolation(
         f"no structured MMS partition found for agent {agent}"
     )
 
 
-def structured_partition_goods(
-    instance: Instance, agent: int, mu
-) -> StructuredPartition:
+def structured_partition_goods(instance: Instance, agent: int, mu) -> tuple:
+    """The agent's max-singleton MMS partition of a sorted goods instance
+    (``_structured``), as a tuple of n frozensets."""
     if instance.kind != GOODS:
         raise ValueError("goods instance required")
-    sp = _structured(instance, agent, mu)
-    n = instance.n
-    k = count_high_items(instance, agent, mu) if mu > 0 else instance.m
-    if sp.singleton_count < min(n - 1, k):
+    high = count_high_items(instance, agent, mu) if mu > 0 else instance.m
+    partition = _structured(instance, agent, mu, high)
+    singles = sum(1 for b in partition if len(b) == 1)
+    if singles < min(instance.n - 1, high):
         raise InternalInvariantViolation(
-            f"agent {agent}: {sp.singleton_count} singletons, "
-            f"expected >= {min(n - 1, k)}"
+            f"agent {agent}: {singles} singletons, "
+            f"expected >= {min(instance.n - 1, high)}"
         )
-    return sp
+    return partition
 
 
 def normalize_pair_bundle(partition: tuple, n: int) -> tuple:
@@ -609,16 +584,14 @@ def normalize_pair_bundle(partition: tuple, n: int) -> tuple:
     return tuple(frozenset(swap.get(j, j) for j in b) for b in partition)
 
 
-def structured_partition_chores(
-    instance: Instance, agent: int, mu
-) -> StructuredPartition:
+def structured_partition_chores(instance: Instance, agent: int, mu) -> tuple:
+    """The agent's max-singleton MMS partition of a sorted chores instance
+    (``_structured``), as a tuple of n frozensets, with a pair bundle past
+    the first n - 1 chores moved onto chores n and n + 1."""
     if instance.kind != CHORES:
         raise ValueError("chores instance required")
-    sp = _structured(instance, agent, mu)
-    return StructuredPartition(
-        partition=normalize_pair_bundle(sp.partition, instance.n),
-        singleton_count=sp.singleton_count,
-    )
+    partition = _structured(instance, agent, mu, instance.m)
+    return normalize_pair_bundle(partition, instance.n)
 
 
 def find_allocation_meeting(

@@ -4,9 +4,11 @@ Sort the instance into its companion, shrink the companion with valid
 reductions until a base case finishes it, lift the result back and certify
 it against independently recomputed maximin shares.  The item kind only
 decides which reductions and case analyses run; ``run`` takes those as a
-step function, so the scheme itself exists once.  Results are certified
-before being reported as solved — an uncertified result is returned as
-unresolved, never as solved.
+step function, so the scheme itself exists once.  The pipeline runs every
+threshold search of a solve (``Pipeline.search``), the fallback's and the
+scripted branches', under its one cap.  Results are certified before being
+reported as solved — an uncertified result is returned as unresolved,
+never as solved.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class Pipeline:
     Steps are pushed in its coordinates and stored translated to the
     companion instance, so the finished trace can be replayed against it.
     ``cap`` bounds every assignment search of the solve, scripted or
-    fallback, in ``n ** m`` assignments.
+    fallback, in ``n ** m`` assignments; ``search`` runs them all.
     """
 
     def __init__(self, companion: Instance, cap: int = DEFAULT_EXHAUSTIVE_CAP):
@@ -112,6 +114,26 @@ class Pipeline:
         self.current, agents, items = apply_with_maps(self.current, step)
         self.agent_ids = [self.agent_ids[a - 1] for a in agents]
         self.item_ids = [self.item_ids[j - 1] for j in items]
+
+    def search(self, thresholds, reason: str, agents=None, removed=()):
+        """An allocation of the residual giving each agent at least its
+        threshold, or None, a proof that none exists: the one exhaustive
+        threshold search of the solve.
+
+        ``agents`` and ``removed`` restrict it to those agents (default:
+        all) and the items not removed; the allocation is then in the
+        restricted coordinates.  Past ``cap`` assignments it raises
+        TooLarge with ``reason``, which names the branch that overran.
+        """
+        cur = self.current
+        if agents is not None:
+            keep = [j for j in range(1, cur.m + 1) if j not in removed]
+            rows = tuple(tuple(cur.value(i, j) for j in keep) for i in agents)
+            cur = Instance(kind=cur.kind, valuations=rows)
+        try:
+            return find_allocation_meeting(cur, thresholds, self.cap)
+        except TooLarge:
+            raise TooLarge(reason) from None
 
     def finish(self, final_current):
         """Translate a final residual allocation and close the trace."""
@@ -146,7 +168,6 @@ def _drive(pipe: Pipeline, step):
             )
             return final, ""
         mu = mu_vector(cur)
-        result = None
         try:
             result = step(pipe, mu)
             if result == CONTINUE:
@@ -154,10 +175,10 @@ def _drive(pipe: Pipeline, step):
             if result is not None and result[0] == "solved":
                 return result[1], ""
             # no constructive route: exhaustive threshold search or give up
-            final = find_allocation_meeting(cur, mu, pipe.cap)
-        except TooLarge:
             reason = result[1] if result else f"no constructive route at {n}x{m}"
-            return None, reason + OVER_CAP[kind]
+            final = pipe.search(mu, reason)
+        except TooLarge as overrun:
+            return None, f"{overrun}{OVER_CAP[kind]}"
         if final is None:
             return None, f"no allocation meets all shares at {n}x{m}"
         pipe.note("fallback:threshold-search")

@@ -60,8 +60,8 @@ def _chores_witness_base(pipe: Pipeline, mu):
     cur = pipe.current
     n = cur.n
     for i in range(1, n + 1):
-        sp = structured_partition_chores(cur, i, mu[i - 1])
-        bundles = sorted(sp.partition, key=lambda b: (len(b), sorted(b)))
+        part = structured_partition_chores(cur, i, mu[i - 1])
+        bundles = sorted(part, key=lambda b: (len(b), sorted(b)))
         singles = [b for b in bundles if len(b) == 1]
         multis = [b for b in bundles if len(b) >= 2]
         if len(singles) >= n - 1:
@@ -103,8 +103,7 @@ def _chores_tail_step(pipe: Pipeline, mu):
     c = cur.m - n
     tails = {}
     for i in range(1, n + 1):
-        sp = structured_partition_chores(cur, i, mu[i - 1])
-        tb = tail_bundle(sp.partition, n)
+        tb = tail_bundle(structured_partition_chores(cur, i, mu[i - 1]), n)
         if tb is not None:
             tails[i] = tb
     return reduce_by_tail_group(

@@ -5,7 +5,9 @@ module's step, which shrinks the sorted residual with valid reductions.
 Scripted case analyses handle the two delicate sizes (four agents with ten
 goods, eight agents with fifteen goods); a counting argument over shared
 tail bundles handles large agent counts; everything else falls back to the
-pipeline's exhaustive threshold search below the oracle cap.
+pipeline's exhaustive threshold search below the oracle cap.  The scripted
+branches that search what is left against the old shares call the same
+search (``Pipeline.search``) with their branch tag.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
 from .matching import BipartiteGraph, hall_deficient_split, max_matching, envy_free_matching
 from .mms import (
     DEFAULT_EXHAUSTIVE_CAP,
-    find_allocation_meeting,
     maximin_partition,
     mms_value,
     structured_partition_goods,
@@ -261,9 +262,8 @@ def tail_group_step(pipe: Pipeline, c: int, mu):
     tails = {}
     parts = {}
     for i in range(1, n + 1):
-        sp = structured_partition_goods(cur, i, mu[i - 1])
-        parts[i] = sp
-        tb = tail_bundle(sp.partition, n)
+        parts[i] = structured_partition_goods(cur, i, mu[i - 1])
+        tb = tail_bundle(parts[i], n)
         if mu[i - 1] == 0 or tb is None or len(tb) <= 2:
             if cur.m >= n + 1:
                 pipe.push(make_step(RULE_PIGEONHOLE_PAIR, {i: {n, n + 1}}))
@@ -272,9 +272,8 @@ def tail_group_step(pipe: Pipeline, c: int, mu):
         tails[i] = tb
     for i in range(1, n + 1):
         if len(tails[i]) >= c - 1:
-            sp = parts[i]
-            if sum(1 for b in sp.partition if len(b) <= 2) >= n - 1:
-                return efm_step(pipe, i, sp.partition, mu)
+            if sum(1 for b in parts[i] if len(b) <= 2) >= n - 1:
+                return efm_step(pipe, i, parts[i], mu)
     step = reduce_by_tail_group(
         cur,
         tails,
@@ -288,20 +287,6 @@ def tail_group_step(pipe: Pipeline, c: int, mu):
 
 
 # --- scripted case analyses --------------------------------------------------
-
-def _threshold_final(pipe: Pipeline, removed_items, kept_agents, thresholds):
-    """Search the residual (after hypothetically removing items) for an
-    allocation meeting original-share thresholds.  Returns the residual
-    allocation in post-removal coordinates, or None.  Past ``pipe.cap``
-    assignments it raises TooLarge, which the pipeline reports."""
-    cur = pipe.current
-    keep = [j for j in range(1, cur.m + 1) if j not in removed_items]
-    rows = tuple(
-        tuple(cur.value(i, j) for j in keep) for i in kept_agents
-    )
-    sub = Instance(kind=cur.kind, valuations=rows)
-    return find_allocation_meeting(sub, thresholds, pipe.cap)
-
 
 def _solve_4x10(pipe: Pipeline, mu):
     """Case analysis for four agents and ten goods.
@@ -334,7 +319,9 @@ def _solve_4x10(pipe: Pipeline, mu):
     # remaining nine goods up to their old shares.
     for star in h1:
         kept = [a for a in range(1, 5) if a != star]
-        final = _threshold_final(pipe, {1}, kept, [mu[a - 1] for a in kept])
+        final = pipe.search(
+            [mu[a - 1] for a in kept], "c6:payoff-good1 at 4x10", kept, {1}
+        )
         if final is not None:
             pipe.note(f"c6:payoff-good1:agent{star}")
             pipe.push(make_step(RULE_SINGLE_ITEM, {star: {1}}))
@@ -368,9 +355,9 @@ def _solve_8x15(pipe: Pipeline, mu):
     # pairs, one triple and two singletons: the matching step applies.
     for i in range(1, 9):
         if cur.value(i, 3) < mu[i - 1]:
-            sp = structured_partition_goods(cur, i, mu[i - 1])
+            part = structured_partition_goods(cur, i, mu[i - 1])
             pipe.note("c7:low-third")
-            return efm_step(pipe, i, sp.partition, mu)
+            return efm_step(pipe, i, part, mu)
 
     h6 = [i for i in range(1, 9) if cur.value(i, 6) >= mu[i - 1]]
     if h6:
@@ -399,10 +386,10 @@ def _solve_8x15(pipe: Pipeline, mu):
         return CONTINUE
 
     for i in range(1, 9):
-        sp = structured_partition_goods(cur, i, mu[i - 1])
-        if sum(1 for b in sp.partition if len(b) <= 2) >= 7:
+        part = structured_partition_goods(cur, i, mu[i - 1])
+        if sum(1 for b in part if len(b) <= 2) >= 7:
             pipe.note("c7:mostly-small")
-            return efm_step(pipe, i, sp.partition, mu)
+            return efm_step(pipe, i, part, mu)
 
     high5 = [i for i in range(1, 9) if cur.value(i, 5) >= mu[i - 1]]
     if high5:
@@ -433,8 +420,11 @@ def _solve_8x15_with_five_singles(pipe: Pipeline, mu, high5):
             awards[first] = {4}
             awards[second] = {5}
             kept = [a for a in chosen if a not in (first, second)]
-            final = _threshold_final(
-                pipe, {1, 2, 3, 4, 5}, kept, [mu[a - 1] for a in kept]
+            final = pipe.search(
+                [mu[a - 1] for a in kept],
+                "c7:five-high:batch at 8x15",
+                kept,
+                {1, 2, 3, 4, 5},
             )
             if final is not None:
                 pipe.note("c7:five-high:batch")
@@ -488,8 +478,11 @@ def _solve_8x15_pivot(pipe: Pipeline, mu):
                 awards = dict(base)
                 awards[i] = bundle
                 awards[ip] = {4}
-                final = _threshold_final(
-                    pipe, {1, 2, 3, 4} | bundle, crowd, [mu[a - 1] for a in crowd]
+                final = pipe.search(
+                    [mu[a - 1] for a in crowd],
+                    f"c7:pivot{g}:pack at 8x15",
+                    crowd,
+                    {1, 2, 3, 4} | bundle,
                 )
                 if final is not None:
                     pipe.note(f"c7:pivot{g}:pack")

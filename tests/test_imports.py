@@ -8,7 +8,9 @@ solvers take the sorted residual ``Instance`` itself, so only ``core`` and
 ``pipeline`` name ``OrderedInstance``; and the solve path reads the default
 agent-count thresholds, so only ``bounds`` and ``cli`` name a ``BoundTable``.
 A third keeps the search cap with the pipeline: only ``mms``, which raises
-``TooLarge``, and ``pipeline``, which reports it, name it.  A fourth fence
+``TooLarge``, and ``pipeline``, which reports it, name it; and only
+``pipeline``, which runs every threshold search, imports
+``find_allocation_meeting``.  A fourth fence
 keeps records small: every frozen dataclass is also slotted.
 """
 
@@ -74,8 +76,9 @@ def imports_any(path: Path, names) -> bool:
         ({"OrderedInstance"}, {"core.py", "pipeline.py"}),
         ({"BoundTable", "DEFAULT_TABLE"}, {"bounds.py", "cli.py"}),
         ({"TooLarge"}, {"mms.py", "pipeline.py"}),
+        ({"find_allocation_meeting"}, {"pipeline.py"}),
     ],
-    ids=["ordered_instance", "bound_table", "too_large"],
+    ids=["ordered_instance", "bound_table", "too_large", "threshold_search"],
 )
 def test_only_fenced_modules_import(names, allowed):
     importers = {p.name for p in MODULES if imports_any(p, names)}

@@ -1,5 +1,6 @@
 """Maximin-share oracles: exact values, witnesses, and helper searches."""
 
+import functools
 import gc
 import heapq
 import itertools
@@ -202,11 +203,11 @@ def test_structured_partition_goods_layout():
         ordered = to_ordered(inst)
         for i in range(1, n + 1):
             mu = mms_value(ordered.instance, i).mu
-            sp = structured_partition_goods(ordered.instance, i, mu)
-            assert len(sp.partition) == n
-            for b in sp.partition:
+            part = structured_partition_goods(ordered.instance, i, mu)
+            assert len(part) == n
+            for b in part:
                 assert bundle_value(ordered.instance, i, b) >= mu
-            singles = [b for b in sp.partition if len(b) == 1]
+            singles = [b for b in part if len(b) == 1]
             # singleton bundles sit on the leading goods
             for b in singles:
                 assert min(b) <= len(singles)
@@ -224,11 +225,11 @@ def test_structured_partition_chores_layout():
         ordered = to_ordered(inst)
         for i in range(1, n + 1):
             mu = mms_value(ordered.instance, i).mu
-            sp = structured_partition_chores(ordered.instance, i, mu)
-            assert len(sp.partition) == n
-            for b in sp.partition:
+            part = structured_partition_chores(ordered.instance, i, mu)
+            assert len(part) == n
+            for b in part:
                 assert bundle_value(ordered.instance, i, b) >= mu
-            singles = sorted(min(b) for b in sp.partition if len(b) == 1)
+            singles = sorted(min(b) for b in part if len(b) == 1)
             # singletons are carried by the worst chores, in order
             assert singles == list(range(1, len(singles) + 1))
     _check_no_more_items_than_agents(CHORES, structured_partition_chores, rng)
@@ -243,9 +244,76 @@ def _check_no_more_items_than_agents(kind, structured, rng):
         rows = [[sign * rng.randint(1, 12) for _ in range(m)] for _ in range(3)]
         inst = to_ordered(make_instance(kind, rows)).instance
         for i in range(1, 4):
-            sp = structured(inst, i, mms_value(inst, i).mu)
+            part = structured(inst, i, mms_value(inst, i).mu)
             singles = tuple(frozenset({j}) for j in range(1, m + 1))
-            assert sp.partition == singles + (frozenset(),) * (3 - m)
+            assert part == singles + (frozenset(),) * (3 - m)
+
+
+def _best_singletons(row, mu, items, k):
+    """The most size-1 bundles in a split of the positions `items` (a
+    bitmask) of `row` into k bundles, empty ones allowed, each worth mu or
+    more; None when there is no such split.  Exhaustive: every bundle that
+    can hold the first remaining item is tried."""
+
+    @functools.lru_cache(maxsize=None)
+    def best(mask, k):
+        if k == 0:
+            return 0 if mask == 0 else None
+        if mask == 0:
+            return 0 if mu <= 0 else None
+        low = mask & -mask
+        found = None
+        rest = mask ^ low
+        sub = rest
+        while True:
+            bundle = sub | low
+            worth = sum(row[t] for t in range(len(row)) if bundle >> t & 1)
+            if worth >= mu:
+                more = best(mask ^ bundle, k - 1)
+                if more is not None:
+                    more += bundle == low
+                    found = more if found is None else max(found, more)
+            if sub == 0:
+                return found
+            sub = (sub - 1) & rest
+
+    return best(items, k)
+
+
+@pytest.mark.parametrize("kind", [GOODS, CHORES])
+def test_structured_witness_keeps_the_most_singletons(kind):
+    """On every small shape, the structured witness's leading singletons
+    {1}..{t} form the longest prefix after which the other items split into
+    n - t bundles each worth mu, and no split that meets mu has more
+    singletons (both by exhaustive search)."""
+    structured = structured_partition_goods if kind == GOODS else structured_partition_chores
+    rng = random.Random(29)
+    checked = 0
+    for n in range(1, 5):
+        for m in range(0, 9):
+            for _ in range(12):
+                hi = rng.choice([3, 12])
+                inst = to_ordered(make_instance(kind, _random_rows(rng, kind, n, m, hi))).instance
+                for i in range(1, n + 1):
+                    row = inst.row(i)
+                    mu = mms_value(inst, i).mu
+                    part = structured(inst, i, mu)
+                    assert len(part) == n
+                    assert sorted(j for b in part for j in b) == list(range(1, m + 1))
+                    assert all(bundle_value(inst, i, b) >= mu for b in part)
+                    t = 0
+                    while t < n and part[t] == frozenset({t + 1}):
+                        t += 1
+                    for longer in range(t + 1, min(n, m) + 1):
+                        rest = ((1 << m) - 1) >> longer << longer
+                        assert not (
+                            all(row[j] >= mu for j in range(longer))
+                            and _best_singletons(row, mu, rest, n - longer) is not None
+                        ), (row, n, mu, part, longer)
+                    singles = sum(1 for b in part if len(b) == 1)
+                    assert singles == _best_singletons(row, mu, (1 << m) - 1, n)
+                    checked += 1
+    assert checked > 1000
 
 
 def _random_rows(rng, kind, n, m, hi=20):

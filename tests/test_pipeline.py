@@ -93,14 +93,15 @@ def test_step_reason_ends_with_the_kinds_over_cap_text(kind, over_cap):
 
 
 def test_a_scripted_search_past_the_cap_is_unresolved():
-    """The pipeline holds the cap, and the scripted branches search under it:
-    paying good 1 off at 4 x 10 searches 3^9 assignments for the rest, past
-    a cap of 1,000, and the solve comes back unresolved.  The default cap
-    solves the same instance."""
+    """The pipeline holds the cap and runs the scripted branches' searches
+    under it: paying good 1 off at 4 x 10 searches 3^9 assignments for the
+    rest, past a cap of 1,000, and the solve comes back unresolved with a
+    reason that names the branch.  The default cap solves the same
+    instance."""
     inst = make_instance(GOODS, [[20] + [3] * 9] * 2 + [[10, 5] + [2] * 8] * 2)
     out = solve(inst, cap=1000)
     assert out.status == "unresolved" and out.trace is None
-    assert out.diagnostic == "no constructive route at 4x10; search cap exceeded"
+    assert out.diagnostic == "c6:payoff-good1 at 4x10; search cap exceeded"
     assert solve(inst).diagnostic == "c6:payoff-good1:agent1"
 
 

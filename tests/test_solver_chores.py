@@ -80,6 +80,22 @@ def test_unblockable_pair_reduction_appears_in_trace():
     assert any(s.rule == "pair_blockable" for s in out.trace.steps)
 
 
+def test_witness_pair_nobody_else_takes_is_reduced():
+    # draw 1,450 of random.Random(11) over 4 x 11 rows of -randint(0, 20).
+    # The guard rejects the blockable pair (4 agents, c = 7, and
+    # n - 1 < n_c_chores(6)), so the witness base keeps its own pair.
+    rows = [
+        [0, -18, -3, -8, 0, -13, -1, -1, -16, -13, 0],
+        [-20, -8, -4, -1, -12, -19, 0, -9, -20, 0, -10],
+        [-9, 0, -16, -7, -16, -15, -7, -2, -18, -18, -19],
+        [-17, -1, -1, -4, -13, -2, -8, -2, -10, -15, -18],
+    ]
+    inst = make_instance(CHORES, rows)
+    out = solve_chores(inst)
+    check_solved(inst, out)
+    assert out.diagnostic == "chores_base:pair_to_self; base:two-agent"
+
+
 def test_shared_pair_tail_fires_domination():
     # every witness is one singleton plus three pairs; the cheap-end pair
     # normalizes to {4, 5} for everyone and the group reduction applies

@@ -11,10 +11,10 @@ import random
 import pytest
 
 from mmsalloc.core import GOODS, bundle_value, make_instance, to_ordered
-from mmsalloc.errors import NEqualsThree, PreconditionUnmet, TooFewAgents
+from mmsalloc.errors import NEqualsThree, PreconditionUnmet, TooFewAgents, TooLarge
 from mmsalloc.mms import mms_value, mu_vector
-from mmsalloc.reductions import ReductionTrace, verify_trace
-from mmsalloc.pipeline import Pipeline
+from mmsalloc.reductions import ReductionTrace, verify_step, verify_trace
+from mmsalloc.pipeline import CONTINUE, Pipeline
 from mmsalloc import solver_goods
 from mmsalloc.reductions import (
     reduce_pair_blockable,
@@ -32,6 +32,7 @@ from mmsalloc.solver_goods import (
     solve,
     solve_c6,
     solve_c7,
+    tail_group_step,
 )
 
 
@@ -173,10 +174,55 @@ def test_8x15_many_fifth_good_valuers_batch():
     assert notes == ["c7:five-high:batch"] and res[0] == "solved"
 
 
+def test_8x15_batch_search_past_the_cap_names_its_branch():
+    # three kept agents over the ten goods left: 3^10 assignments
+    ordered = to_ordered(make_instance(GOODS, [FIVE_HIGH] * 5 + [FILLER] * 3))
+    pipe = Pipeline(ordered.instance, cap=1000)
+    with pytest.raises(TooLarge, match=r"^c7:five-high:batch at 8x15$"):
+        _solve_8x15(pipe, mu_vector(pipe.current))
+
+
 def test_8x15_shared_pivot_pair():
     row = [10] * 3 + [4] * 3 + [2] * 9
     notes, res = run_script([row] * 8, _solve_8x15)
     assert notes == ["c7:pivot5:crowd"] and res[0] == "continue"
+
+
+# Through ``solve`` the tail groups need n >= n_c_goods(c) agents, about
+# 1,449 at c = 8, so these 8 x 16 residuals call the step directly.
+TAIL_GROUP_ROWS = {
+    "identical": [[29, 28, 23, 23, 23, 18, 15, 15, 13, 12, 11, 9, 5, 4, 4, 2]] * 8,
+    "with-singletons": [
+        [11, 8, 7, 9, 6, 6, 6, 3, 3, 3, 4, 2, 2, 1, 2, 1],
+        [9, 9, 7, 8, 7, 7, 7, 3, 2, 3, 4, 3, 4, 2, 3, 1],
+        [10, 8, 7, 9, 7, 6, 6, 2, 2, 4, 3, 4, 4, 3, 3, 2],
+        [10, 8, 8, 9, 7, 6, 6, 4, 3, 3, 3, 3, 2, 2, 1, 1],
+        [10, 9, 9, 9, 6, 6, 7, 3, 4, 3, 2, 3, 4, 1, 2, 2],
+        [10, 9, 7, 8, 6, 6, 5, 3, 3, 4, 4, 3, 3, 2, 2, 2],
+        [9, 9, 8, 8, 6, 5, 5, 3, 2, 4, 3, 4, 3, 2, 2, 1],
+        [11, 9, 8, 8, 6, 6, 6, 3, 3, 3, 3, 3, 2, 2, 2, 2],
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name, awards",
+    [
+        ("identical", {1: {8, 10, 16}}),
+        # agents outside the group take the leading goods as singletons
+        ("with-singletons", {6: {8, 9, 16}, 7: {1}, 8: {2}}),
+    ],
+)
+def test_tail_group_domination_award(name, awards):
+    """Every agent's structured witness has a triple among the tail goods;
+    a group of them sharing two goods fires the domination award."""
+    pipe = _pipe(TAIL_GROUP_ROWS[name])
+    sorted_instance = pipe.current
+    assert tail_group_step(pipe, 8, mu_vector(sorted_instance)) == CONTINUE
+    [step] = pipe.steps
+    assert step.rule == "domination"
+    assert {a: set(b) for a, b in step.assignments} == awards
+    assert verify_step(sorted_instance, step)
 
 
 def test_reduce_2n2_pivot_pair_branch():
