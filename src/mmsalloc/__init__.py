@@ -21,8 +21,6 @@ from .core import (
     validate_allocation,
 )
 from .bounds import (
-    BoundParams,
-    BoundTable,
     n_c_chores,
     n_c_goods,
     required_agents_chores,
@@ -35,8 +33,6 @@ from .solver_chores import solve_chores
 from .solver_goods import solve, solve_c6, solve_c7
 
 __all__ = [
-    "BoundParams",
-    "BoundTable",
     "SolveOutcome",
     "find_allocation_meeting",
     "maximin_partition",

@@ -12,10 +12,14 @@ import json
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
-from .bounds import BoundParams, BoundTable
+from .bounds import (
+    n_c_chores,
+    n_c_goods,
+    required_agents_chores,
+    required_agents_goods,
+)
 from .core import (
     CHORES,
     GOODS,
@@ -29,7 +33,7 @@ from .core import (
     to_ordered,
     validate_allocation,
 )
-from .errors import InternalInvariantViolation, MmsError
+from .errors import MmsError
 from .mms import DEFAULT_EXHAUSTIVE_CAP, mms_value, mu_vector
 from .reductions import trace_from_json, trace_to_json, verify_trace
 from .solver_chores import solve_chores
@@ -194,33 +198,14 @@ def cmd_verify(instance_path: Path, result_path: Path) -> int:
     return 0 if failures == 0 else 2
 
 
-def _parse_alpha(text: str) -> Fraction:
-    return Fraction(text)
-
-
-def _parse_override(text: str) -> tuple:
-    """An ``--override`` value "C=N", with integers C and N, as (C, N)."""
-    try:
-        c, n_c = text.split("=")
-        return int(c), int(n_c)
-    except ValueError:
-        raise ValueError(f"--override takes C=N with integers, got {text!r}") from None
-
-
-def cmd_bound(c: int, kind: str, params: BoundParams, overrides: tuple) -> int:
+def cmd_bound(c: int, kind: str) -> int:
     if kind == GOODS:
-        table = BoundTable(params=params, goods_overrides=overrides)
-        n_c, req_of, lo = table.n_c_goods(c), table.required_agents_goods, 7
+        n_c, req_of, lo = n_c_goods(c), required_agents_goods, 7
     else:
-        table = BoundTable(params=params, chores_overrides=overrides)
-        n_c, req_of, lo = table.n_c_chores(c), table.required_agents_chores, 6
+        n_c, req_of, lo = n_c_chores(c), required_agents_chores, 6
     line = f"kind={kind} c={c} n_c={n_c}"
     if c >= lo:
-        try:
-            line += f" required_agents={req_of(c)}"
-        except InternalInvariantViolation as exc:
-            # overrides or alphas can make the table inconsistent; report it
-            line += f" inconsistent ({exc})"
+        line += f" required_agents={req_of(c)}"
     print(line)
     return 0
 
@@ -271,15 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bound", help="print the agent-count threshold for c")
     b.add_argument("--c", type=int, required=True)
     b.add_argument("--kind", choices=[GOODS, CHORES], required=True)
-    b.add_argument("--alpha-goods", type=_parse_alpha)
-    b.add_argument("--alpha-chores", type=_parse_alpha)
-    b.add_argument(
-        "--override",
-        action="append",
-        default=[],
-        metavar="C=N",
-        help="pin n_c for a specific c",
-    )
 
     o = sub.add_parser("order", help="print the sorted companion instance")
     o.add_argument("--input", type=Path, required=True)
@@ -301,13 +277,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.instance, args.result)
         if args.command == "bound":
-            kwargs = {}
-            if args.alpha_goods is not None:
-                kwargs["alpha_goods"] = args.alpha_goods
-            if args.alpha_chores is not None:
-                kwargs["alpha_chores"] = args.alpha_chores
-            overrides = tuple(_parse_override(t) for t in args.override)
-            return cmd_bound(args.c, args.kind, BoundParams(**kwargs), overrides)
+            return cmd_bound(args.c, args.kind)
         if args.command == "order":
             return cmd_order(args.input, args.out)
         return 1

@@ -203,16 +203,14 @@ def _reaches(vals, n: int, target: int):
     A good worth `target` or more takes a bundle of its own: its
     bundle-mates, moved elsewhere, only raise the other bundles.  Zero goods
     raise no bundle and join any.  The rest go to bin completion
-    (`_complete`).
+    (`_complete`).  Fewer than n goods reach `target`: every caller asks
+    for a target above the greedy value, which is at least vals[n - 1]
+    because the first n goods open the n bundles.
     """
     m = len(vals)
     k = 0
     while k < m and vals[k] >= target:
         k += 1
-    if k >= n:
-        split = [[v] for v in vals[: n - 1]]
-        split.append(list(vals[n - 1 :]))
-        return split
     while m > k and vals[m - 1] == 0:
         m -= 1
     slack = sum(vals[k:m]) - (n - k) * target

@@ -43,8 +43,7 @@ def known_solvable_chores(n: int, m: int) -> bool:
     stay small enough for the search fallback at the agent counts we target;
     beyond that the tail-grouping threshold must be met.
     """
-    c = m - n
-    return n <= 2 or m <= n or c <= 5 or n >= n_c_chores(c)
+    return n <= 2 or m <= n or n >= n_c_chores(m - n)
 
 
 def _chores_witness_base(pipe: Pipeline, mu):

@@ -56,14 +56,7 @@ def known_solvable_goods(n: int, m: int) -> bool:
     a shape with no constructive route (such as three agents with nine
     goods).
     """
-    c = m - n
-    if n <= 2 or m <= n or c <= 5:
-        return True
-    if c == 6:
-        return n != 3
-    if c == 7:
-        return n >= 8
-    return n >= n_c_goods(c)
+    return n <= 2 or m <= n or n >= n_c_goods(m - n)
 
 
 def _guarded_simple(pipe: Pipeline, mu):
@@ -162,7 +155,8 @@ def reduce_2n2(cur: Instance, mu) -> ReductionStep:
 def efm_step(pipe: Pipeline, agent: int, part, mu):
     """Allocate via matching when one agent's partition is nearly all small.
 
-    Requires at least n - 1 bundles of size below three in the witness.  A
+    ``part`` is ``agent``'s own witness, so every bundle of it meets her
+    share; it needs at least n - 1 bundles of size below three.  A
     perfect matching of agents to bundles they accept solves the instance
     outright.  Otherwise a Hall-deficient agent set is carved off, an
     envy-free matching is found among the rest on the small bundles, and
@@ -201,23 +195,11 @@ def efm_step(pipe: Pipeline, agent: int, part, mu):
 
     others = [i for i in range(1, n + 1) if i != agent]
     g2 = acceptance(others, small)
-    split = hall_deficient_split(g2)
-    if split is None:
-        # The other agents match into the small bundles; the witness owner
-        # accepts whatever bundle of her own partition is left over.
-        mm2 = max_matching(g2)
-        alloc = [None] * n
-        used = set()
-        for x, y in mm2.pairs:
-            alloc[others[x - 1] - 1] = part[small[y - 1]]
-            used.add(small[y - 1])
-        leftover = [idx for idx in range(len(part)) if idx not in used]
-        alloc[agent - 1] = part[leftover[0]]
-        if len(leftover) != 1:
-            raise InternalInvariantViolation("expected exactly one unmatched bundle")
-        return ("solved", tuple(alloc))
-
-    blocked_x, blocked_y = split
+    # Were the other agents all matched into the small bundles, the witness
+    # owner, who accepts every bundle of her own witness, would take the one
+    # left and the full graph would have a perfect matching: a Hall violator
+    # exists.
+    blocked_x, blocked_y = hall_deficient_split(g2)
     x3 = [i for xi, i in enumerate(others) if (xi + 1) not in blocked_x]
     x3.append(agent)
     x3.sort()
@@ -502,21 +484,24 @@ def _solve_8x15_pivot(pipe: Pipeline, mu):
 # --- dispatcher --------------------------------------------------------------
 
 def _step(pipe: Pipeline, mu):
-    """One goods step: guarded simple rules, the reduce_2n2 shapes, the
-    scripted 4 x 10 and 8 x 15 analyses, then the tail groups."""
+    """One goods step: guarded simple rules, then a route by the threshold
+    n_c of the surplus c = m - n.  Above n_c, c <= 7 goods fit in 2n + 2
+    and reduce_2n2 applies; at n_c, c = 6 and c = 7 are the scripted 4 x 10
+    and 8 x 15 analyses; from n_c on, the tail groups."""
     n, m = pipe.current.n, pipe.current.m
     c = m - n
+    n_c = n_c_goods(c)
     step = _guarded_simple(pipe, mu)
-    if step is None and (c <= 5 or (c == 6 and n > 4) or (c == 7 and n > 8)):
+    if step is None and c <= 7 and n > n_c:
         step = reduce_2n2(pipe.current, mu)
     if step is not None:
         pipe.push(step)
         return CONTINUE
-    if c == 6 and n == 4:
+    if n == n_c and c == 6:
         return _solve_4x10(pipe, mu)
-    if c == 7 and n == 8:
+    if n == n_c and c == 7:
         return _solve_8x15(pipe, mu)
-    if n >= n_c_goods(c):
+    if n >= n_c:
         return tail_group_step(pipe, c, mu)
     return None
 

@@ -1,18 +1,17 @@
-"""Agent-count threshold table and its counting-argument diagnostic."""
-
-from fractions import Fraction
+"""Agent-count thresholds, their counting-argument diagnostic, and the
+solvers' shape guards that read them."""
 
 import pytest
 
 from mmsalloc.bounds import (
-    BoundParams,
-    BoundTable,
     n_c_chores,
     n_c_goods,
     required_agents_chores,
     required_agents_goods,
 )
 from mmsalloc.errors import COutOfRange, NegativeC
+from mmsalloc.solver_chores import known_solvable_chores
+from mmsalloc.solver_goods import known_solvable_goods
 
 
 def test_anchored_small_values():
@@ -50,11 +49,32 @@ def test_range_errors():
         required_agents_chores(5)
 
 
-def test_overrides_and_params():
-    table = BoundTable(goods_overrides=((8, 999),))
-    assert table.n_c_goods(8) == 999
-    assert table.n_c_goods(9) == 8587
-    tweaked = BoundTable(params=BoundParams(alpha_goods=Fraction(7, 10)))
-    assert tweaked.n_c_goods(8) > 1446
-    with pytest.raises(ValueError):
-        BoundParams(alpha_goods=Fraction(3, 2))
+def _hand_written_goods(n, m):
+    """The goods shape guard as it read with its thresholds spelled out."""
+    c = m - n
+    if n <= 2 or m <= n or c <= 5:
+        return True
+    if c == 6:
+        return n != 3
+    if c == 7:
+        return n >= 8
+    return n >= n_c_goods(c)
+
+
+def _hand_written_chores(n, m):
+    c = m - n
+    return n <= 2 or m <= n or c <= 5 or n >= n_c_chores(c)
+
+
+def test_shape_guards_read_the_thresholds():
+    for n in range(40):
+        for m in range(60):
+            assert known_solvable_goods(n, m) == _hand_written_goods(n, m), (n, m)
+            assert known_solvable_chores(n, m) == _hand_written_chores(n, m), (n, m)
+
+
+def test_self_checks_hold_over_a_wide_range():
+    for c in range(8, 121):
+        required_agents_goods(c)
+    for c in range(6, 121):
+        required_agents_chores(c)

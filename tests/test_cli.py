@@ -333,9 +333,7 @@ def test_malformed_input_exits_one(tmp_path, capsys):
         code, _, err = run(capsys, "solve", "--input", str(bad))
         assert code == 1
         assert err.startswith("error: ")
-    code, _, err = run(
-        capsys, "bound", "--c", "6", "--kind", "goods", "--override", "8"
-    )
+    code, _, err = run(capsys, "bound", "--c", "-1", "--kind", "goods")
     assert code == 1
     assert err.startswith("error: ")
 
@@ -344,7 +342,7 @@ def test_malformed_input_exits_one(tmp_path, capsys):
     "argv",
     [
         ("solve",),
-        ("bound", "--c", "6", "--kind", "goods", "--alpha-goods", "abc"),
+        ("bound", "--c", "8", "--kind", "goods", "--override", "8=5"),
         (),
     ],
 )
@@ -363,16 +361,14 @@ def test_help_exits_zero(capsys):
 
 
 def test_bound_command_prints_table_rows(capsys):
-    code, out, _ = run(capsys, "bound", "--c", "5", "--kind", "goods")
-    assert code == 0 and "n_c=1" in out
-    code, out, _ = run(capsys, "bound", "--c", "7", "--kind", "goods")
-    assert code == 0 and "n_c=8" in out
-    code, out, _ = run(capsys, "bound", "--c", "6", "--kind", "chores")
-    assert code == 0 and "n_c=166" in out
-    code, out, _ = run(
-        capsys, "bound", "--c", "6", "--kind", "chores", "--override", "6=42"
-    )
-    assert code == 0 and "n_c=42" in out
+    for argv, line in [
+        (("--c", "5", "--kind", "goods"), "kind=goods c=5 n_c=1"),
+        (("--c", "7", "--kind", "goods"), "kind=goods c=7 n_c=8 required_agents=122"),
+        (("--c", "8", "--kind", "goods"), "kind=goods c=8 n_c=1446 required_agents=292"),
+        (("--c", "6", "--kind", "chores"), "kind=chores c=6 n_c=166 required_agents=84"),
+    ]:
+        code, out, _ = run(capsys, "bound", *argv)
+        assert code == 0 and out.strip() == line
 
 
 def test_order_command_sorts_rows(tmp_path, capsys):

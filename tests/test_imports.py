@@ -3,15 +3,13 @@
 ``__init__.py`` re-exports by design and is exempt, as is any import line
 marked ``# noqa: F401``.  Only the modules at the number boundary import
 ``fractions``: the rest work on whatever exact values the instance holds.
-Two design fences keep wrappers off the solve path: the rules and the
+A design fence keeps a wrapper off the solve path: the rules and the
 solvers take the sorted residual ``Instance`` itself, so only ``core`` and
-``pipeline`` name ``OrderedInstance``; and the solve path reads the default
-agent-count thresholds, so only ``bounds`` and ``cli`` name a ``BoundTable``.
-A third keeps the search cap with the pipeline: only ``mms``, which raises
-``TooLarge``, and ``pipeline``, which reports it, name it; and only
-``pipeline``, which runs every threshold search, imports
-``find_allocation_meeting``.  A fourth fence
-keeps records small: every frozen dataclass is also slotted.
+``pipeline`` name ``OrderedInstance``.  Another keeps the search cap with
+the pipeline: only ``mms``, which raises ``TooLarge``, and ``pipeline``,
+which reports it, name it; and only ``pipeline``, which runs every
+threshold search, imports ``find_allocation_meeting``.  A last fence keeps
+records small: every frozen dataclass is also slotted.
 """
 
 import ast
@@ -21,7 +19,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mmsalloc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-FRACTION_MODULES = {"core.py", "mms.py", "bounds.py", "cli.py"}
+FRACTION_MODULES = {"core.py", "mms.py", "bounds.py"}
 
 
 def unused_imports(path: Path) -> list:
@@ -74,11 +72,10 @@ def imports_any(path: Path, names) -> bool:
     "names, allowed",
     [
         ({"OrderedInstance"}, {"core.py", "pipeline.py"}),
-        ({"BoundTable", "DEFAULT_TABLE"}, {"bounds.py", "cli.py"}),
         ({"TooLarge"}, {"mms.py", "pipeline.py"}),
         ({"find_allocation_meeting"}, {"pipeline.py"}),
     ],
-    ids=["ordered_instance", "bound_table", "too_large", "threshold_search"],
+    ids=["ordered_instance", "too_large", "threshold_search"],
 )
 def test_only_fenced_modules_import(names, allowed):
     importers = {p.name for p in MODULES if imports_any(p, names)}
@@ -110,5 +107,5 @@ def test_frozen_dataclasses_are_slotted():
         for path in MODULES
         for name, slotted in frozen_dataclasses(path)
     }
-    assert {"bounds.BoundParams", "bounds.BoundTable", "cli.RunConfig"} <= set(found)
+    assert {"core.Instance", "matching.BipartiteGraph", "cli.RunConfig"} <= set(found)
     assert [name for name, slotted in found.items() if not slotted] == []

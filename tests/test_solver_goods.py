@@ -7,12 +7,13 @@ on a hand-built instance and its emitted steps re-verified.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from mmsalloc.core import GOODS, bundle_value, make_instance, to_ordered
 from mmsalloc.errors import NEqualsThree, PreconditionUnmet, TooFewAgents, TooLarge
-from mmsalloc.mms import mms_value, mu_vector
+from mmsalloc.mms import mms_value, mu_vector, structured_partition_goods
 from mmsalloc.reductions import ReductionTrace, verify_step, verify_trace
 from mmsalloc.pipeline import CONTINUE, Pipeline
 from mmsalloc import solver_goods
@@ -26,6 +27,8 @@ from mmsalloc.solver_goods import (
     _guarded_simple,
     _solve_4x10,
     _solve_8x15,
+    _step,
+    efm_step,
     known_solvable_goods,
     mostly_overlapping_pair,
     reduce_2n2,
@@ -223,6 +226,69 @@ def test_tail_group_domination_award(name, awards):
     assert step.rule == "domination"
     assert {a: set(b) for a, b in step.assignments} == awards
     assert verify_step(sorted_instance, step)
+
+
+def test_efm_step_batch_on_a_hall_deficient_witness():
+    """Agent 4's witness is three singletons and a tail bundle; nobody else
+    accepts good 1, so the full graph has no perfect matching and the
+    matching step awards an envy-free batch, singletons padded with the
+    worst goods left."""
+    pipe = _pipe(
+        [
+            [8, 7, 7, 5, 4, 3, 2, 1],
+            [9, 8, 7, 7, 7, 7, 5, 1],
+            [10, 9, 8, 6, 4, 2, 1, 1],
+            [8, 6, 6, 3, 2, 2, 1, 0],
+        ]
+    )
+    sorted_instance = pipe.current
+    mu = mu_vector(sorted_instance)
+    assert tuple(mu) == (9, 10, 10, 6)
+    part = structured_partition_goods(sorted_instance, 4, mu[3])
+    assert set(part) == {
+        frozenset({1}),
+        frozenset({2}),
+        frozenset({3}),
+        frozenset({4, 5, 6, 7, 8}),
+    }
+    assert efm_step(pipe, 4, part, mu) == CONTINUE
+    [step] = pipe.steps
+    assert step.rule == "efm_batch"
+    assert {a: set(b) for a, b in step.assignments} == {3: {1, 8}, 4: {2, 7}}
+    assert verify_step(sorted_instance, step)
+
+
+ROUTES = ("reduce_2n2", "_solve_4x10", "_solve_8x15", "tail_group_step")
+
+
+@pytest.mark.parametrize(
+    "n, m, route",
+    [
+        (5, 10, "reduce_2n2"),
+        (5, 11, "reduce_2n2"),
+        (9, 16, "reduce_2n2"),
+        (4, 10, "_solve_4x10"),
+        (8, 15, "_solve_8x15"),
+        (1446, 1454, "tail_group_step"),
+        (3, 9, None),
+        (7, 14, None),
+        (1445, 1453, None),
+    ],
+)
+def test_step_routes_by_shape(monkeypatch, n, m, route):
+    """With no guarded simple rule firing, the shape alone picks the route:
+    reduce_2n2 above the c = 6 and c = 7 thresholds, the scripted analyses
+    at them, the tail groups from n_c on (1,446 agents at c = 8), and
+    nothing below."""
+    calls = []
+    monkeypatch.setattr(solver_goods, "_guarded_simple", lambda pipe, mu: None)
+    for name in ROUTES:
+        monkeypatch.setattr(
+            solver_goods, name, lambda *args, name=name: calls.append(name) or name
+        )
+    pipe = SimpleNamespace(current=SimpleNamespace(n=n, m=m), push=lambda step: None)
+    _step(pipe, mu=None)
+    assert calls == ([route] if route else [])
 
 
 def test_reduce_2n2_pivot_pair_branch():
