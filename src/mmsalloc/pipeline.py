@@ -5,10 +5,10 @@ reductions until a base case finishes it, lift the result back and certify
 it against independently recomputed maximin shares.  The item kind only
 decides which reductions and case analyses run; ``run`` takes those as a
 step function, so the scheme itself exists once.  The pipeline runs every
-threshold search of a solve (``Pipeline.search``), the fallback's and the
-scripted branches', under its one cap.  Results are certified before being
-reported as solved — an uncertified result is returned as unresolved,
-never as solved.
+threshold search of a solve (``Pipeline.search``) under its one cap: the
+fallback's, and each scripted branch's on the residual of the step it would
+push.  Results are certified before being reported as solved: an
+uncertified result is returned as unresolved, never as solved.
 """
 
 from __future__ import annotations
@@ -115,23 +115,22 @@ class Pipeline:
         self.agent_ids = [self.agent_ids[a - 1] for a in agents]
         self.item_ids = [self.item_ids[j - 1] for j in items]
 
-    def search(self, thresholds, reason: str, agents=None, removed=()):
+    def search(self, mu, reason: str, step=None):
         """An allocation of the residual giving each agent at least its
-        threshold, or None, a proof that none exists: the one exhaustive
-        threshold search of the solve.
+        share in ``mu``, or None, a proof that none exists: the one
+        exhaustive threshold search of the solve.
 
-        ``agents`` and ``removed`` restrict it to those agents (default:
-        all) and the items not removed; the allocation is then in the
-        restricted coordinates.  Past ``cap`` assignments it raises
+        With a ``step``, the residual is the one the step would leave
+        (``apply_with_maps``), searched against ``mu`` of the agents it
+        keeps and in its coordinates.  Past ``cap`` assignments it raises
         TooLarge with ``reason``, which names the branch that overran.
         """
         cur = self.current
-        if agents is not None:
-            keep = [j for j in range(1, cur.m + 1) if j not in removed]
-            rows = tuple(tuple(cur.value(i, j) for j in keep) for i in agents)
-            cur = Instance(kind=cur.kind, valuations=rows)
+        if step is not None:
+            cur, kept, _ = apply_with_maps(cur, step)
+            mu = [mu[a - 1] for a in kept]
         try:
-            return find_allocation_meeting(cur, thresholds, self.cap)
+            return find_allocation_meeting(cur, mu, self.cap)
         except TooLarge:
             raise TooLarge(reason) from None
 

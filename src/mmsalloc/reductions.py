@@ -408,12 +408,12 @@ def trace_to_json(trace: ReductionTrace) -> str:
 
 
 def trace_from_json(text: str) -> ReductionTrace:
-    """The trace of a document; every item must be a plain int id."""
+    """The trace of a document; every agent and item must be a plain int id."""
     data = json.loads(text)
     steps = tuple(
         make_step(
             entry["rule"],
-            {award["agent"]: _read_bundle(award["bundle"])
+            {_read_id(award["agent"], "agent"): _read_bundle(award["bundle"])
              for award in entry["awards"]},
         )
         for entry in data["steps"]
@@ -422,11 +422,14 @@ def trace_from_json(text: str) -> ReductionTrace:
     return ReductionTrace(steps=steps, final=final)
 
 
+def _read_id(x, what: str):
+    """A trace document's agent or item id, which must be a plain int: a
+    float or bool would pass for the int id it equals."""
+    if type(x) is not int:
+        raise MalformedDocument(f"trace {what}s must be plain ints, got {x!r}")
+    return x
+
+
 def _read_bundle(items) -> frozenset:
-    """The shared bundle of a trace document's items.  Every item must be a
-    plain int: a float or bool item would pass for the int id it equals."""
-    bundle = frozenset(items)
-    for j in bundle:
-        if type(j) is not int:
-            raise MalformedDocument(f"trace item {j!r} is not an item id")
-    return shared_bundle(bundle)
+    """The shared bundle of a trace document's items."""
+    return shared_bundle(frozenset(_read_id(j, "item") for j in items))

@@ -6,8 +6,8 @@ Scripted case analyses handle the two delicate sizes (four agents with ten
 goods, eight agents with fifteen goods); a counting argument over shared
 tail bundles handles large agent counts; everything else falls back to the
 pipeline's exhaustive threshold search below the oracle cap.  The scripted
-branches that search what is left against the old shares call the same
-search (``Pipeline.search``) with their branch tag.
+branches that search what is left against the old shares hand the step they
+would push to the same search (``Pipeline.search``) with their branch tag.
 """
 
 from __future__ import annotations
@@ -300,13 +300,11 @@ def _solve_4x10(pipe: Pipeline, mu):
     # good-1 claimants can be paid off so that the rest still split the
     # remaining nine goods up to their old shares.
     for star in h1:
-        kept = [a for a in range(1, 5) if a != star]
-        final = pipe.search(
-            [mu[a - 1] for a in kept], "c6:payoff-good1 at 4x10", kept, {1}
-        )
+        step = make_step(RULE_SINGLE_ITEM, {star: {1}})
+        final = pipe.search(mu, "c6:payoff-good1 at 4x10", step)
         if final is not None:
             pipe.note(f"c6:payoff-good1:agent{star}")
-            pipe.push(make_step(RULE_SINGLE_ITEM, {star: {1}}))
+            pipe.push(step)
             return ("solved", final)
     return ("unresolved", "4x10: no good-1 recipient admits a completion")
 
@@ -401,16 +399,11 @@ def _solve_8x15_with_five_singles(pipe: Pipeline, mu, high5):
             awards = {outsiders[0]: {1}, outsiders[1]: {2}, outsiders[2]: {3}}
             awards[first] = {4}
             awards[second] = {5}
-            kept = [a for a in chosen if a not in (first, second)]
-            final = pipe.search(
-                [mu[a - 1] for a in kept],
-                "c7:five-high:batch at 8x15",
-                kept,
-                {1, 2, 3, 4, 5},
-            )
+            step = make_step(RULE_SINGLE_ITEM, awards)
+            final = pipe.search(mu, "c7:five-high:batch at 8x15", step)
             if final is not None:
                 pipe.note("c7:five-high:batch")
-                pipe.push(make_step(RULE_SINGLE_ITEM, awards))
+                pipe.push(step)
                 return ("solved", final)
     return ("unresolved", "8x15: five-singleton batch admits no completion")
 
@@ -460,15 +453,11 @@ def _solve_8x15_pivot(pipe: Pipeline, mu):
                 awards = dict(base)
                 awards[i] = bundle
                 awards[ip] = {4}
-                final = pipe.search(
-                    [mu[a - 1] for a in crowd],
-                    f"c7:pivot{g}:pack at 8x15",
-                    crowd,
-                    {1, 2, 3, 4} | bundle,
-                )
+                step = make_step(RULE_DOMINATION, awards)
+                final = pipe.search(mu, f"c7:pivot{g}:pack at 8x15", step)
                 if final is not None:
                     pipe.note(f"c7:pivot{g}:pack")
-                    pipe.push(make_step(RULE_DOMINATION, awards))
+                    pipe.push(step)
                     return ("solved", final)
             awards = dict(base)
             recipient = ip if vip else owner

@@ -184,6 +184,17 @@ def _float_item(trace):
     return _with_first_step(trace, awards=[dict(award, bundle=bundle)])
 
 
+def _bool_agent(trace):
+    award = trace["steps"][0]["awards"][0]
+    assert award["agent"] == 1  # so that True would pass for it
+    return _with_first_step(trace, awards=[dict(award, agent=True)])
+
+
+def _float_agent(trace):
+    award = trace["steps"][0]["awards"][0]
+    return _with_first_step(trace, awards=[dict(award, agent=float(award["agent"]))])
+
+
 @pytest.mark.parametrize(
     "malform",
     [
@@ -193,6 +204,8 @@ def _float_item(trace):
         _overlapping_awards,
         _awards_not_a_list,
         _float_item,
+        _bool_agent,
+        _float_agent,
     ],
     ids=lambda f: f.__name__.strip("_"),
 )

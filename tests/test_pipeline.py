@@ -21,8 +21,13 @@ from mmsalloc.core import (
     shared_bundle,
     to_ordered,
 )
-from mmsalloc.pipeline import run
-from mmsalloc.reductions import trace_from_json, trace_to_json, verify_trace
+from mmsalloc.pipeline import Pipeline, run
+from mmsalloc.reductions import (
+    make_step,
+    trace_from_json,
+    trace_to_json,
+    verify_trace,
+)
 from mmsalloc.solver_chores import solve_chores
 from mmsalloc.solver_goods import solve
 
@@ -90,6 +95,36 @@ def test_step_reason_ends_with_the_kinds_over_cap_text(kind, over_cap):
     assert out.diagnostic == "test:no-route; scripted reason" + over_cap
     assert out.ordered_allocation is None
     assert_derived_views(out, inst)
+
+
+FIVE_HIGH = [10] * 5 + [1] * 10
+FILLER = [10] * 3 + [1] * 12
+
+
+@pytest.mark.parametrize(
+    "rows, awards",
+    [
+        ([[20] + [3] * 9] * 2 + [[10, 5] + [2] * 8] * 2, {1: {1}}),
+        ([FIVE_HIGH] * 5 + [FILLER] * 3, {6: {1}, 7: {2}, 8: {3}, 1: {4}, 2: {5}}),
+    ],
+    ids=["4x10-single-good", "8x15-five-awards"],
+)
+def test_a_search_with_a_step_searches_its_residual(rows, awards):
+    """Searching with a step is the threshold search on the rows of the
+    agents it keeps, without the items it awards, against their shares."""
+    pipe = Pipeline(to_ordered(make_instance(GOODS, rows)).instance)
+    cur = pipe.current
+    mu = mms.mu_vector(cur)
+    step = make_step("single_item", awards)
+    kept = [i for i in range(1, cur.n + 1) if i not in awards]
+    items = [j for j in range(1, cur.m + 1) if j not in step.items()]
+    residual = make_instance(GOODS, [[cur.value(i, j) for j in items] for i in kept])
+    expected = mms.find_allocation_meeting(
+        residual, [mu[i - 1] for i in kept], pipe.cap
+    )
+    assert expected is not None
+    assert pipe.search(mu, "test", step) == expected
+    assert pipe.current is cur and not pipe.steps
 
 
 def test_a_scripted_search_past_the_cap_is_unresolved():

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
+from mmsalloc import solver_chores
 from mmsalloc.core import CHORES, GOODS, bundle_value, make_instance, to_ordered
 from mmsalloc.mms import mms_value, mu_vector
-from mmsalloc.pipeline import Pipeline
-from mmsalloc.reductions import verify_step, verify_trace
+from mmsalloc.pipeline import CONTINUE, Pipeline
+from mmsalloc.reductions import trace_to_json, verify_step, verify_trace
 from mmsalloc.solver_chores import (
-    _chores_tail_step,
+    _step,
     known_solvable_chores,
     solve_chores,
 )
@@ -96,17 +97,76 @@ def test_witness_pair_nobody_else_takes_is_reduced():
     assert out.diagnostic == "chores_base:pair_to_self; base:two-agent"
 
 
-def test_shared_pair_tail_fires_domination():
+def test_shared_pair_tail_fires_domination(monkeypatch):
     # every witness is one singleton plus three pairs; the cheap-end pair
     # normalizes to {4, 5} for everyone and the group reduction applies
+    monkeypatch.setattr(solver_chores, "reduce_pair_blockable", lambda cur, mu: None)
     rows = [[-9, -8, -8, -8, -1, -1, -1]] * 4
     ordered = to_ordered(make_instance(CHORES, rows))
     pipe = Pipeline(ordered.instance)
     mu = mu_vector(pipe.current)
-    step = _chores_tail_step(pipe, mu)
+    assert _step(pipe, mu) == CONTINUE
+    [step] = pipe.steps
     assert step is not None and step.rule == "domination"
     assert frozenset({4, 5}) in [b for _, b in step.assignments]
     assert verify_step(ordered.instance, step)
+
+
+# Two instances of the bench's seed-1 ``correlated`` pool (indices 1471 and
+# 1075) whose first step is the tail-group domination award; the second
+# also removes an agent outside the group with a singleton chore.
+TAIL_AWARD_CASES = {
+    "1471": (
+        [
+            [-20, -12, -3, -12, -8, -11, -12],
+            [-18, -13, -4, -12, -7, -12, -13],
+            [-20, -14, -4, -11, -7, -13, -13],
+        ],
+        '{"steps": [{"rule": "domination", "awards": [{"agent": 1, "bundle": '
+        '[3, 5, 7]}]}], "final": {"bundles": [[2, 4], [1, 6]]}}',
+        [[2, 3, 6], [4, 7], [1, 5]],
+    ),
+    "1075": (
+        [
+            [-9, -9, -7, -7, -21, -2, -8, -3],
+            [-10, -9, -6, -8, -19, -4, -8, -2],
+            [-8, -9, -7, -7, -20, -2, -7, -2],
+            [-8, -9, -8, -6, -19, -4, -9, -1],
+        ],
+        '{"steps": [{"rule": "domination", "awards": [{"agent": 1, "bundle": '
+        '[4, 5, 7]}, {"agent": 4, "bundle": [1]}]}], "final": {"bundles": '
+        '[[3, 6], [2, 8]]}}',
+        [[4, 7, 8], [2, 3], [1, 6], [5]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_AWARD_CASES))
+def test_tail_award_through_solve_chores(name):
+    rows, trace, allocation = TAIL_AWARD_CASES[name]
+    inst = make_instance(CHORES, rows)
+    out = solve_chores(inst)
+    check_solved(inst, out)
+    assert out.diagnostic == "base:two-agent"
+    assert trace_to_json(out.trace) == trace
+    assert [sorted(b) for b in out.allocation] == allocation
+
+
+@pytest.mark.parametrize("name, calls", [("1471", 3), ("1075", 4)])
+def test_one_witness_per_agent_per_step(monkeypatch, name, calls):
+    """The step reads each agent's structured witness both as a witness
+    base and for its tail bundle, but builds it once."""
+    built = []
+    original = solver_chores.structured_partition_chores
+
+    def counted(*args):
+        built.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(solver_chores, "structured_partition_chores", counted)
+    rows = TAIL_AWARD_CASES[name][0]
+    assert solve_chores(make_instance(CHORES, rows)).status == "solved"
+    assert len(built) == calls
 
 
 def test_known_solvable_shapes():

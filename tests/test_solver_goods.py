@@ -228,6 +228,47 @@ def test_tail_group_domination_award(name, awards):
     assert verify_step(sorted_instance, step)
 
 
+TAIL_R = [40, 40, 38, 34, 32, 32, 30, 5, 4, 3, 3, 2, 2, 2, 1, 0]
+
+
+def test_tail_group_zero_share_pushes_the_pigeonhole_pair():
+    pipe = _pipe([[0] * 16] + [TAIL_R] * 7)
+    sorted_instance = pipe.current
+    assert tail_group_step(pipe, 8, mu_vector(sorted_instance)) == CONTINUE
+    [step] = pipe.steps
+    assert step.rule == "pigeonhole_pair"
+    assert {a: set(b) for a, b in step.assignments} == {1: {8, 9}}
+    assert verify_step(sorted_instance, step)
+
+
+def test_tail_group_huge_tail_hands_over_to_the_matching_step():
+    """Every witness is seven singletons and a tail of nine goods: the
+    matching step solves the residual outright."""
+    pipe = _pipe([TAIL_R] * 8)
+    status, final = tail_group_step(pipe, 8, mu_vector(pipe.current))
+    assert status == "solved" and not pipe.steps
+    assert final == tuple(
+        [frozenset(range(8, 17))] + [frozenset({j}) for j in range(7, 0, -1)]
+    )
+
+
+def test_tail_group_step_without_a_trigger_returns_none():
+    pipe = _pipe(
+        [
+            [10, 3, 8, 8, 6, 11, 20, 19, 6, 10, 4, 5, 6, 2, 20, 18],
+            [10, 3, 6, 8, 7, 13, 20, 19, 6, 10, 3, 6, 4, 4, 18, 19],
+            [8, 3, 7, 7, 6, 12, 21, 19, 7, 9, 3, 5, 5, 4, 20, 19],
+            [8, 3, 6, 8, 5, 12, 19, 18, 7, 8, 3, 6, 6, 2, 19, 18],
+            [9, 1, 8, 7, 6, 13, 19, 19, 5, 8, 5, 5, 5, 3, 19, 18],
+            [8, 2, 7, 7, 5, 12, 21, 19, 6, 10, 3, 6, 6, 4, 18, 17],
+            [10, 3, 7, 7, 7, 13, 19, 18, 6, 10, 5, 7, 6, 2, 19, 19],
+            [10, 3, 6, 8, 7, 13, 21, 17, 6, 8, 4, 6, 5, 4, 20, 17],
+        ]
+    )
+    assert tail_group_step(pipe, 8, mu_vector(pipe.current)) is None
+    assert not pipe.steps
+
+
 def test_efm_step_batch_on_a_hall_deficient_witness():
     """Agent 4's witness is three singletons and a tail bundle; nobody else
     accepts good 1, so the full graph has no perfect matching and the
