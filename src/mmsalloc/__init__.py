@@ -26,7 +26,13 @@ from .bounds import (
     required_agents_chores,
     required_agents_goods,
 )
-from .mms import find_allocation_meeting, maximin_partition, mms_value, mu_vector
+from .mms import (
+    exhaustive_partition,
+    find_allocation_meeting,
+    maximin_partition,
+    mms_value,
+    mu_vector,
+)
 from .pipeline import SolveOutcome
 from .reductions import ReductionStep, ReductionTrace, verify_step
 from .solver_chores import solve_chores
@@ -34,6 +40,7 @@ from .solver_goods import solve, solve_c6, solve_c7
 
 __all__ = [
     "SolveOutcome",
+    "exhaustive_partition",
     "find_allocation_meeting",
     "maximin_partition",
     "n_c_chores",

@@ -34,7 +34,7 @@ from .core import (
     validate_allocation,
 )
 from .errors import MmsError
-from .mms import DEFAULT_EXHAUSTIVE_CAP, mms_value, mu_vector
+from .mms import DEFAULT_EXHAUSTIVE_CAP, exhaustive_partition, mu_vector
 from .reductions import trace_from_json, trace_to_json, verify_trace
 from .solver_chores import solve_chores
 from .solver_goods import solve as solve_goods
@@ -100,11 +100,11 @@ def cmd_solve(input_path: Path, trace_out: Path | None, oracle: str, cap: int) -
     if outcome.status != "solved":
         return 2
     if oracle == "exhaustive":
-        # re-certify with the second oracle for belt and braces; a share it
-        # cannot compute (a search past the cap) fails the re-certification
+        # re-certify with the reference oracle for belt and braces; a share
+        # it cannot compute (a search past the cap) fails the re-certification
         for i in range(1, inst.n + 1):
             try:
-                mu = mms_value(inst, i, method="exhaustive", cap=cap).mu
+                mu = exhaustive_partition(inst, i, cap)[0]
             except MmsError as exc:
                 print(f"exhaustive re-certification: {exc}")
                 return 2

@@ -47,10 +47,11 @@ def shared_bundle(items) -> frozenset:
 
 def as_exact(x) -> int | Fraction:
     """An int, Fraction, or "p/q" string as an exact number: an int when
-    integral, otherwise a Fraction."""
+    integral, otherwise a Fraction.  A bool is refused: it is an int in
+    Python, but a JSON true is no number."""
     if isinstance(x, str):
         x = Fraction(x)
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return int(x)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
@@ -232,8 +233,12 @@ def instance_from_json(text: str) -> Instance:
         raise MalformedDocument(f"instance document has no {exc} field") from exc
     except TypeError as exc:
         raise MalformedDocument(f"instance document: {exc}") from exc
-    if instance.n != data.get("n", instance.n) or instance.m != data.get("m", instance.m):
-        raise ShapeMismatch("declared n/m do not match the valuation matrix")
+    for field, size in (("n", instance.n), ("m", instance.m)):
+        declared = data.get(field, size)
+        if type(declared) is not int:
+            raise MalformedDocument(f"instance document: {field} is {declared!r}")
+        if declared != size:
+            raise ShapeMismatch("declared n/m do not match the valuation matrix")
     return instance
 
 

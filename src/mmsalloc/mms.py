@@ -1,9 +1,8 @@
 """Exact MMS values, witness partitions, and threshold-feasibility search.
 
-Two independent routes compute maximin shares: a plain exhaustive
-enumeration (the oracle, capped) and the share oracle (the workhorse,
-uncapped).  Both are exact; the test suite checks they agree wherever the
-exhaustive route is feasible.
+One exact share oracle computes maximin shares.  A plain enumeration,
+``exhaustive_partition`` (the reference, capped), is independent of it;
+the test suite checks they agree wherever the enumeration is feasible.
 
 The share oracle is one decision search: can every one of the n bundles
 reach a target (goods), or can n bundles of a given capacity hold every
@@ -15,15 +14,15 @@ search.  Goods are decided by peeling the goods worth the target and bin
 completion on the rest (``_complete``); chores are packed item by item
 (``_pack``).  The witness partition (``_split``) is the greedy partition
 when that meets the share, and otherwise the split of one decision at the
-share.  Both share one cache entry per sorted row: ``mms_value`` asks for
-the value alone, and a record's witness partition is built on first use.
-``mu_vector`` returns the shares of all agents by value and skips the
-records; the solver, certification, step verification and trace replay
-all use it.  A structured witness (``structured_partition_goods``,
-``structured_partition_chores``) is a tuple of n frozensets with as many
-leading singletons as the other items allow.  ``find_allocation_meeting``
-is the exhaustive threshold search; on the solve path only the pipeline
-runs it.
+share.  Both share one cache entry per sorted row: ``row_share`` asks for
+the value alone, as ``mms_value`` does, whose record builds its witness
+partition on first use.  ``mu_vector`` returns the shares of all agents
+by value and skips the records; the solver, certification, step
+verification and trace replay all use it.  A structured witness
+(``structured_partition_goods``, ``structured_partition_chores``) is a
+tuple of n frozensets with as many leading singletons as the other items
+allow.  ``find_allocation_meeting`` is the exhaustive threshold search; on
+the solve path only the pipeline runs it.
 """
 
 from __future__ import annotations
@@ -379,18 +378,10 @@ def _unscaled(value: int, sign: int, scale: int) -> int | Fraction:
     return as_exact(Fraction(sign * value, scale))
 
 
-def _value(instance: Instance, agent: int, items, bundles: int) -> int | Fraction:
-    """The agent's share of `items` (default: all) split into `bundles`
-    bundles, from the share oracle alone."""
-    row = instance.row(agent)
-    if items is not None:
-        row = [row[j - 1] for j in items]
-    return _row_share(row, bundles, instance.kind == GOODS)
-
-
-def _row_share(row, bundles: int, goods: bool) -> int | Fraction:
-    """The share of one row of values.  An integer row is its own cache key
-    once sorted (chores negated), so a hit costs one sort and one probe."""
+def row_share(row, bundles: int, goods: bool) -> int | Fraction:
+    """The exact share of one row of values, in any order, split into
+    `bundles` bundles.  An integer row is its own cache key once sorted
+    (chores negated), so a hit costs one sort and one probe."""
     if type(sum(row)) is int:
         if goods:
             return _entry(tuple(sorted(row, reverse=True)), bundles, True)[0]
@@ -441,8 +432,14 @@ def maximin_partition(instance: Instance, agent: int, items=None, bundles=None):
     return _unscaled(value, sign, scale), tuple(frozenset(p) for p in parts)
 
 
-def _exhaustive_partition(instance: Instance, agent: int, cap: int):
-    """Independent oracle: enumerate every n^m assignment, no pruning."""
+def exhaustive_partition(
+    instance: Instance, agent: int, cap: int = DEFAULT_EXHAUSTIVE_CAP
+):
+    """The reference oracle: the agent's maximin share and a partition
+    reaching it, from every one of the n^m assignments, unpruned.  Raises
+    DanglingReference for an agent outside the instance and TooLarge past
+    `cap` assignments."""
+    _check_agent(instance, agent)
     n, m = instance.n, instance.m
     if n**m > cap:
         raise TooLarge(f"{n}^{m} assignments exceed the cap {cap}")
@@ -473,29 +470,17 @@ def _exhaustive_partition(instance: Instance, agent: int, cap: int):
     return best_value, tuple(frozenset(p) for p in parts)
 
 
-def mms_value(
-    instance: Instance,
-    agent: int,
-    method: str = "bnb",
-    cap: int = DEFAULT_EXHAUSTIVE_CAP,
-) -> MmsRecord:
+def mms_value(instance: Instance, agent: int) -> MmsRecord:
     """Exact maximin share of one agent.
 
     The value comes from the decision search alone; the record's witness
     partition is built on first use, as ``maximin_partition`` builds it.
-    `method` "bnb" names this exact oracle (the name is kept for
-    compatibility), "exhaustive" the capped enumeration.  Raises
-    DanglingReference for an agent outside the instance.
+    Raises DanglingReference for an agent outside the instance.
     """
     _check_agent(instance, agent)
-    if method == "exhaustive":
-        mu, witness = _exhaustive_partition(instance, agent, cap)
-        return MmsRecord(agent, mu, lambda: witness)
-    if method != "bnb":
-        raise ValueError(f"unknown method {method!r}")
     return MmsRecord(
         agent,
-        _value(instance, agent, None, instance.n),
+        row_share(instance.row(agent), instance.n, instance.kind == GOODS),
         lambda: maximin_partition(instance, agent)[1],
     )
 
@@ -505,7 +490,7 @@ def mu_vector(instance: Instance) -> tuple:
     of ``mms_value`` without building a record per agent."""
     n = instance.n
     goods = instance.kind == GOODS
-    return tuple([_row_share(row, n, goods) for row in instance.valuations])
+    return tuple([row_share(row, n, goods) for row in instance.valuations])
 
 
 def count_high_items(instance: Instance, agent: int, mu) -> int:
@@ -534,11 +519,13 @@ def _structured(instance: Instance, agent: int, mu, high: int) -> tuple:
     n, m = instance.n, instance.m
     if n == m <= high:
         return tuple(frozenset({j}) for j in range(1, n + 1))
+    row = instance.row(agent)
+    goods = instance.kind == GOODS
     for t in range(min(n - 1, high), -1, -1):
-        rest = range(t + 1, m + 1)
-        if _value(instance, agent, rest, n - t) >= mu:
+        if row_share(row[t:], n - t, goods) >= mu:
             singles = tuple(frozenset({j}) for j in range(1, t + 1))
-            return singles + maximin_partition(instance, agent, rest, n - t)[1]
+            rest = maximin_partition(instance, agent, range(t + 1, m + 1), n - t)
+            return singles + rest[1]
     raise InternalInvariantViolation(
         f"no structured MMS partition found for agent {agent}"
     )

@@ -28,8 +28,8 @@ from .errors import (
 from .matching import BipartiteGraph, hall_deficient_split, max_matching, envy_free_matching
 from .mms import (
     DEFAULT_EXHAUSTIVE_CAP,
-    maximin_partition,
     mms_value,
+    row_share,
     structured_partition_goods,
 )
 from .pipeline import CONTINUE, Pipeline, SolveOutcome, run
@@ -320,9 +320,8 @@ def _pivot_pair_witness(cur: Instance, agent: int, pivot: int, mu_i):
             continue
         if row[pivot - 1] + row[x - 1] < mu_i:
             continue
-        rest = [j for j in range(4, 16) if j not in (pivot, x)]
-        value, _ = maximin_partition(cur, agent, items=rest, bundles=4)
-        if value >= mu_i:
+        rest = [row[j - 1] for j in range(4, 16) if j not in (pivot, x)]
+        if row_share(rest, 4, True) >= mu_i:
             return x
     return None
 

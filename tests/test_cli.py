@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from mmsalloc import cli
 from mmsalloc.cli import main
+from mmsalloc.pipeline import SolveOutcome
 
 
 def run(capsys, *argv):
@@ -339,9 +341,72 @@ def test_exhaustive_recertification_past_the_oracle_cap_exits_two(tmp_path, caps
     assert last == "exhaustive re-certification: 4^10 assignments exceed the cap 1000"
 
 
+def test_exhaustive_recertification_catches_a_missed_share(
+    tmp_path, capsys, monkeypatch
+):
+    """A "solved" allocation that leaves agent 1 below her share fails the
+    re-certification through the reference oracle."""
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"kind": "goods", "valuations": [[1, 1, 1]] * 2}))
+    empty_first = (frozenset(), frozenset({1, 2, 3}))
+
+    def short_solver(inst, cap):
+        return SolveOutcome("solved", empty_first, None, "test:short")
+
+    monkeypatch.setattr(cli, "solve_goods", short_solver)
+    code, out, err = run(
+        capsys, "solve", "--input", str(path), "--oracle", "exhaustive"
+    )
+    assert code == 2 and err == ""
+    document, last = out.rstrip("\n").rsplit("\n", 1)
+    assert json.loads(document)["allocation"] == {"bundles": [[], [1, 2, 3]]}
+    assert last == "exhaustive re-certification failed for agent 1"
+
+
+def test_verify_reports_an_invalid_step_and_skips_the_final_check(tmp_path, capsys):
+    """Step 1 awards agent 1 the worst good, below her share: the step is
+    INVALID, the trace's own allocation goes unchecked, and the verdict is 2."""
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(
+        json.dumps({"kind": "goods", "valuations": [[5, 4, 3, 2, 1]] * 3})
+    )
+    trace = {
+        "steps": [{"rule": "single_item", "awards": [{"agent": 1, "bundle": [5]}]}],
+        "final": {"bundles": [[1, 2], [3, 4]]},
+    }
+    result = tmp_path / "result.json"
+    result.write_text(
+        json.dumps(
+            {
+                "status": "solved",
+                "allocation": {"bundles": [[5], [1, 2], [3, 4]]},
+                "trace": trace,
+            }
+        )
+    )
+    code, report, _ = run(
+        capsys, "verify", "--instance", str(inst_path), "--result", str(result)
+    )
+    assert code == 2
+    lines = report.splitlines()
+    assert "trace step 1 (single_item): INVALID" in lines
+    assert "trace: final allocation: not checked, as the checks above failed" in lines
+    assert "agent 1: mu = 5, received = 1: FAIL" in lines
+
+
 def test_malformed_input_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    for text in ("{not json", "{}", '{"kind": "goods", "valuations": [[1.5, 1]]}'):
+    # a JSON true is not the number 1, nor 1.0 the count 1
+    for text in (
+        "{not json",
+        "{}",
+        '{"kind": "goods", "valuations": [[1.5, 1]]}',
+        '{"kind": "goods", "valuations": [[true, 2], [3, 4]]}',
+        '{"kind": "chores", "valuations": [[-1, false]]}',
+        '{"kind": "goods", "n": true, "valuations": [[1, 2]]}',
+        '{"kind": "goods", "n": 1.0, "m": 2, "valuations": [[1, 2]]}',
+        '{"kind": "goods", "m": 2.0, "valuations": [[1, 2]]}',
+    ):
         bad.write_text(text)
         code, _, err = run(capsys, "solve", "--input", str(bad))
         assert code == 1

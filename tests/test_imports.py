@@ -8,8 +8,10 @@ solvers take the sorted residual ``Instance`` itself, so only ``core`` and
 ``pipeline`` name ``OrderedInstance``.  Another keeps the search cap with
 the pipeline: only ``mms``, which raises ``TooLarge``, and ``pipeline``,
 which reports it, name it; and only ``pipeline``, which runs every
-threshold search, imports ``find_allocation_meeting``.  A last fence keeps
-records small: every frozen dataclass is also slotted.
+threshold search, imports ``find_allocation_meeting``.  The reference
+oracle ``exhaustive_partition`` stays off the solve path: only ``cli``, for
+``solve --oracle exhaustive``, imports it.  A last fence keeps records
+small: every frozen dataclass is also slotted.
 """
 
 import ast
@@ -74,8 +76,9 @@ def imports_any(path: Path, names) -> bool:
         ({"OrderedInstance"}, {"core.py", "pipeline.py"}),
         ({"TooLarge"}, {"mms.py", "pipeline.py"}),
         ({"find_allocation_meeting"}, {"pipeline.py"}),
+        ({"exhaustive_partition"}, {"mms.py", "cli.py"}),
     ],
-    ids=["ordered_instance", "too_large", "threshold_search"],
+    ids=["ordered_instance", "too_large", "threshold_search", "reference_oracle"],
 )
 def test_only_fenced_modules_import(names, allowed):
     importers = {p.name for p in MODULES if imports_any(p, names)}

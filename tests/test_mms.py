@@ -18,6 +18,7 @@ from mmsalloc import (
     CHORES,
     GOODS,
     bundle_value,
+    exhaustive_partition,
     find_allocation_meeting,
     make_instance,
     maximin_partition,
@@ -113,10 +114,7 @@ def test_bnb_matches_exhaustive(data):
     )
     inst = make_instance(kind, rows)
     for i in range(1, n + 1):
-        assert (
-            mms_value(inst, i, method="bnb").mu
-            == mms_value(inst, i, method="exhaustive").mu
-        )
+        assert mms_value(inst, i).mu == exhaustive_partition(inst, i)[0]
 
 
 def test_bnb_matches_brute_force_small():
@@ -137,11 +135,9 @@ def test_oracle_entry_points_reject_bad_arguments():
     than one bundle are refused, not read from the wrong row or item."""
     inst = make_instance(GOODS, [[5, 4, 3], [3, 3, 3]])
     for agent in (0, -1, 3):
-        for method in ("bnb", "exhaustive"):
+        for oracle in (mms_value, exhaustive_partition, maximin_partition):
             with pytest.raises(DanglingReference):
-                mms_value(inst, agent, method=method)
-        with pytest.raises(DanglingReference):
-            maximin_partition(inst, agent)
+                oracle(inst, agent)
     for items in ([0], [4], [1, 2, 4], [-1, 2]):
         with pytest.raises(DanglingReference):
             maximin_partition(inst, 1, items=items)
@@ -439,8 +435,7 @@ def test_bnb_share_is_exact_within_its_bound_with_a_witness(kind):
                     for b in rec.witness:
                         assert bundle_value(inst, i, b) >= rec.mu
                 if n**m <= 10**5:
-                    exhaustive = mms_value(inst, 1, method="exhaustive")
-                    assert mms_value(inst, 1).mu == exhaustive.mu
+                    assert mms_value(inst, 1).mu == exhaustive_partition(inst, 1)[0]
                     checked.add(_regime(n, m))
     assert checked == {"m < n", "m = n", "n < m < 2n", "m >= 2n"}
 
@@ -473,16 +468,16 @@ def test_oracle_work_solving_the_criterion_3_head(monkeypatch):
     first four criterion-3 instances (8 x 15, seed 103) are solved from a
     cold cache.  A change that adds oracle work fails here.  Every share
     query (``mms_value``, ``mu_vector`` and the structured searches) goes
-    through ``mms._row_share``, so that is where queries are counted."""
+    through ``mms.row_share``, so that is where queries are counted."""
     calls = 0
-    original = mms._row_share
+    original = mms.row_share
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(mms, "_row_share", counting)
+    monkeypatch.setattr(mms, "row_share", counting)
     rng = random.Random(103)
     clear_caches()
     for _ in range(4):
@@ -719,7 +714,7 @@ def test_share_matches_the_previous_search(goods, bundles, row):
         inst = make_instance(
             GOODS if goods else CHORES, [[sign * v for v in row]] * bundles
         )
-        assert mms._exhaustive_partition(inst, 1, 10**5)[0] == sign * share
+        assert exhaustive_partition(inst, 1, 10**5)[0] == sign * share
 
 
 @settings(max_examples=400, deadline=None)
@@ -764,7 +759,7 @@ def test_witness_is_a_partition_whose_worst_bundle_is_the_share(
     assert value == sign * mms._share(tuple(sorted(row, reverse=True)), bundles, goods)
     if bundles ** len(row) <= 10**5:
         alone = make_instance(kind, [[sign * v for v in row]] * bundles)
-        assert mms._exhaustive_partition(alone, 1, 10**5)[0] == value
+        assert exhaustive_partition(alone, 1, 10**5)[0] == value
 
 
 def test_share_without_the_subset_sum_bitset(monkeypatch):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mmsalloc import core, mms
+from mmsalloc import core, mms, pipeline
 from mmsalloc.core import (
     CHORES,
     GOODS,
@@ -138,6 +138,34 @@ def test_a_scripted_search_past_the_cap_is_unresolved():
     assert out.status == "unresolved" and out.trace is None
     assert out.diagnostic == "c6:payoff-good1 at 4x10; search cap exceeded"
     assert solve(inst).diagnostic == "c6:payoff-good1:agent1"
+
+
+FALLBACKS = [
+    case
+    for case in json.loads(GOLDEN.read_text())
+    if case["outcome"]["diagnostic"].endswith("fallback:threshold-search")
+]
+
+
+@pytest.mark.parametrize(
+    "case", FALLBACKS, ids=[f"{c['kind']}-{i}" for i, c in enumerate(FALLBACKS)]
+)
+def test_a_fallback_search_that_finds_nothing_is_unresolved(monkeypatch, case):
+    """A fallback search that returns None proves no allocation meets the
+    shares of the residual it searched: the solve is unresolved and says
+    so with that residual's shape."""
+    shapes = []
+
+    def refuted(instance, thresholds, cap):
+        shapes.append(f"{instance.n}x{instance.m}")
+        return None
+
+    monkeypatch.setattr(pipeline, "find_allocation_meeting", refuted)
+    inst = make_instance(case["kind"], case["valuations"])
+    out = (solve if inst.kind == GOODS else solve_chores)(inst)
+    assert out.status == "unresolved" and out.allocation is None and out.trace is None
+    [shape] = shapes
+    assert out.diagnostic.endswith(f"no allocation meets all shares at {shape}")
 
 
 def test_outcome_views_match_the_instance_and_trace_on_the_golden_corpus():

@@ -15,12 +15,14 @@ from mmsalloc.core import (
     to_ordered,
     validate_allocation,
 )
+from mmsalloc.domination import TailBundle
 from mmsalloc.errors import DanglingReference, PreconditionUnmet
 from mmsalloc.mms import mms_value, mu_vector
 from mmsalloc.reductions import (
     apply_with_maps,
     base_identical_partitions,
     make_step,
+    reduce_by_domination,
     reduce_pair_blockable,
     reduce_pair_from_high,
     reduce_pigeonhole_pair,
@@ -125,6 +127,40 @@ def test_verify_step_rejects_mu_decrease_for_remaining_agent():
     step = make_step("pigeonhole_pair", {1: {1, 2}})
     assert bundle_value(inst, 1, frozenset({1, 2})) >= mms_value(inst, 1).mu
     assert not verify_step(inst, step)
+
+
+# Six agents, ten goods (c = 4): a group of two tail triples sharing {6, 7}
+# leaves four agents outside it, d = 2 more than the n - c = 2 leading goods.
+SURPLUS_R = [12, 12, 12, 12, 6, 4, 4, 4, 4, 4]
+SURPLUS_GROUP = {
+    TailBundle(1, frozenset({6, 7, 9})),
+    TailBundle(2, frozenset({6, 7, 10})),
+}
+
+
+def test_goods_domination_awards_past_the_shared_singleton_zone():
+    """Two surplus agents take goods n - c + 1 and n - c + 2 (3 and 4), the
+    other outsiders goods 1 and 2, and the bundle with the worst extra good
+    goes to its owner; the step is valid."""
+    inst = ordered_goods([SURPLUS_R] * 6).instance
+    step = reduce_by_domination(inst, SURPLUS_GROUP, mu_vector(inst))
+    assert {a: set(b) for a, b in step.assignments} == {
+        2: {6, 7, 10},
+        3: {3},
+        4: {4},
+        5: {1},
+        6: {2},
+    }
+    assert verify_step(inst, step)
+
+
+def test_goods_domination_needs_d_agents_for_the_post_zone_goods():
+    """Agents 3-5 value good 4 (= n - c + d) below their share, so only
+    agent 6 could take it: one taker for d = 2 goods."""
+    low = [30, 30, 30, 2, 2, 2, 2, 2, 2, 2]
+    inst = ordered_goods([SURPLUS_R] * 2 + [low] * 3 + [SURPLUS_R]).instance
+    with pytest.raises(PreconditionUnmet, match="post-zone singletons"):
+        reduce_by_domination(inst, SURPLUS_GROUP, mu_vector(inst))
 
 
 def test_base_identical_partitions_two_agents():
