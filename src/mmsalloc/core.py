@@ -250,6 +250,8 @@ def allocation_from_json(text: str):
     """The allocation of a document.  A bundle with an item that is not a
     plain int is left unshared, for ``validate_allocation`` to judge."""
     data = json.loads(text)
+    if any(len(set(b)) != len(b) for b in data["bundles"]):
+        raise MalformedDocument("an allocation bundle repeats an item")
     bundles = (frozenset(b) for b in data["bundles"])
     return tuple(
         shared_bundle(b) if all(type(j) is int for j in b) else b for b in bundles

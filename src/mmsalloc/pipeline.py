@@ -4,11 +4,11 @@ Sort the instance into its companion, shrink the companion with valid
 reductions until a base case finishes it, lift the result back and certify
 it against independently recomputed maximin shares.  The item kind only
 decides which reductions and case analyses run; ``run`` takes those as a
-step function, so the scheme itself exists once.  The pipeline runs every
-threshold search of a solve (``Pipeline.search``) under its one cap: the
-fallback's, and each scripted branch's on the residual of the step it would
-push.  Results are certified before being reported as solved: an
-uncertified result is returned as unresolved, never as solved.
+step function, which pushes reductions or finishes the residual, so the
+scheme itself exists once.  The pipeline runs every threshold search of a
+solve (``Pipeline.search``) under its one cap: the fallback's, and each
+scripted branch's on the residual of the step it would push.  Results are
+certified before being reported: an uncertified result is unresolved.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .reductions import (
     base_identical_partitions,
     make_step,
 )
-
-CONTINUE = ("continue",)
 
 # The pipeline's own branches, named per kind: the one-item-each base case,
 # and the end of the reason when a search exceeds the cap.
@@ -147,8 +145,9 @@ def _drive(pipe: Pipeline, step):
     """Shrink the residual until it is finished.
 
     Returns (final allocation of the residual, "") or (None, reason).  A
-    search past ``pipe.cap``, in the step or in the fallback, leaves the
-    residual unresolved.
+    step that pushed nothing (``pipe.current`` did not move) and returned
+    None leaves the residual to the fallback search.  A search past
+    ``pipe.cap``, in the step or the fallback, leaves it unresolved.
     """
     kind = pipe.companion.kind
     while True:
@@ -168,14 +167,13 @@ def _drive(pipe: Pipeline, step):
             return final, ""
         mu = mu_vector(cur)
         try:
-            result = step(pipe, mu)
-            if result == CONTINUE:
+            final = step(pipe, mu)
+            if final is not None:
+                return final, ""
+            if pipe.current is not cur:
                 continue
-            if result is not None and result[0] == "solved":
-                return result[1], ""
             # no constructive route: exhaustive threshold search or give up
-            reason = result[1] if result else f"no constructive route at {n}x{m}"
-            final = pipe.search(mu, reason)
+            final = pipe.search(mu, f"no constructive route at {n}x{m}")
         except TooLarge as overrun:
             return None, f"{overrun}{OVER_CAP[kind]}"
         if final is None:
@@ -188,10 +186,10 @@ def run(instance: Instance, kind: str, step, cap: int) -> SolveOutcome:
     """Solve an instance of ``kind`` and certify the result before reporting it.
 
     ``step(pipe, mu)`` advances a residual of more than two agents and
-    more items than agents: it pushes reductions and returns ``CONTINUE``,
-    returns ``("solved", final)``, or returns ``("unresolved", reason)`` or
-    ``None`` to fall back to the threshold search.  Every search, the
-    step's own included, stops at ``cap`` assignments (``pipe.cap``).
+    more items than agents: it returns the final allocation of the residual
+    it leaves, or None to go round again if it pushed and to fall back to
+    the threshold search if not.  Every search, the step's own included,
+    stops at ``cap`` assignments (``pipe.cap``).
     """
     if instance.kind != kind:
         raise ValueError(f"{kind} instance required")

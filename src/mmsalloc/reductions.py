@@ -408,18 +408,20 @@ def trace_to_json(trace: ReductionTrace) -> str:
 
 
 def trace_from_json(text: str) -> ReductionTrace:
-    """The trace of a document; every agent and item must be a plain int id."""
+    """The trace of a document; every agent and item must be a plain int id,
+    no step may award an agent twice and no bundle may repeat an item."""
     data = json.loads(text)
-    steps = tuple(
-        make_step(
-            entry["rule"],
-            {_read_id(award["agent"], "agent"): _read_bundle(award["bundle"])
-             for award in entry["awards"]},
-        )
-        for entry in data["steps"]
-    )
+    steps = []
+    for entry in data["steps"]:
+        awards = [
+            (_read_id(award["agent"], "agent"), _read_bundle(award["bundle"]))
+            for award in entry["awards"]
+        ]
+        if len(dict(awards)) != len(awards):
+            raise MalformedDocument("a step's awards name one recipient twice")
+        steps.append(make_step(entry["rule"], awards))
     final = tuple(_read_bundle(b) for b in data["final"]["bundles"])
-    return ReductionTrace(steps=steps, final=final)
+    return ReductionTrace(steps=tuple(steps), final=final)
 
 
 def _read_id(x, what: str):
@@ -432,4 +434,7 @@ def _read_id(x, what: str):
 
 def _read_bundle(items) -> frozenset:
     """The shared bundle of a trace document's items."""
-    return shared_bundle(frozenset(_read_id(j, "item") for j in items))
+    ids = [_read_id(j, "item") for j in items]
+    if len(set(ids)) != len(ids):
+        raise MalformedDocument(f"a trace bundle repeats an item: {ids}")
+    return shared_bundle(frozenset(ids))

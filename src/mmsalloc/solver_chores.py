@@ -6,10 +6,10 @@ is acceptable to every agent (it costs no more than the bundle containing
 it in her own witness partition), witness partitions can be normalized to
 carry their singletons on the worst chores, and domination awards the
 *worse* of two comparable bundles.  A step builds each agent's structured
-witness once and reads it twice: as a base case that finishes or shrinks
-the instance, and for its tail bundle, which the shared tail-bundle groups
-of large agent counts use when no base fires; anything else falls back to
-the pipeline's exhaustive threshold search.
+witness once and reads it twice: as a base case that finishes the residual
+or pushes a reduction, and for its tail bundle, which the shared tail-bundle
+groups of large agent counts use when no base fires; anything else falls
+back to the pipeline's exhaustive threshold search.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .mms import (
     mms_value,  # noqa: F401
     structured_partition_chores,
 )
-from .pipeline import CONTINUE, Pipeline, SolveOutcome, run
+from .pipeline import Pipeline, SolveOutcome, run
 from .reductions import (
     make_step,
     reduce_by_tail_group,
@@ -55,8 +55,8 @@ def _witness_base(pipe: Pipeline, i: int, part, mu):
     allocation outright (singletons are universally acceptable).  With n - 2
     singletons and a pair among the two residue bundles, either some other
     agent takes the pair (full allocation) or nobody would, in which case
-    the pair is unblockable and reduces the instance.  Returns
-    ("solved", final), CONTINUE after pushing a step, or None.
+    the pair is unblockable and reduces the instance.  Returns the full
+    allocation, or None, having pushed the pair or not.
     """
     cur = pipe.current
     n = cur.n
@@ -71,7 +71,7 @@ def _witness_base(pipe: Pipeline, i: int, part, mu):
         for a, b in zip(others, pool):
             alloc[a - 1] = b
         pipe.note("chores_base:singletons")
-        return ("solved", tuple(alloc))
+        return tuple(alloc)
     if len(singles) == n - 2 and len(multis) == 2 and len(multis[0]) == 2:
         pair, residue = multis[0], multis[1]
         takers = [
@@ -88,10 +88,9 @@ def _witness_base(pipe: Pipeline, i: int, part, mu):
             for x, b in zip(others, singles):
                 alloc[x - 1] = b
             pipe.note("chores_base:pair_to_other")
-            return ("solved", tuple(alloc))
+            return tuple(alloc)
         pipe.note("chores_base:pair_to_self")
         pipe.push(make_step("pair_blockable", {i: pair}))
-        return CONTINUE
     return None
 
 
@@ -108,13 +107,13 @@ def _step(pipe: Pipeline, mu):
         n - len(step.agents()), cur.m - len(step.items())
     ):
         pipe.push(step)
-        return CONTINUE
+        return None
     tails = {}
     for i in range(1, n + 1):
         part = structured_partition_chores(cur, i, mu[i - 1])
-        result = _witness_base(pipe, i, part, mu)
-        if result is not None:
-            return result
+        final = _witness_base(pipe, i, part, mu)
+        if final is not None or pipe.current is not cur:
+            return final
         tb = tail_bundle(part, n)
         if tb is not None:
             tails[i] = tb
@@ -124,10 +123,9 @@ def _step(pipe: Pipeline, mu):
         mu,
         ((k, max(c - k + 2, n_c_chores(c - k + 1) + 1)) for k in range(2, c + 2)),
     )
-    if step is None:
-        return None
-    pipe.push(step)
-    return CONTINUE
+    if step is not None:
+        pipe.push(step)
+    return None
 
 
 def solve_chores(instance: Instance, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> SolveOutcome:

@@ -1,13 +1,13 @@
 """Goods steps of the constructive solver.
 
 ``solve`` runs the shared pipeline (``mmsalloc.pipeline``) with this
-module's step, which shrinks the sorted residual with valid reductions.
-Scripted case analyses handle the two delicate sizes (four agents with ten
-goods, eight agents with fifteen goods); a counting argument over shared
-tail bundles handles large agent counts; everything else falls back to the
-pipeline's exhaustive threshold search below the oracle cap.  The scripted
-branches that search what is left against the old shares hand the step they
-would push to the same search (``Pipeline.search``) with their branch tag.
+module's step, which pushes valid reductions of the sorted residual or
+returns its final allocation.  Scripted case analyses handle four agents
+with ten goods and eight with fifteen; a counting argument over shared tail
+bundles handles large agent counts; everything else, a scripted dead end
+included (it notes its reason), falls back to the pipeline's threshold
+search.  Scripted branches hand the step they would push to that search
+(``Pipeline.search``) with their branch tag, to search what it leaves.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .mms import (
     row_share,
     structured_partition_goods,
 )
-from .pipeline import CONTINUE, Pipeline, SolveOutcome, run
+from .pipeline import Pipeline, SolveOutcome, run
 from .reductions import (
     RULE_DOMINATION,
     RULE_EFM_BATCH,
@@ -161,8 +161,8 @@ def efm_step(pipe: Pipeline, agent: int, part, mu):
     outright.  Otherwise a Hall-deficient agent set is carved off, an
     envy-free matching is found among the rest on the small bundles, and
     every matched agent is removed: size-2 bundles as-is, size-1 bundles
-    padded with the worst remaining good.  Returns ("solved", a) or pushes
-    the batch step and returns CONTINUE.
+    padded with the worst remaining good.  Returns the allocation, or
+    pushes the batch step and returns None.
     """
     cur = pipe.current
     n, m = cur.n, cur.m
@@ -191,7 +191,7 @@ def efm_step(pipe: Pipeline, agent: int, part, mu):
         alloc = [None] * n
         for x, y in mm.pairs:
             alloc[x - 1] = part[y - 1]
-        return ("solved", tuple(alloc))
+        return tuple(alloc)
 
     others = [i for i in range(1, n + 1) if i != agent]
     g2 = acceptance(others, small)
@@ -223,7 +223,7 @@ def efm_step(pipe: Pipeline, agent: int, part, mu):
             awards[aid] = b | {pads[pi]}
             pi += 1
     pipe.push(make_step(RULE_EFM_BATCH, awards))
-    return CONTINUE
+    return None
 
 
 # --- large-n tail grouping ---------------------------------------------------
@@ -236,8 +236,8 @@ def tail_group_step(pipe: Pipeline, c: int, mu):
     tails force a nearly-all-small witness and the matching step; otherwise
     the k-sized tails are grouped by shared (k-1)-subsets and a group
     reaching max(c-k+1, n_{c-k+1}+1) members fires the domination award.
-    Pushes a step and returns CONTINUE, returns ("solved", a), or returns
-    None when nothing triggers.
+    Returns the matching step's allocation, or None after pushing a step
+    or when nothing triggers.
     """
     cur = pipe.current
     n = cur.n
@@ -249,7 +249,6 @@ def tail_group_step(pipe: Pipeline, c: int, mu):
         if mu[i - 1] == 0 or tb is None or len(tb) <= 2:
             if cur.m >= n + 1:
                 pipe.push(make_step(RULE_PIGEONHOLE_PAIR, {i: {n, n + 1}}))
-                return CONTINUE
             return None
         tails[i] = tb
     for i in range(1, n + 1):
@@ -262,40 +261,36 @@ def tail_group_step(pipe: Pipeline, c: int, mu):
         mu,
         ((k, max(c - k + 1, n_c_goods(c - k + 1) + 1)) for k in range(3, c - 1)),
     )
-    if step is None:
-        return None
-    pipe.push(step)
-    return CONTINUE
+    if step is not None:
+        pipe.push(step)
+    return None
 
 
 # --- scripted case analyses --------------------------------------------------
 
 def _solve_4x10(pipe: Pipeline, mu):
-    """Case analysis for four agents and ten goods.
-
-    Returns CONTINUE, ("solved", final_alloc_in_current_coords) or
-    ("unresolved", reason).
-    """
+    """Case analysis for four agents and ten goods: pushes a step, and
+    returns the final allocation of the residual it leaves or None."""
     cur = pipe.current
     h1 = [i for i in range(1, 5) if cur.value(i, 1) >= mu[i - 1]]
     h2 = [i for i in range(1, 5) if cur.value(i, 2) >= mu[i - 1]]
     if not h1:
         pipe.note("c6:packed-pairs")
         pipe.push(reduce_2n2(cur, mu))
-        return CONTINUE
+        return None
     if len(h1) == 1:
         step = reduce_pair_from_high(cur, mu)
         if step is None:
             raise InternalInvariantViolation("unique top-good valuer must fire")
         pipe.note("c6:unique-top")
         pipe.push(step)
-        return CONTINUE
+        return None
     if h2:
         i = h2[0]
         other = next(a for a in h1 if a != i)
         pipe.note("c6:two-singles")
         pipe.push(make_step(RULE_SINGLE_ITEM, {other: {1}, i: {2}}))
-        return CONTINUE
+        return None
     # Two or more agents accept good 1, nobody accepts good 2: one of the
     # good-1 claimants can be paid off so that the rest still split the
     # remaining nine goods up to their old shares.
@@ -305,8 +300,9 @@ def _solve_4x10(pipe: Pipeline, mu):
         if final is not None:
             pipe.note(f"c6:payoff-good1:agent{star}")
             pipe.push(step)
-            return ("solved", final)
-    return ("unresolved", "4x10: no good-1 recipient admits a completion")
+            return final
+    pipe.note("4x10: no good-1 recipient admits a completion")
+    return None
 
 
 def _pivot_pair_witness(cur: Instance, agent: int, pivot: int, mu_i):
@@ -347,14 +343,14 @@ def _solve_8x15(pipe: Pipeline, mu):
         if not h5_others:
             pipe.note("c7:sixth-good-unique")
             pipe.push(make_step(RULE_PAIR_FROM_HIGH, {i: {6, 15}}))
-            return CONTINUE
+            return None
         if len(h5_others) == 1:
             ip = h5_others[0]
             pipe.note("c7:sixth-fifth-pairs")
             pipe.push(
                 make_step(RULE_PAIR_FROM_HIGH, {i: {6, 14}, ip: {5, 15}})
             )
-            return CONTINUE
+            return None
         ip, ipp = h5_others[0], h5_others[1]
         rest = [a for a in range(1, 9) if a not in (i, ip, ipp)][:3]
         awards = {i: {6}, ip: {5}, ipp: {4}}
@@ -362,7 +358,7 @@ def _solve_8x15(pipe: Pipeline, mu):
             awards[a] = {pos}
         pipe.note("c7:six-singles")
         pipe.push(make_step(RULE_SINGLE_ITEM, awards))
-        return CONTINUE
+        return None
 
     for i in range(1, 9):
         part = structured_partition_goods(cur, i, mu[i - 1])
@@ -388,7 +384,7 @@ def _solve_8x15_with_five_singles(pipe: Pipeline, mu, high5):
         awards[high5[-1]] = {5, 15}
         pipe.note(f"c7:five-high:{k12}")
         pipe.push(make_step(RULE_PAIR_FROM_HIGH, awards))
-        return CONTINUE
+        return None
     chosen = high5[:5]
     outsiders = [a for a in range(1, 9) if a not in chosen][:3]
     for first in chosen:
@@ -403,8 +399,9 @@ def _solve_8x15_with_five_singles(pipe: Pipeline, mu, high5):
             if final is not None:
                 pipe.note("c7:five-high:batch")
                 pipe.push(step)
-                return ("solved", final)
-    return ("unresolved", "8x15: five-singleton batch admits no completion")
+                return final
+    pipe.note("8x15: five-singleton batch admits no completion")
+    return None
 
 
 def _solve_8x15_pivot(pipe: Pipeline, mu):
@@ -433,7 +430,7 @@ def _solve_8x15_pivot(pipe: Pipeline, mu):
         awards[recipient] = bundle
         pipe.note(f"c7:pivot{g}:crowd")
         pipe.push(make_step(RULE_DOMINATION, awards))
-        return CONTINUE
+        return None
     if len(crowd) == 3:
         helpers = [
             a
@@ -448,7 +445,7 @@ def _solve_8x15_pivot(pipe: Pipeline, mu):
             base = {outsiders[0]: {1}, outsiders[1]: {2}, outsiders[2]: {3}}
             vi = bundle_value(cur, i, bundle) >= mu[i - 1]
             vip = bundle_value(cur, ip, bundle) >= mu[ip - 1]
-            if vi and vip:
+            if vi and vip and 4 not in bundle:  # the pack gives ip good 4
                 awards = dict(base)
                 awards[i] = bundle
                 awards[ip] = {4}
@@ -457,7 +454,7 @@ def _solve_8x15_pivot(pipe: Pipeline, mu):
                 if final is not None:
                     pipe.note(f"c7:pivot{g}:pack")
                     pipe.push(step)
-                    return ("solved", final)
+                    return final
             awards = dict(base)
             recipient = ip if vip else owner
             if vi and not vip:
@@ -465,8 +462,9 @@ def _solve_8x15_pivot(pipe: Pipeline, mu):
             awards[recipient] = bundle
             pipe.note(f"c7:pivot{g}:reject")
             pipe.push(make_step(RULE_DOMINATION, awards))
-            return CONTINUE
-    return ("unresolved", "8x15: no pivot-pair group is large enough")
+            return None
+    pipe.note("8x15: no pivot-pair group is large enough")
+    return None
 
 
 # --- dispatcher --------------------------------------------------------------
@@ -484,12 +482,11 @@ def _step(pipe: Pipeline, mu):
         step = reduce_2n2(pipe.current, mu)
     if step is not None:
         pipe.push(step)
-        return CONTINUE
-    if n == n_c and c == 6:
+    elif n == n_c and c == 6:
         return _solve_4x10(pipe, mu)
-    if n == n_c and c == 7:
+    elif n == n_c and c == 7:
         return _solve_8x15(pipe, mu)
-    if n >= n_c:
+    elif n >= n_c:
         return tail_group_step(pipe, c, mu)
     return None
 

@@ -124,6 +124,10 @@ def _no_bundles(bundles):
     return {"parts": bundles}
 
 
+def _item_repeated(bundles):
+    return {"bundles": [bundles[0] + bundles[0][:1]] + bundles[1:]}
+
+
 @pytest.mark.parametrize(
     "malform",
     [
@@ -134,6 +138,7 @@ def _no_bundles(bundles):
         _item_0,
         _true_item,
         _no_bundles,
+        _item_repeated,
     ],
     ids=lambda f: f.__name__.strip("_"),
 )
@@ -197,6 +202,24 @@ def _float_agent(trace):
     return _with_first_step(trace, awards=[dict(award, agent=float(award["agent"]))])
 
 
+def _agent_awarded_twice(trace):
+    # a document read into a mapping would keep only the second award
+    award = trace["steps"][0]["awards"][0]
+    earlier = dict(award, bundle=trace["final"]["bundles"][0][:1])
+    return _with_first_step(trace, awards=[earlier, award])
+
+
+def _award_repeats_an_item(trace):
+    award = trace["steps"][0]["awards"][0]
+    bundle = award["bundle"] + award["bundle"][:1]
+    return _with_first_step(trace, awards=[dict(award, bundle=bundle)])
+
+
+def _final_repeats_an_item(trace):
+    first, *rest = trace["final"]["bundles"]
+    return dict(trace, final={"bundles": [first + first[:1]] + rest})
+
+
 @pytest.mark.parametrize(
     "malform",
     [
@@ -208,6 +231,9 @@ def _float_agent(trace):
         _float_item,
         _bool_agent,
         _float_agent,
+        _agent_awarded_twice,
+        _award_repeats_an_item,
+        _final_repeats_an_item,
     ],
     ids=lambda f: f.__name__.strip("_"),
 )

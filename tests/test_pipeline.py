@@ -68,7 +68,7 @@ def _solve_golden():
 def test_uncertified_allocation_is_reported_unresolved():
     def all_to_agent_one(pipe, mu):
         pipe.note("test:all-to-one")
-        return ("solved", (frozenset({1, 2, 3, 4}), frozenset(), frozenset()))
+        return (frozenset({1, 2, 3, 4}), frozenset(), frozenset())
 
     inst = make_instance(GOODS, ROWS)
     out = run(inst, GOODS, all_to_agent_one, 10**8)
@@ -76,6 +76,23 @@ def test_uncertified_allocation_is_reported_unresolved():
     assert out.diagnostic == "certification failed for agent 2; test:all-to-one"
     assert out.ordered_allocation == (frozenset({1, 2, 3, 4}), frozenset(), frozenset())
     assert_derived_views(out, inst)
+
+
+def test_a_step_that_pushes_and_returns_none_goes_round_again():
+    """A step that pushes returns None and leaves the next round to the
+    pipeline, here the two-agent base case, never the fallback search
+    against the old shares."""
+    def award_good_one(pipe, mu):
+        pipe.note("test:push")
+        pipe.push(make_step("single_item", {1: {1}}))
+        return None
+
+    inst = make_instance(GOODS, ROWS)
+    out = run(inst, GOODS, award_good_one, 10**8)
+    assert out.status == "solved"
+    assert out.diagnostic == "test:push; base:two-agent"
+    assert [step.rule for step in out.trace.steps] == ["single_item"]
+    assert all(ok for _, ok in verify_trace(to_ordered(inst).instance, out.trace))
 
 
 @pytest.mark.parametrize(
@@ -86,13 +103,13 @@ def test_uncertified_allocation_is_reported_unresolved():
 def test_step_reason_ends_with_the_kinds_over_cap_text(kind, over_cap):
     def give_up(pipe, mu):
         pipe.note("test:no-route")
-        return ("unresolved", "scripted reason")
+        return None
 
     sign = 1 if kind == GOODS else -1
     inst = make_instance(kind, [[sign * v for v in row] for row in ROWS])
     out = run(inst, kind, give_up, 1)
     assert out.status == "unresolved" and out.trace is None
-    assert out.diagnostic == "test:no-route; scripted reason" + over_cap
+    assert out.diagnostic == "test:no-route; no constructive route at 3x4" + over_cap
     assert out.ordered_allocation is None
     assert_derived_views(out, inst)
 

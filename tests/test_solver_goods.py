@@ -15,7 +15,7 @@ from mmsalloc.core import GOODS, bundle_value, make_instance, to_ordered
 from mmsalloc.errors import NEqualsThree, PreconditionUnmet, TooFewAgents, TooLarge
 from mmsalloc.mms import mms_value, mu_vector, structured_partition_goods
 from mmsalloc.reductions import ReductionTrace, verify_step, verify_trace
-from mmsalloc.pipeline import CONTINUE, Pipeline
+from mmsalloc.pipeline import Pipeline
 from mmsalloc import solver_goods
 from mmsalloc.reductions import (
     reduce_pair_blockable,
@@ -96,14 +96,18 @@ def test_known_solvable_shapes():
 
 
 def run_script(rows, script):
-    """Drive one scripted step directly and re-verify whatever it pushed."""
+    """Drive one scripted step directly and re-verify whatever it pushed.
+
+    Returns the notes and (status, final): "solved" when the step returned
+    a final allocation, "continue" when it pushed and returned None."""
     ordered = to_ordered(make_instance(GOODS, [list(r) for r in rows]))
     pipe = Pipeline(ordered.instance)
-    res = script(pipe, mu_vector(pipe.current))
+    final = script(pipe, mu_vector(pipe.current))
     trace = ReductionTrace(steps=tuple(pipe.steps), final=())
     for _, ok in verify_trace(ordered.instance, trace):
         assert ok
-    return pipe.notes, res
+    status = "solved" if final is not None else "continue" if pipe.steps else None
+    return pipe.notes, (status, final)
 
 
 def test_4x10_unique_top_valuer():
@@ -191,6 +195,27 @@ def test_8x15_shared_pivot_pair():
     assert notes == ["c7:pivot5:crowd"] and res[0] == "continue"
 
 
+@pytest.mark.parametrize(
+    "companions, note, status",
+    [
+        ((4, 4, 4), "c7:pivot5:reject", "continue"),
+        ((8, 9, 10), "c7:pivot5:pack", "solved"),
+    ],
+    ids=["pair-through-good-4", "pack"],
+)
+def test_8x15_crowd_of_three_at_pivot_5(monkeypatch, companions, note, status):
+    """Only agents 1-3 hold a pivot pair, all through good 5, and agents 4-8
+    accept good 4.  The pack gives the worst pair to agent 4 and good 4 to
+    agent 5; a worst pair through good 4 would overlap that, so the pair
+    alone is awarded, as when the pack finds no completion."""
+    def witness(cur, agent, pivot, mu_i):
+        return companions[agent - 1] if pivot == 5 and agent <= 3 else None
+
+    monkeypatch.setattr(solver_goods, "_pivot_pair_witness", witness)
+    notes, res = run_script([[10] * 4 + [1] * 11] * 8, _solve_8x15)
+    assert notes == [note] and res[0] == status
+
+
 # Through ``solve`` the tail groups need n >= n_c_goods(c) agents, about
 # 1,449 at c = 8, so these 8 x 16 residuals call the step directly.
 TAIL_GROUP_ROWS = {
@@ -221,7 +246,7 @@ def test_tail_group_domination_award(name, awards):
     a group of them sharing two goods fires the domination award."""
     pipe = _pipe(TAIL_GROUP_ROWS[name])
     sorted_instance = pipe.current
-    assert tail_group_step(pipe, 8, mu_vector(sorted_instance)) == CONTINUE
+    assert tail_group_step(pipe, 8, mu_vector(sorted_instance)) is None
     [step] = pipe.steps
     assert step.rule == "domination"
     assert {a: set(b) for a, b in step.assignments} == awards
@@ -234,7 +259,7 @@ TAIL_R = [40, 40, 38, 34, 32, 32, 30, 5, 4, 3, 3, 2, 2, 2, 1, 0]
 def test_tail_group_zero_share_pushes_the_pigeonhole_pair():
     pipe = _pipe([[0] * 16] + [TAIL_R] * 7)
     sorted_instance = pipe.current
-    assert tail_group_step(pipe, 8, mu_vector(sorted_instance)) == CONTINUE
+    assert tail_group_step(pipe, 8, mu_vector(sorted_instance)) is None
     [step] = pipe.steps
     assert step.rule == "pigeonhole_pair"
     assert {a: set(b) for a, b in step.assignments} == {1: {8, 9}}
@@ -245,8 +270,8 @@ def test_tail_group_huge_tail_hands_over_to_the_matching_step():
     """Every witness is seven singletons and a tail of nine goods: the
     matching step solves the residual outright."""
     pipe = _pipe([TAIL_R] * 8)
-    status, final = tail_group_step(pipe, 8, mu_vector(pipe.current))
-    assert status == "solved" and not pipe.steps
+    final = tail_group_step(pipe, 8, mu_vector(pipe.current))
+    assert not pipe.steps
     assert final == tuple(
         [frozenset(range(8, 17))] + [frozenset({j}) for j in range(7, 0, -1)]
     )
@@ -292,7 +317,7 @@ def test_efm_step_batch_on_a_hall_deficient_witness():
         frozenset({3}),
         frozenset({4, 5, 6, 7, 8}),
     }
-    assert efm_step(pipe, 4, part, mu) == CONTINUE
+    assert efm_step(pipe, 4, part, mu) is None
     [step] = pipe.steps
     assert step.rule == "efm_batch"
     assert {a: set(b) for a, b in step.assignments} == {3: {1, 8}, 4: {2, 7}}
