@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable
 
 from .errors import EmptyMatrix, MalformedDocument, ShapeMismatch, SignViolation
@@ -26,11 +27,21 @@ Allocation = tuple  # of n Bundles, pairwise disjoint, covering {1..m}
 # The one frozenset of each distinct bundle, keyed by itself.  Instances have
 # n agents and about n items, so the allocations and traces of many solves
 # reuse few distinct bundles; every bundle an outcome keeps is built by
-# shared_bundle and points here.  The oldest entry is evicted first once the
-# table holds _SHARED_BUNDLE_LIMIT bundles; an evicted bundle lives on in
-# whatever still holds it.
+# shared_bundle and points here.  Once the table holds _SHARED_BUNDLE_LIMIT
+# bundles its oldest quarter is evicted (``drop_oldest``); an evicted bundle
+# lives on in whatever still holds it.
 _SHARED_BUNDLE_LIMIT = 1 << 12
 _shared_bundles: dict = {}
+
+
+def drop_oldest(table: dict) -> None:
+    """Evict the oldest quarter (at least one) of a full bounded table.
+
+    One pass over the front of the dict: evicting one entry at a time would
+    walk every slot freed before it, a cost that grows with each eviction.
+    """
+    for key in list(islice(table, max(1, len(table) // 4))):
+        del table[key]
 
 
 def shared_bundle(items) -> frozenset:
@@ -40,7 +51,7 @@ def shared_bundle(items) -> frozenset:
     shared = _shared_bundles.get(bundle)
     if shared is None:
         if len(_shared_bundles) >= _SHARED_BUNDLE_LIMIT:
-            del _shared_bundles[next(iter(_shared_bundles))]
+            drop_oldest(_shared_bundles)
         shared = _shared_bundles[bundle] = bundle
     return shared
 
@@ -125,8 +136,8 @@ def make_instance(kind: str, valuations: Iterable[Iterable]) -> Instance:
 
 def bundle_value(instance: Instance, agent: int, bundle) -> int | Fraction:
     """Additive value of a bundle for an agent; the empty bundle is worth 0."""
-    row = instance.row(agent)
-    return sum(row[j - 1] for j in bundle)
+    row = instance.valuations[agent - 1]
+    return sum([row[j - 1] for j in bundle])
 
 
 def validate_allocation(instance: Instance, allocation) -> None:
@@ -162,7 +173,7 @@ def to_ordered(instance: Instance) -> OrderedInstance:
     """
     descending = instance.kind == GOODS
     rows = tuple(
-        tuple(sorted(row, reverse=descending)) for row in instance.valuations
+        [tuple(sorted(row, reverse=descending)) for row in instance.valuations]
     )
     return OrderedInstance(instance=Instance(kind=instance.kind, valuations=rows))
 
@@ -176,30 +187,28 @@ def lift_allocation(ordered: OrderedInstance, ordered_alloc, original: Instance)
     ties.  Every agent ends up with a bundle worth at least her
     ordered-allocation bundle.
     """
-    if ordered.instance.kind != original.kind or ordered.instance.m != original.m:
+    companion = ordered.instance
+    shape = (original.kind, original.n, original.m)
+    if (companion.kind, companion.n, companion.m) != shape:
         raise ShapeMismatch("ordered instance does not match the original")
-    validate_allocation(ordered.instance, ordered_alloc)
+    validate_allocation(companion, ordered_alloc)
 
+    rows = original.valuations
     m = original.m
-    holder = [0] * (m + 1)
+    # the holder of each slot, in picking order
+    holders = [0] * m
     for i, bundle in enumerate(ordered_alloc):
         for j in bundle:
-            holder[j] = i
-
-    slots = range(1, m + 1)
+            holders[j - 1] = i
     if original.kind == CHORES:
-        slots = reversed(slots)
+        holders.reverse()
 
     # each agent's items best first, ties by id, and how far she has picked
-    best_first = [
-        sorted(range(m), key=row.__getitem__, reverse=True)
-        for row in original.valuations
-    ]
-    picked_up_to = [0] * original.n
+    best_first = [sorted(range(m), key=row.__getitem__, reverse=True) for row in rows]
+    picked_up_to = [0] * len(rows)
     taken = [False] * m
-    picked = [[] for _ in range(original.n)]
-    for slot in slots:
-        agent = holder[slot]
+    picked = [[] for _ in rows]
+    for agent in holders:
         order = best_first[agent]
         k = picked_up_to[agent]
         while taken[order[k]]:
@@ -207,7 +216,7 @@ def lift_allocation(ordered: OrderedInstance, ordered_alloc, original: Instance)
         picked_up_to[agent] = k + 1
         taken[order[k]] = True
         picked[agent].append(order[k] + 1)
-    return tuple(shared_bundle(b) for b in picked)
+    return tuple([shared_bundle(b) for b in picked])
 
 
 # --- JSON wire formats -------------------------------------------------------

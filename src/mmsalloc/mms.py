@@ -32,7 +32,7 @@ from heapq import heapreplace
 from itertools import accumulate
 from math import lcm
 
-from .core import CHORES, GOODS, Instance, as_exact
+from .core import CHORES, GOODS, Instance, as_exact, drop_oldest
 from .errors import DanglingReference, InternalInvariantViolation, TooLarge
 
 DEFAULT_EXHAUSTIVE_CAP = 10**8
@@ -59,8 +59,8 @@ class MmsRecord:
 
 # Share oracle results keyed by (sorted values, bundle count, goods?): a
 # list [share, witness assignment or None], the assignment filled in when a
-# witness is first asked for (`_split`).  The oldest entry is evicted first
-# once the cache holds _BNB_CACHE_LIMIT entries.
+# witness is first asked for (`_split`).  Once the cache holds
+# _BNB_CACHE_LIMIT entries its oldest quarter is evicted (``drop_oldest``).
 _BNB_CACHE_LIMIT = 1 << 14
 _bnb_cache: dict = {}
 
@@ -103,10 +103,8 @@ def _suffix_sums(vals) -> list:
 
 def _subset_sums(vals):
     """The subset sums of the integers `vals` (>= 0) as a bitset: bit s is
-    set when some sub-multiset sums to s.  None when the sum passes
-    _SUBSET_SUM_LIMIT, which bounds the bitset at 128 KiB."""
-    if sum(vals) > _SUBSET_SUM_LIMIT:
-        return None
+    set when some sub-multiset sums to s.  `_share` asks for it only while
+    the sum is at most _SUBSET_SUM_LIMIT, which bounds it at 128 KiB."""
     bits = 1
     for v in vals:
         bits |= bits << v
@@ -154,8 +152,8 @@ def _share(vals: tuple, n: int, goods: bool) -> int:
     bound = _share_bound(vals, n, goods)
     if greedy == bound:
         return greedy
-    bits = _subset_sums(vals)
-    if bits is None:
+    total = sum(loads)
+    if total > _SUBSET_SUM_LIMIT:
         met, refuted = greedy, bound + 1 if goods else bound - 1
         while abs(refuted - met) > 1:
             mid = (met + refuted) // 2
@@ -164,8 +162,8 @@ def _share(vals: tuple, n: int, goods: bool) -> int:
             else:
                 refuted = mid
         return met
+    bits = _subset_sums(vals)
     if n == 2:
-        total = sum(vals)
         half = _below(bits, total // 2)
         return half if goods else total - half
     share = greedy
@@ -321,7 +319,7 @@ def _entry(vals: tuple, n: int, goods: bool) -> list:
     entry = _bnb_cache.get(key)
     if entry is None:
         if len(_bnb_cache) >= _BNB_CACHE_LIMIT:
-            del _bnb_cache[next(iter(_bnb_cache))]
+            drop_oldest(_bnb_cache)
         entry = _bnb_cache[key] = [_share(vals, n, goods), None]
     return entry
 
@@ -421,15 +419,16 @@ def maximin_partition(instance: Instance, agent: int, items=None, bundles=None):
     k = bundles if bundles is not None else instance.n
     if k < 1:
         raise ValueError(f"at least one bundle required, not {k}")
-    row = instance.row(agent)
+    row = instance.valuations[agent - 1]
     sign = 1 if instance.kind == GOODS else -1
     scaled, scale = _scaled([row[j - 1] for j in ids], sign)
-    order = sorted(range(len(scaled)), key=lambda t: -scaled[t])
-    value, assign = _split(tuple(scaled[t] for t in order), k, sign == 1)
-    parts = [set() for _ in range(k)]
+    # highest value first, ties by id: a reverse sort is stable
+    order = sorted(range(len(scaled)), key=scaled.__getitem__, reverse=True)
+    value, assign = _split(tuple([scaled[t] for t in order]), k, sign == 1)
+    parts = [[] for _ in range(k)]
     for t, b in zip(order, assign):
-        parts[b].add(ids[t])
-    return _unscaled(value, sign, scale), tuple(frozenset(p) for p in parts)
+        parts[b].append(ids[t])
+    return _unscaled(value, sign, scale), tuple([frozenset(p) for p in parts])
 
 
 def exhaustive_partition(
@@ -480,7 +479,7 @@ def mms_value(instance: Instance, agent: int) -> MmsRecord:
     _check_agent(instance, agent)
     return MmsRecord(
         agent,
-        row_share(instance.row(agent), instance.n, instance.kind == GOODS),
+        row_share(instance.valuations[agent - 1], instance.n, instance.kind == GOODS),
         lambda: maximin_partition(instance, agent)[1],
     )
 

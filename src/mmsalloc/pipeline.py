@@ -32,7 +32,6 @@ from .reductions import (
     ReductionTrace,
     apply_with_maps,
     base_identical_partitions,
-    make_step,
 )
 
 # The pipeline's own branches, named per kind: the one-item-each base case,
@@ -101,17 +100,19 @@ class Pipeline:
         self.notes.append(text)
 
     def push(self, step: ReductionStep) -> None:
-        translated = make_step(
-            step.rule,
-            {
-                self.agent_ids[a - 1]: [self.item_ids[j - 1] for j in b]
-                for a, b in step.assignments
-            },
-        )
-        self.steps.append(translated)
+        """Apply a step made by ``make_step`` to the residual and store it
+        translated to the companion.  The residual's ids map to the
+        companion's in increasing order, so the translation keeps the
+        step's agents ascending and its bundles disjoint."""
         self.current, agents, items = apply_with_maps(self.current, step)
-        self.agent_ids = [self.agent_ids[a - 1] for a in agents]
-        self.item_ids = [self.item_ids[j - 1] for j in items]
+        agent_ids, item_ids = self.agent_ids, self.item_ids
+        awards = [
+            (agent_ids[a - 1], shared_bundle([item_ids[j - 1] for j in b]))
+            for a, b in step.assignments
+        ]
+        self.steps.append(ReductionStep(rule=step.rule, assignments=tuple(awards)))
+        self.agent_ids = [agent_ids[a - 1] for a in agents]
+        self.item_ids = [item_ids[j - 1] for j in items]
 
     def search(self, mu, reason: str, step=None):
         """An allocation of the residual giving each agent at least its
@@ -134,8 +135,9 @@ class Pipeline:
 
     def finish(self, final_current):
         """Translate a final residual allocation and close the trace."""
+        item_ids = self.item_ids
         final = tuple(
-            shared_bundle([self.item_ids[j - 1] for j in b]) for b in final_current
+            [shared_bundle([item_ids[j - 1] for j in b]) for b in final_current]
         )
         trace = ReductionTrace(steps=tuple(self.steps), final=final)
         return trace, trace.allocation(self.companion.n)

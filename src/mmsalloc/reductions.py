@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 from .core import (
     CHORES,
@@ -63,12 +63,12 @@ def make_step(rule: str, awards) -> ReductionStep:
     its bundles are shared (``core.shared_bundle``)."""
     if rule not in ALL_RULES:
         raise ValueError(f"unknown rule id {rule!r}")
-    pairs = sorted((a, shared_bundle(b)) for a, b in dict(awards).items())
+    pairs = sorted([(a, shared_bundle(b)) for a, b in dict(awards).items()])
     if not pairs:
         raise PreconditionUnmet("a step must award at least one agent")
     seen: set = set()
     for _, bundle in pairs:
-        if bundle & seen:
+        if not seen.isdisjoint(bundle):
             raise PreconditionUnmet("awarded bundles overlap")
         seen |= bundle
     return ReductionStep(rule=rule, assignments=tuple(pairs))
@@ -85,11 +85,15 @@ class ReductionTrace:
     def allocation(self, n: int) -> tuple:
         """The allocation of the n-agent base instance that the trace
         describes: each step's awards, then the final bundles to the agents
-        no step awarded, in ascending id order as the residual keeps them."""
-        bundles = dict(pair for step in self.steps for pair in step.assignments)
-        rest = [a for a in range(1, n + 1) if a not in bundles]
-        bundles.update(zip(rest, self.final))
-        return tuple(bundles.get(a, frozenset()) for a in range(1, n + 1))
+        no step awarded, in ascending id order as the residual keeps them.
+        An agent left without a final bundle gets the empty one."""
+        bundles = [None] * n
+        for step in self.steps:
+            for agent, bundle in step.assignments:
+                if 0 < agent <= n:
+                    bundles[agent - 1] = bundle
+        final = iter(self.final)
+        return tuple([next(final, frozenset()) if b is None else b for b in bundles])
 
 
 # --- individual rules --------------------------------------------------------
@@ -281,12 +285,13 @@ def base_identical_partitions(instance: Instance) -> tuple:
     """
     if instance.n == 1:
         return (frozenset(range(1, instance.m + 1)),)
-    witness = mms_value(instance, 1).witness
-    order = sorted(
-        witness,
-        key=lambda b: (-bundle_value(instance, 2, b), tuple(sorted(b))),
-    )
-    return (order[1], order[0])
+    first, second = mms_value(instance, 1).witness
+    row = instance.valuations[1]
+    gain = sum([row[j - 1] for j in first]) - sum([row[j - 1] for j in second])
+    # on a tie agent 2 takes the bundle whose sorted item ids come first
+    if gain > 0 or (gain == 0 and sorted(first) <= sorted(second)):
+        return (second, first)
+    return (first, second)
 
 
 # --- application and verification -------------------------------------------
@@ -300,8 +305,11 @@ def apply_with_maps(instance: Instance, step: ReductionStep):
     j' are agent kept_agents[i'-1] and item kept_items[j'-1] of `instance`.
     """
     n, m = instance.n, instance.m
-    gone_agents = set(step.agents())
-    gone_items = step.items()
+    gone_agents = set()
+    gone_items = set()
+    for a, bundle in step.assignments:
+        gone_agents.add(a)
+        gone_items |= bundle
     for a in gone_agents:
         if not 1 <= a <= n:
             raise DanglingReference(f"agent {a} is not in the instance")
@@ -309,13 +317,11 @@ def apply_with_maps(instance: Instance, step: ReductionStep):
         if not 1 <= j <= m:
             raise DanglingReference(f"item {j} is not in the instance")
     keep_agents = [i for i in range(1, n + 1) if i not in gone_agents]
-    keep_items = [j for j in range(1, m + 1) if j not in gone_items]
-    positions = [j - 1 for j in keep_items]
+    kept = [j not in gone_items for j in range(1, m + 1)]
     valuations = instance.valuations
-    rows = tuple(
-        tuple([valuations[i - 1][j] for j in positions]) for i in keep_agents
-    )
-    return Instance(kind=instance.kind, valuations=rows), keep_agents, keep_items
+    rows = tuple([tuple(compress(valuations[i - 1], kept)) for i in keep_agents])
+    residual = Instance(kind=instance.kind, valuations=rows)
+    return residual, keep_agents, list(compress(range(1, m + 1), kept))
 
 
 def _awards_met(instance: Instance, step: ReductionStep, mu) -> bool:

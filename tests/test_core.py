@@ -265,6 +265,15 @@ def test_lift_rejects_mismatched_shapes():
     ordered = to_ordered(inst)
     with pytest.raises(ShapeMismatch):
         lift_allocation(ordered, (frozenset({1, 2}),), other)
+    # a companion of fewer agents than the original, and of more
+    two = make_instance(GOODS, [[3, 2, 1], [1, 2, 3]])
+    three = make_instance(GOODS, [[3, 2, 1], [1, 2, 3], [2, 2, 2]])
+    two_agents = (frozenset({1, 3}), frozenset({2}))
+    three_agents = (frozenset({1}), frozenset({2}), frozenset({3}))
+    with pytest.raises(ShapeMismatch):
+        lift_allocation(to_ordered(two), two_agents, three)
+    with pytest.raises(ShapeMismatch):
+        lift_allocation(to_ordered(three), three_agents, two)
 
 
 def _reference_to_ordered(instance):

@@ -402,6 +402,53 @@ def test_share_cache_is_bounded(monkeypatch):
     assert mms._bnb_cache is cache
 
 
+def _seconds(calls) -> float:
+    """Time of `calls()`, with no cycle collection to add its own cost."""
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        calls()
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
+def test_a_full_share_cache_misses_as_fast_as_one_below_its_limit(monkeypatch):
+    """Past its limit the cache drops its oldest quarter in one pass.
+    Evicting one entry per miss walked every slot freed before it, so a
+    miss cost several times as much once the cache was full."""
+    monkeypatch.setattr(mms, "_share", lambda vals, n, goods: 0)
+    limit = mms._BNB_CACHE_LIMIT
+    calls = 20_000
+
+    def misses(start, count=calls):
+        for k in range(start, start + count):
+            mms._entry((k,), 2, True)
+
+    below, past = [], []
+    for _ in range(3):
+        monkeypatch.setattr(mms, "_BNB_CACHE_LIMIT", calls)
+        clear_caches()
+        below.append(_seconds(lambda: misses(0)))
+        monkeypatch.setattr(mms, "_BNB_CACHE_LIMIT", limit)
+        clear_caches()
+        misses(-limit, limit)
+        assert len(mms._bnb_cache) == limit
+        past.append(_seconds(lambda: misses(0)))
+        assert len(mms._bnb_cache) <= limit
+    clear_caches()
+    assert min(past) < 3 * min(below)
+
+
+@pytest.mark.parametrize("kind", [GOODS, CHORES])
+def test_witness_of_an_unsorted_row_takes_equal_values_in_id_order(kind):
+    sign = 1 if kind == GOODS else -1
+    inst = make_instance(kind, [[sign * v for v in (3, 5, 2, 5, 3, 2, 5)]])
+    value, parts = maximin_partition(inst, 1, bundles=3)
+    assert value == (8 if kind == GOODS else -9)
+    assert parts == (frozenset({1, 2}), frozenset({4, 5}), frozenset({3, 6, 7}))
+
+
 def _regime(n, m):
     if m < n:
         return "m < n"

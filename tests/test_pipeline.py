@@ -4,6 +4,7 @@ certification gate, and what an outcome keeps: shared bundles only."""
 import gc
 import json
 import random
+import time
 import tracemalloc
 from itertools import islice
 from pathlib import Path
@@ -229,6 +230,44 @@ def test_the_shared_bundle_table_is_bounded():
             assert bundle_value(inst, i, out.allocation[i - 1]) >= shares[i - 1]
         assert trace_from_json(trace_doc) == out.trace
         assert allocation_from_json(allocation_doc) == out.allocation
+
+
+def test_a_full_shared_bundle_table_adds_as_fast_as_one_below_its_limit(
+    monkeypatch,
+):
+    """Past its limit the table drops its oldest quarter in one pass.
+    Evicting one bundle per addition walked every slot freed before it, so
+    an addition cost several times as much once the table was full."""
+    limit = core._SHARED_BUNDLE_LIMIT
+    calls = 20_000
+    saved = dict(core._shared_bundles)
+
+    def add(start, count=calls):
+        gc.disable()  # no cycle collection to add its own cost
+        try:
+            start_time = time.perf_counter()
+            for k in range(start, start + count):
+                shared_bundle({10**6 + k})
+            return time.perf_counter() - start_time
+        finally:
+            gc.enable()
+
+    below, past = [], []
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(core, "_SHARED_BUNDLE_LIMIT", calls)
+            core._shared_bundles.clear()
+            below.append(add(0))
+            monkeypatch.setattr(core, "_SHARED_BUNDLE_LIMIT", limit)
+            core._shared_bundles.clear()
+            add(-limit, limit)
+            assert len(core._shared_bundles) == limit
+            past.append(add(0))
+            assert len(core._shared_bundles) <= limit
+    finally:
+        core._shared_bundles.clear()
+        core._shared_bundles.update(saved)
+    assert min(past) < 3 * min(below)
 
 
 def _retained_corpus():

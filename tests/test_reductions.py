@@ -48,6 +48,9 @@ def test_make_step_rejects_overlap_and_unknown_rule():
         make_step("no_such_rule", {1: {1}})
     with pytest.raises(PreconditionUnmet):
         make_step("single_item", {})
+    # only the first and third awards overlap
+    with pytest.raises(PreconditionUnmet, match="overlap"):
+        make_step("single_item", {1: {1, 2}, 2: {3}, 3: {2, 4}})
 
 
 def test_single_item_picks_largest_qualifying_item():
@@ -111,6 +114,9 @@ def test_apply_rejects_dangling_references():
         apply_with_maps(inst, make_step("single_item", {5: {1}}))
     with pytest.raises(DanglingReference):
         apply_with_maps(inst, make_step("single_item", {1: {9}}))
+    # a bad agent is reported before a bad item of an earlier award
+    with pytest.raises(DanglingReference, match="agent 5"):
+        apply_with_maps(inst, make_step("single_item", {1: {9}, 5: {1}}))
 
 
 def test_verify_step_rejects_underpaid_award():
@@ -181,6 +187,17 @@ def test_base_identical_partitions_two_agents():
                 assert bundle_value(inst, i, alloc[i - 1]) >= mu[i - 1]
 
 
+@pytest.mark.parametrize("kind", [GOODS, CHORES])
+def test_two_agent_base_breaks_a_tie_by_sorted_item_ids(kind):
+    """Agent 2 values both witness bundles at 0; she takes the one whose
+    sorted item ids come first, here the second bundle of the witness."""
+    sign = 1 if kind == GOODS else -1
+    inst = make_instance(kind, [[sign * v for v in (1, 5, 4, 3, 3)], [0] * 5])
+    witness = mms_value(inst, 1).witness
+    assert witness == (frozenset({2, 5}), frozenset({1, 3, 4}))
+    assert base_identical_partitions(inst) == witness
+
+
 def test_trace_json_round_trip():
     trace = ReductionTrace(
         steps=(
@@ -190,6 +207,19 @@ def test_trace_json_round_trip():
         final=(frozenset({2}), frozenset({5, 6})),
     )
     assert trace_from_json(trace_to_json(trace)) == trace
+
+
+def test_trace_allocation_leaves_agents_past_the_final_bundles_empty():
+    trace = ReductionTrace(
+        steps=(make_step("single_item", {2: {1}}),),
+        final=(frozenset({2, 3}),),
+    )
+    assert trace.allocation(4) == (
+        frozenset({2, 3}),
+        frozenset({1}),
+        frozenset(),
+        frozenset(),
+    )
 
 
 def test_verify_trace_translates_base_ids():
