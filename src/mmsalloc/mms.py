@@ -138,6 +138,8 @@ def _share(vals: tuple, n: int, goods: bool) -> int:
     greedy value and the bound instead.
     """
     m = len(vals)
+    if n < 1:
+        raise ValueError(f"at least one bundle required, not {n}")
     if n == 1:
         return sum(vals)
     if goods:
@@ -167,21 +169,12 @@ def _share(vals: tuple, n: int, goods: bool) -> int:
         half = _below(bits, total // 2)
         return half if goods else total - half
     share = greedy
-    if goods:
-        target = _above(bits, share)
-        while target <= bound and _reaches(vals, n, target) is not None:
-            share = target
-            target = _above(bits, share)
-    else:
-        suffix = _suffix_sums(vals)
-        capacity = _below(bits, share - 1)
-        while (
-            capacity >= bound
-            and _pack(vals, suffix, [0] * n, capacity, 0) is not None
-        ):
-            share = capacity
-            capacity = _below(bits, share - 1)
-    return share
+    while True:
+        target = _above(bits, share) if goods else _below(bits, share - 1)
+        past = target > bound if goods else target < bound
+        if past or _meets(vals, n, goods, target) is None:
+            return share
+        share = target
 
 
 def _meets(vals, n: int, goods: bool, target: int):
@@ -379,7 +372,8 @@ def _unscaled(value: int, sign: int, scale: int) -> int | Fraction:
 def row_share(row, bundles: int, goods: bool) -> int | Fraction:
     """The exact share of one row of values, in any order, split into
     `bundles` bundles.  An integer row is its own cache key once sorted
-    (chores negated), so a hit costs one sort and one probe."""
+    (chores negated), so a hit costs one sort and one probe.  Raises
+    ValueError for fewer than one bundle."""
     if type(sum(row)) is int:
         if goods:
             return _entry(tuple(sorted(row, reverse=True)), bundles, True)[0]
@@ -417,8 +411,6 @@ def maximin_partition(instance: Instance, agent: int, items=None, bundles=None):
         if len(set(ids)) != len(ids):
             raise ValueError(f"items repeat: {ids}")
     k = bundles if bundles is not None else instance.n
-    if k < 1:
-        raise ValueError(f"at least one bundle required, not {k}")
     row = instance.valuations[agent - 1]
     sign = 1 if instance.kind == GOODS else -1
     scaled, scale = _scaled([row[j - 1] for j in ids], sign)

@@ -5,16 +5,19 @@ reductions until a base case finishes it, lift the result back and certify
 it against independently recomputed maximin shares.  The item kind only
 decides which reductions and case analyses run; ``run`` takes those as a
 step function, which pushes reductions or finishes the residual, so the
-scheme itself exists once.  The pipeline runs every threshold search of a
-solve (``Pipeline.search``) under its one cap: the fallback's, and each
-scripted branch's on the residual of the step it would push.  Results are
-certified before being reported: an uncertified result is unresolved.
+scheme itself exists once, and so does the shape guard on the steps'
+simple reductions (``Pipeline.push_guarded``).  The pipeline runs every
+threshold search of a solve (``Pipeline.search``) under its one cap: the
+fallback's, and each scripted branch's on the residual of the step it
+would push.  Results are certified before being reported: an uncertified
+result is unresolved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bounds import known_solvable
 from .core import (
     CHORES,
     GOODS,
@@ -113,6 +116,20 @@ class Pipeline:
         self.steps.append(ReductionStep(rule=step.rule, assignments=tuple(awards)))
         self.agent_ids = [agent_ids[a - 1] for a in agents]
         self.item_ids = [item_ids[j - 1] for j in items]
+
+    def push_guarded(self, rules, mu) -> bool:
+        """Push the first step ``rule(current, mu)`` of ``rules``, tried in
+        order, whose residual is still ``known_solvable``; later rules do
+        not run.  Returns whether a step was pushed."""
+        cur = self.current
+        for rule in rules:
+            step = rule(cur, mu)
+            if step is not None and known_solvable(
+                cur.kind, cur.n - len(step.agents()), cur.m - len(step.items())
+            ):
+                self.push(step)
+                return True
+        return False
 
     def search(self, mu, reason: str, step=None):
         """An allocation of the residual giving each agent at least its

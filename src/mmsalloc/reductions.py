@@ -338,17 +338,15 @@ def _shares_kept(before, kept_agents, after) -> bool:
 
 
 def verify_step(instance: Instance, step: ReductionStep) -> bool:
-    """Re-derive both halves of validity with exact arithmetic.
+    """Re-derive both halves of validity with exact arithmetic: the verdict
+    of ``verify_trace`` on a trace of this one step.
 
     Awarded agents must reach their share in the instance the step was
     applied to; every remaining agent's share, recomputed on the residual,
-    must not have dropped.
+    must not have dropped.  A step naming an agent or item outside the
+    instance is invalid.
     """
-    before = mu_vector(instance)
-    if not _awards_met(instance, step, before):
-        return False
-    residual, kept_agents, _ = apply_with_maps(instance, step)
-    return _shares_kept(before, kept_agents, mu_vector(residual))
+    return verify_trace(instance, ReductionTrace(steps=(step,), final=()))[0][1]
 
 
 def verify_trace(instance: Instance, trace: ReductionTrace):
@@ -358,9 +356,9 @@ def verify_trace(instance: Instance, trace: ReductionTrace):
     shrinking residual, so ids are translated along the way.  Each step is
     applied once, and the residual's share vector, computed for its check,
     is the "before" vector of the next step; after a failed award check it
-    is recomputed from scratch.  The verdicts are those of ``verify_step``
-    on each residual in turn.  Returns a list of (rule, valid) pairs in step
-    order.
+    is recomputed from scratch.  A step naming an agent or item outside
+    its residual ends the replay as invalid.  Returns a list of (rule,
+    valid) pairs in step order.
     """
     cur = instance
     agent_ids = list(range(1, instance.n + 1))

@@ -14,7 +14,7 @@ back to the pipeline's exhaustive threshold search.
 
 from __future__ import annotations
 
-from .bounds import n_c_chores
+from .bounds import tail_thresholds
 from .core import (
     CHORES,
     Instance,
@@ -35,16 +35,6 @@ from .reductions import (
     reduce_by_tail_group,
     reduce_pair_blockable,
 )
-
-
-def known_solvable_chores(n: int, m: int) -> bool:
-    """Is a chores instance of this shape within this solver's reach?
-
-    Shapes with at most five extra chores always admit an allocation and
-    stay small enough for the search fallback at the agent counts we target;
-    beyond that the tail-grouping threshold must be met.
-    """
-    return n <= 2 or m <= n or n >= n_c_chores(m - n)
 
 
 def _witness_base(pipe: Pipeline, i: int, part, mu):
@@ -99,15 +89,10 @@ def _step(pipe: Pipeline, mu):
     agents' structured witnesses, each built once and read twice: as a
     witness base, and for its tail bundle.  Only when no base fires do the
     shared tail groups award a domination step."""
+    if pipe.push_guarded((reduce_pair_blockable,), mu):
+        return None
     cur = pipe.current
     n = cur.n
-    c = cur.m - n
-    step = reduce_pair_blockable(cur, mu)
-    if step is not None and known_solvable_chores(
-        n - len(step.agents()), cur.m - len(step.items())
-    ):
-        pipe.push(step)
-        return None
     tails = {}
     for i in range(1, n + 1):
         part = structured_partition_chores(cur, i, mu[i - 1])
@@ -117,12 +102,7 @@ def _step(pipe: Pipeline, mu):
         tb = tail_bundle(part, n)
         if tb is not None:
             tails[i] = tb
-    step = reduce_by_tail_group(
-        cur,
-        tails,
-        mu,
-        ((k, max(c - k + 2, n_c_chores(c - k + 1) + 1)) for k in range(2, c + 2)),
-    )
+    step = reduce_by_tail_group(cur, tails, mu, tail_thresholds(CHORES, cur.m - n))
     if step is not None:
         pipe.push(step)
     return None

@@ -8,11 +8,12 @@ bundles handles large agent counts; everything else, a scripted dead end
 included (it notes its reason), falls back to the pipeline's threshold
 search.  Scripted branches hand the step they would push to that search
 (``Pipeline.search``) with their branch tag, to search what it leaves.
+The simple rules pass the pipeline's guard (``Pipeline.push_guarded``).
 """
 
 from __future__ import annotations
 
-from .bounds import n_c_goods
+from .bounds import n_c_goods, tail_thresholds
 from .core import (
     GOODS,
     Instance,
@@ -47,36 +48,6 @@ from .reductions import (
     reduce_pigeonhole_pair,
     reduce_single_item,
 )
-
-
-def known_solvable_goods(n: int, m: int) -> bool:
-    """Is a goods instance of this shape guaranteed solvable by this solver?
-
-    Used as a guard so that generic reductions never strand the pipeline in
-    a shape with no constructive route (such as three agents with nine
-    goods).
-    """
-    return n <= 2 or m <= n or n >= n_c_goods(m - n)
-
-
-def _guarded_simple(pipe: Pipeline, mu):
-    """Cheapest applicable reduction whose residual stays solvable.
-
-    The rules are tried in order, each only when every earlier one gave no
-    step or a step the guard rejects."""
-    cur = pipe.current
-    for rule in (
-        reduce_single_item,
-        reduce_pigeonhole_pair,
-        reduce_pair_from_high,
-        reduce_pair_blockable,
-    ):
-        step = rule(cur, mu)
-        if step is not None and known_solvable_goods(
-            cur.n - len(step.agents()), cur.m - len(step.items())
-        ):
-            return step
-    return None
 
 
 # --- shared pivot-pair reduction ---------------------------------------------
@@ -235,7 +206,8 @@ def tail_group_step(pipe: Pipeline, c: int, mu):
     positions.  Tiny or worthless tails route to the pigeonhole pair; huge
     tails force a nearly-all-small witness and the matching step; otherwise
     the k-sized tails are grouped by shared (k-1)-subsets and a group
-    reaching max(c-k+1, n_{c-k+1}+1) members fires the domination award.
+    reaching its agent count in ``tail_thresholds(GOODS, c)`` fires the
+    domination award.
     Returns the matching step's allocation, or None after pushing a step
     or when nothing triggers.
     """
@@ -255,12 +227,7 @@ def tail_group_step(pipe: Pipeline, c: int, mu):
         if len(tails[i]) >= c - 1:
             if sum(1 for b in parts[i] if len(b) <= 2) >= n - 1:
                 return efm_step(pipe, i, parts[i], mu)
-    step = reduce_by_tail_group(
-        cur,
-        tails,
-        mu,
-        ((k, max(c - k + 1, n_c_goods(c - k + 1) + 1)) for k in range(3, c - 1)),
-    )
+    step = reduce_by_tail_group(cur, tails, mu, tail_thresholds(GOODS, c))
     if step is not None:
         pipe.push(step)
     return None
@@ -477,11 +444,17 @@ def _step(pipe: Pipeline, mu):
     n, m = pipe.current.n, pipe.current.m
     c = m - n
     n_c = n_c_goods(c)
-    step = _guarded_simple(pipe, mu)
-    if step is None and c <= 7 and n > n_c:
-        step = reduce_2n2(pipe.current, mu)
-    if step is not None:
-        pipe.push(step)
+    # built on each call: the bench's tracer rebinds these module globals
+    rules = (
+        reduce_single_item,
+        reduce_pigeonhole_pair,
+        reduce_pair_from_high,
+        reduce_pair_blockable,
+    )
+    if pipe.push_guarded(rules, mu):
+        return None
+    if c <= 7 and n > n_c:
+        pipe.push(reduce_2n2(pipe.current, mu))
     elif n == n_c and c == 6:
         return _solve_4x10(pipe, mu)
     elif n == n_c and c == 7:

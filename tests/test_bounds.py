@@ -1,17 +1,18 @@
 """Agent-count thresholds, their counting-argument diagnostic, and the
-solvers' shape guards that read them."""
+shape guard and tail-group sizes that read them."""
 
 import pytest
 
 from mmsalloc.bounds import (
+    known_solvable,
     n_c_chores,
     n_c_goods,
     required_agents_chores,
     required_agents_goods,
+    tail_thresholds,
 )
+from mmsalloc.core import CHORES, GOODS
 from mmsalloc.errors import COutOfRange, NegativeC
-from mmsalloc.solver_chores import known_solvable_chores
-from mmsalloc.solver_goods import known_solvable_goods
 
 
 def test_anchored_small_values():
@@ -69,8 +70,19 @@ def _hand_written_chores(n, m):
 def test_shape_guards_read_the_thresholds():
     for n in range(40):
         for m in range(60):
-            assert known_solvable_goods(n, m) == _hand_written_goods(n, m), (n, m)
-            assert known_solvable_chores(n, m) == _hand_written_chores(n, m), (n, m)
+            assert known_solvable(GOODS, n, m) == _hand_written_goods(n, m), (n, m)
+            assert known_solvable(CHORES, n, m) == _hand_written_chores(n, m), (n, m)
+
+
+def test_tail_thresholds_read_as_the_solvers_spelled_them_out():
+    """The group sizes each solver built inline before they moved here."""
+    for c in range(41):
+        assert tail_thresholds(GOODS, c) == tuple(
+            (k, max(c - k + 1, n_c_goods(c - k + 1) + 1)) for k in range(3, c - 1)
+        ), c
+        assert tail_thresholds(CHORES, c) == tuple(
+            (k, max(c - k + 2, n_c_chores(c - k + 1) + 1)) for k in range(2, c + 2)
+        ), c
 
 
 def test_self_checks_hold_over_a_wide_range():

@@ -10,8 +10,11 @@ the pipeline: only ``mms``, which raises ``TooLarge``, and ``pipeline``,
 which reports it, name it; and only ``pipeline``, which runs every
 threshold search, imports ``find_allocation_meeting``.  The reference
 oracle ``exhaustive_partition`` stays off the solve path: only ``cli``, for
-``solve --oracle exhaustive``, imports it.  A last fence keeps records
-small: every frozen dataclass is also slotted.
+``solve --oracle exhaustive``, imports it.  The shape decisions stay in
+``bounds``: only ``pipeline``, which guards every simple reduction,
+imports ``known_solvable``, and no solver imports ``n_c_chores`` (only
+``cli``, for ``mmsalloc bound``, does).  A last fence keeps records small:
+every frozen dataclass is also slotted.
 """
 
 import ast
@@ -77,8 +80,17 @@ def imports_any(path: Path, names) -> bool:
         ({"TooLarge"}, {"mms.py", "pipeline.py"}),
         ({"find_allocation_meeting"}, {"pipeline.py"}),
         ({"exhaustive_partition"}, {"mms.py", "cli.py"}),
+        ({"known_solvable"}, {"pipeline.py"}),
+        ({"n_c_chores"}, {"cli.py"}),
     ],
-    ids=["ordered_instance", "too_large", "threshold_search", "reference_oracle"],
+    ids=[
+        "ordered_instance",
+        "too_large",
+        "threshold_search",
+        "reference_oracle",
+        "shape_guard",
+        "chores_threshold",
+    ],
 )
 def test_only_fenced_modules_import(names, allowed):
     importers = {p.name for p in MODULES if imports_any(p, names)}

@@ -146,6 +146,10 @@ def test_oracle_entry_points_reject_bad_arguments():
     for bundles in (0, -1):
         with pytest.raises(ValueError):
             maximin_partition(inst, 1, bundles=bundles)
+        with pytest.raises(ValueError):
+            mms.row_share((3, 2, 1), bundles, True)
+        with pytest.raises(ValueError):
+            mms.row_share((-3, -2, -1), bundles, False)
     assert maximin_partition(inst, 2, items=[], bundles=1) == (0, (frozenset(),))
     assert maximin_partition(inst, 1, items=[3, 1], bundles=1) == (8, ({1, 3},))
 

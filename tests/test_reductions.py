@@ -125,6 +125,27 @@ def test_verify_step_rejects_underpaid_award():
     assert not verify_step(inst, bad)
 
 
+@pytest.mark.parametrize(
+    "rows, awards",
+    [
+        ([[5, 4, 3], [3, 3, 3]], {3: {1}}),
+        ([[5, 4, 3], [3, 3, 3]], {1: {4}}),
+        ([[5, 4, 3], [3, 3, 3]], {1: {0}}),
+        ([[3, 4, 5], [3, 3, 3]], {1: {0}}),
+    ],
+    ids=["agent-3", "item-4", "item-0", "item-0-unsorted"],
+)
+def test_verify_step_rejects_ids_outside_the_instance(rows, awards):
+    """A step naming an agent or item the instance lacks is invalid, as in a
+    trace replay; item 0 is not read as the row's last item."""
+    inst = make_instance(GOODS, rows)
+    step = make_step("single_item", awards)
+    assert verify_step(inst, step) is False
+    assert verify_trace(inst, ReductionTrace(steps=(step,), final=())) == [
+        ("single_item", False)
+    ]
+
+
 def test_verify_step_rejects_mu_decrease_for_remaining_agent():
     # the top pair glues everyone's partitions together: awarding it pays
     # agent 1 in full but drops the remaining agents' shares from 4 to 2

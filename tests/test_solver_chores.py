@@ -9,9 +9,9 @@ from mmsalloc.core import CHORES, GOODS, bundle_value, make_instance, to_ordered
 from mmsalloc.mms import mms_value, mu_vector
 from mmsalloc.pipeline import Pipeline
 from mmsalloc.reductions import trace_to_json, verify_step, verify_trace
+from mmsalloc.bounds import known_solvable
 from mmsalloc.solver_chores import (
     _step,
-    known_solvable_chores,
     solve_chores,
 )
 
@@ -170,10 +170,10 @@ def test_one_witness_per_agent_per_step(monkeypatch, name, calls):
 
 
 def test_known_solvable_shapes():
-    assert known_solvable_chores(3, 8)
-    assert known_solvable_chores(12, 12)
-    assert not known_solvable_chores(10, 16)  # c=6 needs 166 agents
-    assert known_solvable_chores(166, 172)
+    assert known_solvable(CHORES, 3, 8)
+    assert known_solvable(CHORES, 12, 12)
+    assert not known_solvable(CHORES, 10, 16)  # c=6 needs 166 agents
+    assert known_solvable(CHORES, 166, 172)
 
 
 def test_rejects_goods_instance():

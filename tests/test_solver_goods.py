@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from mmsalloc.bounds import known_solvable
 from mmsalloc.core import GOODS, bundle_value, make_instance, to_ordered
 from mmsalloc.errors import NEqualsThree, PreconditionUnmet, TooFewAgents, TooLarge
 from mmsalloc.mms import mms_value, mu_vector, structured_partition_goods
@@ -24,12 +25,10 @@ from mmsalloc.reductions import (
     reduce_single_item,
 )
 from mmsalloc.solver_goods import (
-    _guarded_simple,
     _solve_4x10,
     _solve_8x15,
     _step,
     efm_step,
-    known_solvable_goods,
     mostly_overlapping_pair,
     reduce_2n2,
     solve,
@@ -86,13 +85,13 @@ def test_entry_point_guards():
 
 
 def test_known_solvable_shapes():
-    assert known_solvable_goods(2, 40)
-    assert known_solvable_goods(5, 5)
-    assert known_solvable_goods(4, 10)
-    assert not known_solvable_goods(3, 9)
-    assert known_solvable_goods(8, 15)
-    assert not known_solvable_goods(7, 14)
-    assert not known_solvable_goods(9, 17)  # c=8 needs 1446 agents
+    assert known_solvable(GOODS, 2, 40)
+    assert known_solvable(GOODS, 5, 5)
+    assert known_solvable(GOODS, 4, 10)
+    assert not known_solvable(GOODS, 3, 9)
+    assert known_solvable(GOODS, 8, 15)
+    assert not known_solvable(GOODS, 7, 14)
+    assert not known_solvable(GOODS, 9, 17)  # c=8 needs 1446 agents
 
 
 def run_script(rows, script):
@@ -347,12 +346,15 @@ def test_step_routes_by_shape(monkeypatch, n, m, route):
     at them, the tail groups from n_c on (1,446 agents at c = 8), and
     nothing below."""
     calls = []
-    monkeypatch.setattr(solver_goods, "_guarded_simple", lambda pipe, mu: None)
     for name in ROUTES:
         monkeypatch.setattr(
             solver_goods, name, lambda *args, name=name: calls.append(name) or name
         )
-    pipe = SimpleNamespace(current=SimpleNamespace(n=n, m=m), push=lambda step: None)
+    pipe = SimpleNamespace(
+        current=SimpleNamespace(n=n, m=m),
+        push=lambda step: None,
+        push_guarded=lambda rules, mu: False,
+    )
     _step(pipe, mu=None)
     assert calls == ([route] if route else [])
 
@@ -409,13 +411,42 @@ def _eager_guarded_simple(cur, mu):
     for step in candidates:
         if step is None:
             continue
-        if known_solvable_goods(cur.n - len(step.agents()), cur.m - len(step.items())):
+        if known_solvable(GOODS, cur.n - len(step.agents()), cur.m - len(step.items())):
             return step
     return None
 
 
 def _pipe(rows):
     return Pipeline(to_ordered(make_instance(GOODS, rows)).instance)
+
+
+class _Handed(Exception):
+    pass
+
+
+def _step_rules():
+    """The rules the goods step hands to ``Pipeline.push_guarded``."""
+    handed = []
+
+    def record(rules, mu):
+        handed.extend(rules)
+        raise _Handed
+
+    pipe = SimpleNamespace(current=SimpleNamespace(n=3, m=5), push_guarded=record)
+    with pytest.raises(_Handed):
+        _step(pipe, mu=None)
+    return handed
+
+
+def _guarded_step(pipe, mu):
+    """The step ``Pipeline.push_guarded`` pushes for the goods step's rules
+    on a trial pipeline over ``pipe``'s residual, or None."""
+    trial = Pipeline(pipe.current)
+    if not trial.push_guarded(_step_rules(), mu):
+        assert trial.current is pipe.current and trial.steps == []
+        return None
+    [step] = trial.steps
+    return step
 
 
 def test_later_rules_wait_for_the_first_guarded_step(monkeypatch):
@@ -429,8 +460,10 @@ def test_later_rules_wait_for_the_first_guarded_step(monkeypatch):
     later = ("reduce_pigeonhole_pair", "reduce_pair_from_high", "reduce_pair_blockable")
     for name in later:
         monkeypatch.setattr(solver_goods, name, refuse)
+    # the step reads its rules when it runs, so it hands over the stubs
+    assert _step_rules() == [reduce_single_item, refuse, refuse, refuse]
     assert expected is not None
-    assert _guarded_simple(pipe, mu) == expected
+    assert _guarded_step(pipe, mu) == expected
 
 
 def test_a_step_the_guard_rejects_falls_through():
@@ -439,8 +472,8 @@ def test_a_step_the_guard_rejects_falls_through():
     pipe = _pipe([[20] + [5] * 9] + [[5] * 10] * 3)
     mu = mu_vector(pipe.current)
     single = reduce_single_item(pipe.current, mu)
-    assert single is not None and not known_solvable_goods(3, 9)
-    step = _guarded_simple(pipe, mu)
+    assert single is not None and not known_solvable(GOODS, 3, 9)
+    step = _guarded_step(pipe, mu)
     assert step == reduce_pigeonhole_pair(pipe.current, mu)
     assert step.assignments == ((2, frozenset({4, 5})),)
     assert step == _eager_guarded_simple(pipe.current, mu)
@@ -453,4 +486,4 @@ def test_lazy_rules_choose_the_eager_step():
         m = n + rng.randint(0, 7)
         pipe = _pipe([[rng.randint(0, 12) for _ in range(m)] for _ in range(n)])
         mu = mu_vector(pipe.current)
-        assert _guarded_simple(pipe, mu) == _eager_guarded_simple(pipe.current, mu)
+        assert _guarded_step(pipe, mu) == _eager_guarded_simple(pipe.current, mu)
