@@ -14,21 +14,13 @@ sizes and check it stays within the closed form; all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import ceil, comb, factorial, floor
 
 from .core import CHORES, GOODS
 from .errors import COutOfRange, InternalInvariantViolation, NegativeC
 
 ALPHA_GOODS = Fraction(6597, 10000)
 ALPHA_CHORES = Fraction(7838, 10000)
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def n_c_goods(c: int) -> int:
@@ -40,7 +32,7 @@ def n_c_goods(c: int) -> int:
         return 4
     if c == 7:
         return 8
-    return _floor(ALPHA_GOODS**c * factorial(c))
+    return floor(ALPHA_GOODS**c * factorial(c))
 
 
 def n_c_chores(c: int) -> int:
@@ -48,7 +40,7 @@ def n_c_chores(c: int) -> int:
         raise NegativeC(f"c must be non-negative, got {c}")
     if c <= 5:
         return 1
-    return _floor(ALPHA_CHORES**c * factorial(c))
+    return floor(ALPHA_CHORES**c * factorial(c))
 
 
 def known_solvable(kind: str, n: int, m: int) -> bool:
@@ -91,7 +83,7 @@ def required_agents_goods(c: int) -> int:
     total = 1 + sum(
         _weight(c, k) * (agents - 1) for k, agents in tail_thresholds(GOODS, c)
     )
-    result = _ceil(total)
+    result = ceil(total)
     if c >= 8 and result > n_c_goods(c):
         raise InternalInvariantViolation(
             f"required_agents_goods({c}) = {result} exceeds "
@@ -115,7 +107,7 @@ def required_agents_chores(c: int) -> int:
         if 3 <= k < c
     )
     total += max(c - 1, n_c_chores(c - 1))
-    result = _ceil(total)
+    result = ceil(total)
     if result > n_c_chores(c):
         raise InternalInvariantViolation(
             f"required_agents_chores({c}) = {result} exceeds "

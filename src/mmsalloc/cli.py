@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bounds import (
@@ -33,42 +32,35 @@ from .core import (
     to_ordered,
     validate_allocation,
 )
-from .errors import MmsError
+from .errors import COutOfRange, MmsError
 from .mms import DEFAULT_EXHAUSTIVE_CAP, exhaustive_partition, mu_vector
 from .reductions import trace_from_json, trace_to_json, verify_trace
 from .solver_chores import solve_chores
 from .solver_goods import solve as solve_goods
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    seed: int = 0
-    count: int = 1
-    max_value: int = 20
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.max_value < 1:
-            raise ValueError("max_value must be >= 1")
-
-
-def cmd_gen(config: RunConfig, n: int, m: int, kind: str, out_dir: Path) -> int:
+def cmd_gen(
+    kind: str, n: int, m: int, max_value: int, seed: int, count: int, out_dir: Path
+) -> int:
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if max_value < 1:
+        raise ValueError("max_value must be >= 1")
     if n < 1 or m < 0:
         print("gen: need n >= 1 and m >= 0", file=sys.stderr)
         return 1
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     sign = -1 if kind == CHORES else 1
-    for idx in range(config.count):
+    for idx in range(count):
         rows = tuple(
-            tuple(sign * rng.randint(0, config.max_value) for _ in range(m))
+            tuple(sign * rng.randint(0, max_value) for _ in range(m))
             for _ in range(n)
         )
         inst = Instance(kind=kind, valuations=rows)
-        path = out_dir / f"{kind}_{n}x{m}_{config.seed}_{idx:04d}.json"
+        path = out_dir / f"{kind}_{n}x{m}_{seed}_{idx:04d}.json"
         path.write_text(instance_to_json(inst) + "\n")
-    print(f"wrote {config.count} instances to {out_dir}")
+    print(f"wrote {count} instances to {out_dir}")
     return 0
 
 
@@ -81,12 +73,11 @@ def _outcome_json(outcome) -> str:
         doc["allocation"] = json.loads(allocation_to_json(outcome.allocation))
     if outcome.trace is not None:
         doc["trace"] = json.loads(trace_to_json(outcome.trace))
-    if outcome.ordered is not None:
-        doc["ordered"] = json.loads(instance_to_json(outcome.ordered.instance))
-    if outcome.ordered_allocation is not None:
-        doc["ordered_allocation"] = json.loads(
-            allocation_to_json(outcome.ordered_allocation)
-        )
+    ordered, companion = outcome.ordered, outcome.ordered_allocation
+    if ordered is not None:
+        doc["ordered"] = json.loads(instance_to_json(ordered.instance))
+    if companion is not None:
+        doc["ordered_allocation"] = json.loads(allocation_to_json(companion))
     return json.dumps(doc, indent=2)
 
 
@@ -200,12 +191,14 @@ def cmd_verify(instance_path: Path, result_path: Path) -> int:
 
 def cmd_bound(c: int, kind: str) -> int:
     if kind == GOODS:
-        n_c, req_of, lo = n_c_goods(c), required_agents_goods, 7
+        n_c, req_of = n_c_goods(c), required_agents_goods
     else:
-        n_c, req_of, lo = n_c_chores(c), required_agents_chores, 6
+        n_c, req_of = n_c_chores(c), required_agents_chores
     line = f"kind={kind} c={c} n_c={n_c}"
-    if c >= lo:
+    try:
         line += f" required_agents={req_of(c)}"
+    except COutOfRange:
+        pass
     print(line)
     return 0
 
@@ -268,10 +261,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "gen":
-            config = RunConfig(
-                seed=args.seed, count=args.count, max_value=args.max_value
+            return cmd_gen(
+                args.kind, args.n, args.m, args.max_value, args.seed, args.count,
+                args.out_dir,
             )
-            return cmd_gen(config, args.n, args.m, args.kind, args.out_dir)
         if args.command == "solve":
             return cmd_solve(args.input, args.trace_out, args.oracle, args.oracle_cap)
         if args.command == "verify":

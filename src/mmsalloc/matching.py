@@ -33,12 +33,6 @@ class BipartiteGraph:
 class Matching:
     pairs: frozenset  # of (x, y)
 
-    def x_of(self) -> frozenset:
-        return frozenset(x for x, _ in self.pairs)
-
-    def y_of(self) -> frozenset:
-        return frozenset(y for _, y in self.pairs)
-
 
 def _augment(g: BipartiteGraph, match_y: dict, x: int, seen: set) -> bool:
     for y in g.adjacency[x - 1]:
@@ -92,8 +86,8 @@ def envy_free_matching(g: BipartiteGraph) -> Matching:
 
 
 def is_envy_free(g: BipartiteGraph, matching: Matching) -> bool:
-    matched_x = matching.x_of()
-    matched_y = matching.y_of()
+    matched_x = {x for x, _ in matching.pairs}
+    matched_y = {y for _, y in matching.pairs}
     for x in range(1, g.x_size + 1):
         if x in matched_x:
             continue

@@ -190,12 +190,10 @@ def reduce_by_domination(instance: Instance, group, mu) -> ReductionStep:
     Every agent outside the group is removed with a singleton: the leading
     items for goods (plus, when the group is smaller than c, the items just
     past the shared-singleton zone), the worst chores for chores.  Value
-    floors for all singleton awards are re-checked here and failures raise
-    PreconditionUnmet, since they encode assumptions about the caller's
-    bundle-size bookkeeping.
+    floors for all singleton awards are re-checked here, and ``make_step``
+    rejects a singleton landing in the bundle: both raise PreconditionUnmet,
+    as they encode assumptions about the caller's bundle-size bookkeeping.
     """
-    if not group:
-        raise PreconditionUnmet("empty tail-bundle group")
     kind = instance.kind
     n, m = instance.n, instance.m
     c = m - n
@@ -212,8 +210,6 @@ def reduce_by_domination(instance: Instance, group, mu) -> ReductionStep:
     if kind == CHORES:
         # Worst chores go out one per agent; any single chore meets any share.
         for pos, agent in enumerate(sorted(outside), start=1):
-            if pos in chosen.bundle:
-                raise PreconditionUnmet("singleton chore collides with the bundle")
             if instance.value(agent, pos) < mu[agent - 1]:
                 raise PreconditionUnmet(
                     f"agent {agent} values chore {pos} below her share"
@@ -245,9 +241,6 @@ def reduce_by_domination(instance: Instance, group, mu) -> ReductionStep:
                 f"agent {agent} values good {item} below her share"
             )
         awards[agent] = {item}
-    claimed = set().union(*awards.values())
-    if len(claimed) != sum(len(b) for b in awards.values()):
-        raise PreconditionUnmet("singleton awards collide with the bundle")
     return make_step(RULE_DOMINATION, awards)
 
 
@@ -262,9 +255,9 @@ def reduce_by_tail_group(
     with ``threshold`` distinct agents whose domination award goes through
     gives the step.  Returns None when no group fires.
     """
+    bundles = [TailBundle(i, b) for i, b in tails.items()]
     for k, threshold in thresholds:
-        sized = [TailBundle(i, b) for i, b in tails.items() if len(b) == k]
-        groups = group_tail_bundles(sized, k)
+        groups = group_tail_bundles(bundles, k)
         for key in sorted(groups, key=lambda s: tuple(sorted(s))):
             grp = groups[key]
             if len({t.agent for t in grp}) >= threshold:

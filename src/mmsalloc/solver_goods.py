@@ -19,7 +19,7 @@ from .core import (
     Instance,
     bundle_value,
 )
-from .domination import tail_bundle
+from .domination import TailBundle, pick_dominated, tail_bundle
 from .errors import (
     InternalInvariantViolation,
     NEqualsThree,
@@ -78,16 +78,16 @@ def _worst_pivot_pair(cur: Instance, mu, pivot: int, companion, missing):
     """The pivot pair with the worst companion good, and who receives it.
 
     ``companion`` maps agents to the other good of their pivot pair.  The
-    worst pair is dominated by every other one, so it goes to its
-    lowest-id owner, unless the first agent of ``missing`` (agents without
-    a pair) clears her share with it.  Returns (bundle, recipient).
+    pairs share the pivot, so ``pick_dominated`` finds the one dominated by
+    every other and its lowest-id owner; the first agent of ``missing``
+    (agents without a pair) takes it instead if she clears her share with
+    it.  Returns (bundle, recipient).
     """
-    worst = max(companion.values())
-    recipient = min(a for a, x in companion.items() if x == worst)
-    bundle = frozenset({pivot, worst})
-    if missing and bundle_value(cur, missing[0], bundle) >= mu[missing[0] - 1]:
-        recipient = missing[0]
-    return bundle, recipient
+    pairs = [TailBundle(a, frozenset({pivot, x})) for a, x in companion.items()]
+    worst = pick_dominated(pairs, GOODS)
+    if missing and bundle_value(cur, missing[0], worst.bundle) >= mu[missing[0] - 1]:
+        return worst.bundle, missing[0]
+    return worst.bundle, worst.agent
 
 
 def reduce_2n2(cur: Instance, mu) -> ReductionStep:

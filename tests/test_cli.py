@@ -1,6 +1,7 @@
 """Command-line surface: generation determinism, solve/verify round trips,
 exit codes, bound queries."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -473,6 +474,42 @@ def test_bound_command_prints_table_rows(capsys):
     ]:
         code, out, _ = run(capsys, "bound", *argv)
         assert code == 0 and out.strip() == line
+
+
+def test_bound_output_is_pinned(capsys):
+    """``bound`` for c = 0..60, goods then chores, hashes to a fixed value."""
+    out = ""
+    for kind in ("goods", "chores"):
+        for c in range(61):
+            code, line, _ = run(capsys, "bound", "--c", str(c), "--kind", kind)
+            assert code == 0
+            out += line
+    assert len(out.splitlines()) == 122
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "326ba2603e4b7be47f86872dec72b7bb374efbdbde4af57385caaea00cfbfeaf"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--count", "0"), "error: count must be >= 1"),
+        (("--max-value", "0"), "error: max_value must be >= 1"),
+        (("--n", "0"), "gen: need n >= 1 and m >= 0"),
+        (("--m", "-1"), "gen: need n >= 1 and m >= 0"),
+    ],
+    ids=["count", "max_value", "n", "m"],
+)
+def test_gen_rejects_bad_arguments(tmp_path, capsys, flags, message):
+    out_dir = tmp_path / "out"
+    # a repeated flag overrides the valid value before it
+    code, out, err = run(
+        capsys, "gen", "--kind", "goods", "--n", "3", "--m", "5",
+        "--out-dir", str(out_dir), *flags,
+    )
+    assert code == 1
+    assert err == message + "\n" and out == ""
+    assert not out_dir.exists()
 
 
 def test_order_command_sorts_rows(tmp_path, capsys):

@@ -13,16 +13,22 @@ oracle ``exhaustive_partition`` stays off the solve path: only ``cli``, for
 ``solve --oracle exhaustive``, imports it.  The shape decisions stay in
 ``bounds``: only ``pipeline``, which guards every simple reduction,
 imports ``known_solvable``, and no solver imports ``n_c_chores`` (only
-``cli``, for ``mmsalloc bound``, does).  A last fence keeps records small:
-every frozen dataclass is also slotted.
+``cli``, for ``mmsalloc bound``, does).  Another keeps records small:
+every frozen dataclass is also slotted.  A last fence finds dead helpers:
+every top-level function is used by another top-level statement of the
+package, exported in ``__all__``, or named by the bench.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+import mmsalloc
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mmsalloc"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 FRACTION_MODULES = {"core.py", "mms.py", "bounds.py"}
 
@@ -122,5 +128,33 @@ def test_frozen_dataclasses_are_slotted():
         for path in MODULES
         for name, slotted in frozen_dataclasses(path)
     }
-    assert {"core.Instance", "matching.BipartiteGraph", "cli.RunConfig"} <= set(found)
+    assert {"core.Instance", "matching.BipartiteGraph"} <= set(found)
     assert [name for name, slotted in found.items() if not slotted] == []
+
+
+def top_level_uses(node) -> set:
+    """Names and attributes one top-level statement reads."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_top_level_function_is_used():
+    defs, uses = [], set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{path.stem}.{node.name}", node.name))
+            # a function calling itself does not count as a use
+            uses |= top_level_uses(node) - {getattr(node, "name", None)}
+    bench = " ".join(p.read_text() for p in BENCH.glob("*.py"))
+    dead = [
+        qualified
+        for qualified, name in defs
+        if name not in uses
+        and name not in mmsalloc.__all__
+        and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert dead == []

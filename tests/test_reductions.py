@@ -23,6 +23,7 @@ from mmsalloc.reductions import (
     base_identical_partitions,
     make_step,
     reduce_by_domination,
+    reduce_by_tail_group,
     reduce_pair_blockable,
     reduce_pair_from_high,
     reduce_pigeonhole_pair,
@@ -188,6 +189,44 @@ def test_goods_domination_needs_d_agents_for_the_post_zone_goods():
     inst = ordered_goods([SURPLUS_R] * 2 + [low] * 3 + [SURPLUS_R]).instance
     with pytest.raises(PreconditionUnmet, match="post-zone singletons"):
         reduce_by_domination(inst, SURPLUS_GROUP, mu_vector(inst))
+
+
+# Three agents, five goods (c = 2): the one agent outside a two-agent group
+# takes good 1, so a chosen bundle holding good 1 collides with her award.
+COLLIDE_R = [10, 1, 1, 1, 1]
+COLLIDE_TAILS = {
+    1: frozenset({1, 2, 4}),
+    2: frozenset({1, 2, 5}),
+    3: frozenset({2, 4, 5}),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, row, group",
+    [
+        (GOODS, COLLIDE_R, {TailBundle(a, COLLIDE_TAILS[a]) for a in (1, 2)}),
+        # chores go out worst first: agent 3 takes chore 1, held by agent 1
+        (
+            CHORES,
+            [-1] * 6,
+            {TailBundle(1, frozenset({1, 5})), TailBundle(2, frozenset({1, 6}))},
+        ),
+    ],
+    ids=["goods", "chores"],
+)
+def test_domination_rejects_a_singleton_inside_the_chosen_bundle(kind, row, group):
+    inst = make_instance(kind, [row] * 3)
+    with pytest.raises(PreconditionUnmet):
+        reduce_by_domination(inst, group, mu_vector(inst))
+
+
+def test_tail_group_skips_a_group_whose_award_fails():
+    """Groups are tried in sorted-key order: {1, 2} reaches the agent count
+    first but its award collides, so {2, 4} gives the step."""
+    inst = make_instance(GOODS, [COLLIDE_R] * 3)
+    mu = mu_vector(inst)
+    step = reduce_by_tail_group(inst, COLLIDE_TAILS, mu, ((3, 2),))
+    assert {a: set(b) for a, b in step.assignments} == {2: {1}, 3: {2, 4, 5}}
 
 
 def test_base_identical_partitions_two_agents():

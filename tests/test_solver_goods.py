@@ -28,6 +28,7 @@ from mmsalloc.solver_goods import (
     _solve_4x10,
     _solve_8x15,
     _step,
+    _worst_pivot_pair,
     efm_step,
     mostly_overlapping_pair,
     reduce_2n2,
@@ -384,6 +385,38 @@ def test_mostly_overlapping_pair_prefers_exception_agent():
     assert agent == 4
     with pytest.raises(PreconditionUnmet):
         mostly_overlapping_pair(ordered.instance, mu, 1, {1: frozenset({1, 7})})
+
+
+def _largest_companion_rule(cur, mu, pivot, companion, missing):
+    """The largest-companion rule spelled out: the reference that
+    ``_worst_pivot_pair`` must agree with."""
+    worst = max(companion.values())
+    recipient = min(a for a, x in companion.items() if x == worst)
+    bundle = frozenset({pivot, worst})
+    if missing and bundle_value(cur, missing[0], bundle) >= mu[missing[0] - 1]:
+        recipient = missing[0]
+    return bundle, recipient
+
+
+def test_worst_pivot_pair_matches_the_largest_companion_rule():
+    """Random companion maps, ties and one-companion maps included, with and
+    without a pairless agent whose share is sometimes met."""
+    rng = random.Random(22)
+    for _ in range(400):
+        n, m = rng.randint(2, 8), rng.randint(4, 15)
+        row = sorted((rng.randint(0, 9) for _ in range(m)), reverse=True)
+        cur = make_instance(GOODS, [row] * n)
+        mu = [rng.randint(0, 12) for _ in range(n)]
+        pivot = rng.randint(1, m)
+        goods = [j for j in range(1, m + 1) if j != pivot]
+        pool = rng.sample(goods, rng.randint(1, min(3, len(goods))))
+        owners = rng.sample(range(1, n + 1), rng.randint(1, n))
+        companion = {a: rng.choice(pool) for a in owners}
+        pairless = [a for a in range(1, n + 1) if a not in companion]
+        for missing in ((), pairless[:1]):
+            assert _worst_pivot_pair(cur, mu, pivot, companion, missing) == (
+                _largest_companion_rule(cur, mu, pivot, companion, missing)
+            )
 
 
 def test_solver_rejects_wrong_kind():
