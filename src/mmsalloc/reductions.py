@@ -59,11 +59,14 @@ class ReductionStep:
 
 
 def make_step(rule: str, awards) -> ReductionStep:
-    """Normalize and sanity-check an (agent -> bundle) mapping into a step;
-    its bundles are shared (``core.shared_bundle``)."""
+    """Normalize and sanity-check an (agent -> bundle) mapping into a step.
+
+    Its bundles are plain frozensets, not shared ones (``core.shared_bundle``):
+    ``Pipeline.push`` shares the bundles it keeps, in companion ids, and a
+    frozenset bundle, shared or not, is kept as the same object."""
     if rule not in ALL_RULES:
         raise ValueError(f"unknown rule id {rule!r}")
-    pairs = sorted([(a, shared_bundle(b)) for a, b in dict(awards).items()])
+    pairs = sorted([(a, frozenset(b)) for a, b in dict(awards).items()])
     if not pairs:
         raise PreconditionUnmet("a step must award at least one agent")
     seen: set = set()

@@ -8,7 +8,8 @@ bundles handles large agent counts; everything else, a scripted dead end
 included (it notes its reason), falls back to the pipeline's threshold
 search.  Scripted branches hand the step they would push to that search
 (``Pipeline.search``) with their branch tag, to search what it leaves.
-The simple rules pass the pipeline's guard (``Pipeline.push_guarded``).
+The simple rules pass the pipeline's guard (``Pipeline.push_guarded``),
+and the routes start where they stop: no route repeats a case they settle.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .reductions import (
     RULE_DOMINATION,
     RULE_EFM_BATCH,
     RULE_PAIR_FROM_HIGH,
-    RULE_PIGEONHOLE_PAIR,
     RULE_SINGLE_ITEM,
     ReductionStep,
     make_step,
@@ -93,20 +93,15 @@ def _worst_pivot_pair(cur: Instance, mu, pivot: int, companion, missing):
 def reduce_2n2(cur: Instance, mu) -> ReductionStep:
     """Guaranteed reduction when there are at most 2n + 2 goods.
 
-    Case split: a single good worth a full share; the pair of the n-th and
-    (n+1)-th goods; or, when neither exists, every witness partition is
-    packed with size-2 bundles hitting the leading goods, and some leading
-    good is shared by enough of them to award a pivot pair.
+    Precondition: no agent values a single good or the pair of the n-th and
+    (n+1)-th goods at her share (``_step`` and ``c6:packed-pairs`` call it
+    only then).  So every witness partition is packed with size-2 bundles hitting the
+    leading goods, and some leading good is shared by enough of them to
+    award a pivot pair.
     """
     n, m = cur.n, cur.m
     if n < 3 or m > 2 * n + 2:
         raise PreconditionUnmet(f"needs 3 <= n and m <= 2n+2, got {n}x{m}")
-    step = reduce_single_item(cur, mu)
-    if step is not None:
-        return step
-    step = reduce_pigeonhole_pair(cur, mu)
-    if step is not None:
-        return step
     holders: dict = {}  # pivot good -> {agent: pair bundle}
     for i in range(1, n + 1):
         for b in mms_value(cur, i).witness:
@@ -202,27 +197,21 @@ def efm_step(pipe: Pipeline, agent: int, part, mu):
 def tail_group_step(pipe: Pipeline, c: int, mu):
     """One reduction for large agent counts via shared tail-bundle groups.
 
-    Every agent's max-singleton witness has a bundle inside the last c + 1
-    positions.  Tiny or worthless tails route to the pigeonhole pair; huge
-    tails force a nearly-all-small witness and the matching step; otherwise
-    the k-sized tails are grouped by shared (k-1)-subsets and a group
-    reaching its agent count in ``tail_thresholds(GOODS, c)`` fires the
-    domination award.
+    Precondition: no agent values goods {n, n+1} at her share (the guarded
+    pigeonhole pair took any such agent).  So every share is positive, and
+    every agent's max-singleton witness has a tail bundle of three goods or
+    more inside the last c + 1 positions: a tail of one or two goods there
+    would be worth at most {n, n+1}.  Huge tails force a nearly-all-small
+    witness and the matching step; otherwise the k-sized tails are grouped
+    by shared (k-1)-subsets and a group reaching its agent count in
+    ``tail_thresholds(GOODS, c)`` fires the domination award.
     Returns the matching step's allocation, or None after pushing a step
     or when nothing triggers.
     """
     cur = pipe.current
     n = cur.n
-    tails = {}
-    parts = {}
-    for i in range(1, n + 1):
-        parts[i] = structured_partition_goods(cur, i, mu[i - 1])
-        tb = tail_bundle(parts[i], n)
-        if mu[i - 1] == 0 or tb is None or len(tb) <= 2:
-            if cur.m >= n + 1:
-                pipe.push(make_step(RULE_PIGEONHOLE_PAIR, {i: {n, n + 1}}))
-            return None
-        tails[i] = tb
+    parts = {i: structured_partition_goods(cur, i, mu[i - 1]) for i in range(1, n + 1)}
+    tails = {i: tail_bundle(part, n) for i, part in parts.items()}
     for i in range(1, n + 1):
         if len(tails[i]) >= c - 1:
             if sum(1 for b in parts[i] if len(b) <= 2) >= n - 1:
@@ -237,20 +226,16 @@ def tail_group_step(pipe: Pipeline, c: int, mu):
 
 def _solve_4x10(pipe: Pipeline, mu):
     """Case analysis for four agents and ten goods: pushes a step, and
-    returns the final allocation of the residual it leaves or None."""
+    returns the final allocation of the residual it leaves or None.
+
+    Precondition: the guarded rules found nothing, so no agent or at least
+    two agents value good 1 at their share."""
     cur = pipe.current
     h1 = [i for i in range(1, 5) if cur.value(i, 1) >= mu[i - 1]]
     h2 = [i for i in range(1, 5) if cur.value(i, 2) >= mu[i - 1]]
     if not h1:
         pipe.note("c6:packed-pairs")
         pipe.push(reduce_2n2(cur, mu))
-        return None
-    if len(h1) == 1:
-        step = reduce_pair_from_high(cur, mu)
-        if step is None:
-            raise InternalInvariantViolation("unique top-good valuer must fire")
-        pipe.note("c6:unique-top")
-        pipe.push(step)
         return None
     if h2:
         i = h2[0]
@@ -274,10 +259,11 @@ def _solve_4x10(pipe: Pipeline, mu):
 
 def _pivot_pair_witness(cur: Instance, agent: int, pivot: int, mu_i):
     """Smallest companion x such that {1},{2},{3} singletons, {pivot, x} and
-    four further bundles at or above the share partition all fifteen goods."""
+    four further bundles at or above the share partition all fifteen goods.
+
+    Precondition: the agent values good 3, hence goods 1-3, at her share
+    (``c7:low-third`` took any agent who does not)."""
     row = cur.row(agent)
-    if row[2] < mu_i:
-        return None
     for x in range(4, 16):
         if x == pivot:
             continue
@@ -290,7 +276,10 @@ def _pivot_pair_witness(cur: Instance, agent: int, pivot: int, mu_i):
 
 
 def _solve_8x15(pipe: Pipeline, mu):
-    """Case analysis for eight agents and fifteen goods."""
+    """Case analysis for eight agents and fifteen goods.
+
+    Precondition: the guarded rules found nothing, so no agent or at least
+    two agents value good 6 at their share."""
     cur = pipe.current
 
     # An agent whose third-best good misses her share has a witness of five
@@ -304,13 +293,10 @@ def _solve_8x15(pipe: Pipeline, mu):
     h6 = [i for i in range(1, 9) if cur.value(i, 6) >= mu[i - 1]]
     if h6:
         i = h6[0]
+        # holds the other valuers of good 6, so it is never empty
         h5_others = [
             a for a in range(1, 9) if a != i and cur.value(a, 5) >= mu[a - 1]
         ]
-        if not h5_others:
-            pipe.note("c7:sixth-good-unique")
-            pipe.push(make_step(RULE_PAIR_FROM_HIGH, {i: {6, 15}}))
-            return None
         if len(h5_others) == 1:
             ip = h5_others[0]
             pipe.note("c7:sixth-fifth-pairs")
@@ -440,7 +426,16 @@ def _step(pipe: Pipeline, mu):
     """One goods step: guarded simple rules, then a route by the threshold
     n_c of the surplus c = m - n.  Above n_c, c <= 7 goods fit in 2n + 2
     and reduce_2n2 applies; at n_c, c = 6 and c = 7 are the scripted 4 x 10
-    and 8 x 15 analyses; from n_c on, the tail groups."""
+    and 8 x 15 analyses; from n_c on, the tail groups.
+
+    The routes start where the guarded rules stop, on the same residual and
+    shares, and rely on it.  A two-good rule leaves n - 1 agents with
+    surplus c - 1, which the guard passes on every route: n - 1 >= n_c(c)
+    >= n_c(c - 1) above n_c for c <= 7, and n - 1 >= n_c(c) - 1 >=
+    n_c(c - 1) from n_c for c >= 6.  So no agent values {n, n+1} at her
+    share, and no good j < m has exactly one agent valuing it at her share
+    (rows are sorted, so the valuers of good j shrink as j grows).  Above
+    n_c no agent values a single good at her share either."""
     n, m = pipe.current.n, pipe.current.m
     c = m - n
     n_c = n_c_goods(c)

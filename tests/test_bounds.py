@@ -22,6 +22,18 @@ def test_anchored_small_values():
     assert n_c_chores(7) == 915
 
 
+def test_n_c_goods_is_non_decreasing_up_to_c_7():
+    # above n_c(c), c <= 7, a two-good step leaves n - 1 >= n_c(c - 1)
+    values = [n_c_goods(c) for c in range(0, 8)]
+    assert values == sorted(values)
+
+
+def test_n_c_goods_leaves_room_for_a_two_good_step():
+    # from n_c(c), c >= 6, a two-good step leaves n - 1 >= n_c(c - 1)
+    for c in range(6, 61):
+        assert n_c_goods(c) - 1 >= n_c_goods(c - 1)
+
+
 def test_closed_form_values():
     assert n_c_goods(8) == 1446
     assert n_c_goods(9) == 8587

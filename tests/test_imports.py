@@ -13,7 +13,10 @@ oracle ``exhaustive_partition`` stays off the solve path: only ``cli``, for
 ``solve --oracle exhaustive``, imports it.  The shape decisions stay in
 ``bounds``: only ``pipeline``, which guards every simple reduction,
 imports ``known_solvable``, and no solver imports ``n_c_chores`` (only
-``cli``, for ``mmsalloc bound``, does).  Another keeps records small:
+``cli``, for ``mmsalloc bound``, does).  The solvers' scripted routes
+start where the guarded rules stop, so the solvers name the simple rules
+only in the rules tuple they hand ``Pipeline.push_guarded``: an unguarded
+re-run cannot come back.  Another keeps records small:
 every frozen dataclass is also slotted.  A last fence finds dead helpers:
 every top-level function is used by another top-level statement of the
 package, exported in ``__all__``, or named by the bench.
@@ -158,3 +161,56 @@ def test_every_top_level_function_is_used():
         and not re.search(rf"\b{name}\b", bench)
     ]
     assert dead == []
+
+
+SIMPLE_RULES = {
+    "reduce_single_item",
+    "reduce_pigeonhole_pair",
+    "reduce_pair_from_high",
+    "reduce_pair_blockable",
+}
+
+
+def simple_rule_uses(path: Path):
+    """(rule name, whether it is an element of a tuple handed to
+    ``push_guarded``, directly or through a name bound to it in the same
+    function) for each use of a simple rule in the module's code."""
+    tree = ast.parse(path.read_text())
+    guarded = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = {
+            target.id: node.value
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for call in ast.walk(func):
+            if (
+                isinstance(call, ast.Call)
+                and getattr(call.func, "attr", None) == "push_guarded"
+                and call.args
+            ):
+                arg = call.args[0]
+                rules = bound.get(arg.id) if isinstance(arg, ast.Name) else arg
+                if isinstance(rules, ast.Tuple):
+                    guarded |= {id(elt) for elt in rules.elts}
+    for node in ast.walk(tree):
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if name in SIMPLE_RULES:
+            yield name, id(node) in guarded
+
+
+@pytest.mark.parametrize(
+    "module, rules",
+    [
+        ("solver_goods.py", SIMPLE_RULES),
+        ("solver_chores.py", {"reduce_pair_blockable"}),
+    ],
+)
+def test_solvers_run_simple_rules_only_through_the_guard(module, rules):
+    uses = list(simple_rule_uses(PACKAGE / module))
+    assert {name for name, _ in uses} == rules
+    assert [name for name, guarded in uses if not guarded] == []

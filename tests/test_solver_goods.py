@@ -110,10 +110,13 @@ def run_script(rows, script):
     return pipe.notes, (status, final)
 
 
-def test_4x10_unique_top_valuer():
-    rows = [[20] + [2] * 9] + [[5] * 10] * 3
-    notes, res = run_script(rows, _solve_4x10)
-    assert notes == ["c6:unique-top"] and res[0] == "continue"
+def test_4x10_unique_top_valuer_is_left_to_the_guarded_rules():
+    """A sole valuer of good 1 is no case of the 4 x 10 script: a guarded
+    two-good rule leaves 3 x 8 and goes first, here the {4, 5} pair."""
+    inst = make_instance(GOODS, [[20] + [2] * 9] + [[5] * 10] * 3)
+    out = solve_c6(inst)
+    check_solved(inst, out)
+    assert out.trace.steps[0].rule == "pigeonhole_pair"
 
 
 def test_4x10_nobody_accepts_the_best_good():
@@ -154,9 +157,13 @@ SIX_HIGH = [10] * 6 + [3] * 9  # share 10, sixth-best good alone suffices
 FIVE_HIGH = [10] * 5 + [1] * 10  # share 3, fifth-best good alone suffices
 
 
-def test_8x15_unique_sixth_good_valuer():
-    notes, res = run_script([SIX_HIGH] + [FILLER] * 7, _solve_8x15)
-    assert notes == ["c7:sixth-good-unique"] and res[0] == "continue"
+def test_8x15_unique_sixth_good_valuer_is_left_to_the_guarded_rules():
+    """A sole valuer of good 6 is no case of the 8 x 15 script: a guarded
+    two-good rule leaves 7 x 13 and goes first, here the {8, 9} pair."""
+    inst = make_instance(GOODS, [SIX_HIGH] + [FILLER] * 7)
+    out = solve_c7(inst)
+    check_solved(inst, out)
+    assert out.trace.steps[0].rule == "pigeonhole_pair"
 
 
 def test_8x15_sixth_and_fifth_pairs():
@@ -170,6 +177,8 @@ def test_8x15_six_leading_singletons():
 
 
 def test_8x15_few_fifth_good_valuers():
+    # one valuer occurs only in fixtures: through ``solve`` the guarded
+    # high-value pair takes a sole valuer of good 5; two to four reach here
     notes, res = run_script([FIVE_HIGH] + [FILLER] * 7, _solve_8x15)
     assert notes == ["c7:five-high:1"] and res[0] == "continue"
     notes, res = run_script([FIVE_HIGH] * 4 + [FILLER] * 4, _solve_8x15)
@@ -256,12 +265,12 @@ def test_tail_group_domination_award(name, awards):
 TAIL_R = [40, 40, 38, 34, 32, 32, 30, 5, 4, 3, 3, 2, 2, 2, 1, 0]
 
 
-def test_tail_group_zero_share_pushes_the_pigeonhole_pair():
-    pipe = _pipe([[0] * 16] + [TAIL_R] * 7)
-    sorted_instance = pipe.current
-    assert tail_group_step(pipe, 8, mu_vector(sorted_instance)) is None
-    [step] = pipe.steps
-    assert step.rule == "pigeonhole_pair"
+def test_tail_group_zero_share_is_left_to_the_pigeonhole_pair():
+    """A zero share is no case of the tail groups: the pigeonhole pair
+    awards it {n, n+1}, and from n_c(8) agents the guard passes that step
+    (n - 1 >= n_c(7)), so it goes first."""
+    sorted_instance = _pipe([[0] * 16] + [TAIL_R] * 7).current
+    step = reduce_pigeonhole_pair(sorted_instance, mu_vector(sorted_instance))
     assert {a: set(b) for a, b in step.assignments} == {1: {8, 9}}
     assert verify_step(sorted_instance, step)
 
@@ -342,10 +351,11 @@ ROUTES = ("reduce_2n2", "_solve_4x10", "_solve_8x15", "tail_group_step")
     ],
 )
 def test_step_routes_by_shape(monkeypatch, n, m, route):
-    """With no guarded simple rule firing, the shape alone picks the route:
-    reduce_2n2 above the c = 6 and c = 7 thresholds, the scripted analyses
-    at them, the tail groups from n_c on (1,446 agents at c = 8), and
-    nothing below."""
+    """The guarded rules run first, the single good, the {n, n+1} pair and
+    the high-value pair leading, as the routes' docstrings assume.  With
+    none firing, the shape alone picks the route: reduce_2n2 above the
+    c = 6 and c = 7 thresholds, the scripted analyses at them, the tail
+    groups from n_c on (1,446 agents at c = 8), and nothing below."""
     calls = []
     for name in ROUTES:
         monkeypatch.setattr(
@@ -354,10 +364,11 @@ def test_step_routes_by_shape(monkeypatch, n, m, route):
     pipe = SimpleNamespace(
         current=SimpleNamespace(n=n, m=m),
         push=lambda step: None,
-        push_guarded=lambda rules, mu: False,
+        push_guarded=lambda rules, mu: calls.append(tuple(rules[:3])) or False,
     )
     _step(pipe, mu=None)
-    assert calls == ([route] if route else [])
+    first = (reduce_single_item, reduce_pigeonhole_pair, reduce_pair_from_high)
+    assert calls == [first] + ([route] if route else [])
 
 
 def test_reduce_2n2_pivot_pair_branch():
