@@ -17,8 +17,8 @@ when that meets the share, and otherwise the split of one decision at the
 share.  Both share one cache entry per sorted row: ``row_share`` asks for
 the value alone, as ``mms_value`` does, whose record builds its witness
 partition on first use.  ``mu_vector`` returns the shares of all agents
-by value and skips the records; the solver, certification, step
-verification and trace replay all use it.  A structured witness
+by value and skips the records; the solver and certification use it, and
+trace replay for its base rows.  A structured witness
 (``structured_partition_goods``, ``structured_partition_chores``) is a
 tuple of n frozensets with as many leading singletons as the other items
 allow.  ``find_allocation_meeting`` is the exhaustive threshold search; on
@@ -371,17 +371,20 @@ def _unscaled(value: int, sign: int, scale: int) -> int | Fraction:
 
 def row_share(row, bundles: int, goods: bool) -> int | Fraction:
     """The exact share of one row of values, in any order, split into
-    `bundles` bundles.  An integer row is its own cache key once sorted
-    (chores negated), so a hit costs one sort and one probe.  Raises
-    ValueError for fewer than one bundle."""
-    if type(sum(row)) is int:
-        if goods:
-            return _entry(tuple(sorted(row, reverse=True)), bundles, True)[0]
-        return -_entry(tuple([-v for v in sorted(row)]), bundles, False)[0]
+    `bundles` bundles.  The sorted row (chores negated) is probed first, so
+    a hit costs one sort and one probe: keys are integer rows, which a row
+    with a non-integral Fraction never equals, and integral Fractions share
+    the entry of the equal ints.  A miss scales a non-integer row to
+    integers.  Raises ValueError for fewer than one bundle."""
     sign = 1 if goods else -1
-    scaled, scale = _scaled(row, sign)
-    share = _entry(tuple(sorted(scaled, reverse=True)), bundles, goods)[0]
-    return _unscaled(share, sign, scale)
+    vals = tuple(sorted(row, reverse=True) if goods else [-v for v in sorted(row)])
+    entry = _bnb_cache.get((vals, bundles, goods))
+    if entry is None:
+        if type(sum(vals)) is not int:
+            scaled, scale = _scaled(vals, 1)
+            return _unscaled(_entry(tuple(scaled), bundles, goods)[0], sign, scale)
+        entry = _entry(vals, bundles, goods)
+    return sign * entry[0]
 
 
 def _check_agent(instance: Instance, agent: int) -> None:

@@ -22,7 +22,7 @@ from .core import (
 )
 from .domination import TailBundle, group_tail_bundles, pick_dominated
 from .errors import DanglingReference, MalformedDocument, PreconditionUnmet
-from .mms import mms_value, mu_vector
+from .mms import mms_value, mu_vector, row_share
 
 RULE_SINGLE_ITEM = "single_item"
 RULE_PAIR_BLOCKABLE = "pair_blockable"
@@ -320,70 +320,67 @@ def apply_with_maps(instance: Instance, step: ReductionStep):
     return residual, keep_agents, list(compress(range(1, m + 1), kept))
 
 
-def _awards_met(instance: Instance, step: ReductionStep, mu) -> bool:
-    """Does every awarded agent reach her share `mu` with her bundle?"""
-    return all(
-        bundle_value(instance, agent, bundle) >= mu[agent - 1]
-        for agent, bundle in step.assignments
-    )
-
-
-def _shares_kept(before, kept_agents, after) -> bool:
-    """Has no remaining agent's share dropped from `before` to `after`?"""
-    return all(after[p] >= before[a - 1] for p, a in enumerate(kept_agents))
-
-
 def verify_step(instance: Instance, step: ReductionStep) -> bool:
     """Re-derive both halves of validity with exact arithmetic: the verdict
     of ``verify_trace`` on a trace of this one step.
 
     Awarded agents must reach their share in the instance the step was
     applied to; every remaining agent's share, recomputed on the residual,
-    must not have dropped.  A step naming an agent or item outside the
-    instance is invalid.
+    must not have dropped.  A step naming an agent twice, an id that is not
+    a plain int or an agent or item outside the instance is invalid.
     """
     return verify_trace(instance, ReductionTrace(steps=(step,), final=()))[0][1]
 
 
 def verify_trace(instance: Instance, trace: ReductionTrace):
-    """Replay a trace from its base instance, verifying each step.
-
-    Trace steps carry base-instance ids while verification runs against the
-    shrinking residual, so ids are translated along the way.  Each step is
-    applied once, and the residual's share vector, computed for its check,
-    is the "before" vector of the next step; after a failed award check it
-    is recomputed from scratch.  A step naming an agent or item outside
-    its residual ends the replay as invalid.  Returns a list of (rule,
-    valid) pairs in step order.
+    """Replay a trace from its base instance, verifying each step in one
+    pass: its base ids are checked against the agents and items left, its
+    awards summed off the base rows, and the shares of the agents left
+    computed on their base rows compressed by one mask of the items left;
+    those are the "before" shares of the next step.  A step naming an agent
+    twice, an id that is not a plain int or an agent or item no longer
+    present ends the replay as invalid; then an unknown rule raises
+    ValueError, and an empty step or overlapping awards PreconditionUnmet.
+    Returns a list of (rule, valid) pairs in step order.
     """
-    cur = instance
-    agent_ids = list(range(1, instance.n + 1))
-    item_ids = list(range(1, instance.m + 1))
-    mu = None
+    rows, m, goods = instance.valuations, instance.m, instance.kind == GOODS
+    agents = list(range(1, instance.n + 1))  # the agents left, ascending
+    left = set(agents)
+    kept = [True] * m  # kept[j - 1]: item j is left
+    mu = None  # agent -> share in the residual, from the first step on
     verdicts = []
     for step in trace.steps:
-        agent_pos = {a: p for p, a in enumerate(agent_ids, start=1)}
-        item_pos = {j: p for p, j in enumerate(item_ids, start=1)}
-        try:
-            local = make_step(
-                step.rule,
-                {
-                    agent_pos[a]: frozenset(item_pos[j] for j in b)
-                    for a, b in step.assignments
-                },
-            )
-        except KeyError:
-            verdicts.append((step.rule, False))
-            return verdicts
+        awarded: set = set()
+        gone: set = set()
+        for a, bundle in step.assignments:
+            if type(a) is not int or a not in left or a in awarded or not all(
+                type(j) is int and 0 < j <= m and kept[j - 1] for j in bundle
+            ):
+                verdicts.append((step.rule, False))
+                return verdicts
+            awarded.add(a)
+            gone.update(bundle)
+        if step.rule not in ALL_RULES:
+            raise ValueError(f"unknown rule id {step.rule!r}")
+        if not awarded:
+            raise PreconditionUnmet("a step must award at least one agent")
+        if len(gone) < sum([len(b) for _, b in step.assignments]):
+            raise PreconditionUnmet("awarded bundles overlap")
         if mu is None:
-            mu = mu_vector(cur)
-        awarded = _awards_met(cur, local, mu)
-        cur, kept_agents, kept_items = apply_with_maps(cur, local)
-        after = mu_vector(cur) if awarded else None
-        verdicts.append((step.rule, awarded and _shares_kept(mu, kept_agents, after)))
-        mu = after
-        agent_ids = [agent_ids[a - 1] for a in kept_agents]
-        item_ids = [item_ids[j - 1] for j in kept_items]
+            mu = dict(zip(agents, mu_vector(instance)))
+        ok = all(
+            sum([rows[a - 1][j - 1] for j in bundle]) >= mu[a]
+            for a, bundle in step.assignments
+        )
+        left -= awarded
+        agents = [a for a in agents if a in left]
+        for j in gone:
+            kept[j - 1] = False
+        k = len(agents)
+        after = [row_share(compress(rows[a - 1], kept), k, goods) for a in agents]
+        ok = ok and all([v >= mu[a] for v, a in zip(after, agents)])
+        verdicts.append((step.rule, ok))
+        mu = dict(zip(agents, after))
     return verdicts
 
 

@@ -19,11 +19,15 @@ only in the rules tuple they hand ``Pipeline.push_guarded``: an unguarded
 re-run cannot come back.  Another keeps records small:
 every frozen dataclass is also slotted.  A last fence finds dead helpers:
 every top-level function is used by another top-level statement of the
-package, exported in ``__all__``, or named by the bench.
+package, exported in ``__all__``, or named by the bench.  An import fence
+keeps set-up small: a fresh ``import mmsalloc`` loads neither the command
+line module nor the standard modules only it needs.
 """
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -214,3 +218,17 @@ def test_solvers_run_simple_rules_only_through_the_guard(module, rules):
     uses = list(simple_rule_uses(PACKAGE / module))
     assert {name for name, _ in uses} == rules
     assert [name for name, guarded in uses if not guarded] == []
+
+
+def test_a_fresh_import_loads_no_command_line_code():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import mmsalloc; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    loaded = set(done.stdout.split())
+    assert "mmsalloc.solver_goods" in loaded
+    assert loaded & {"mmsalloc.cli", "argparse", "logging", "subprocess"} == set()

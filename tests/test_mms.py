@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from mmsalloc import (
     CHORES,
     GOODS,
+    Instance,
     bundle_value,
     exhaustive_partition,
     find_allocation_meeting,
@@ -982,6 +983,68 @@ def test_share_vector_equals_the_records():
             int if v.denominator == 1 else Fraction for v in records
         ]
     assert [type(v) for v in mu_vector(halves)] == [Fraction, int]
+
+
+@pytest.mark.parametrize("kind", [GOODS, CHORES])
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_share_table_is_probed_before_the_number_type(kind, order):
+    """``row_share`` probes the table with the sorted row as it stands.  A
+    row of integral Fractions equals the int row's key and gets its int
+    share; a row holding a non-integral Fraction equals no key, so it is
+    scaled to ints first and gets the scaled share back.  Both hold
+    whichever row fills the table first.  The rows sit in an Instance built
+    directly, since ``make_instance`` turns integral Fractions into ints."""
+    sign = 1 if kind == GOODS else -1
+    ints = [sign * v for v in (9, 5, 4, 3, 3, 2, 1)]  # odd shares: 9 and -9
+    rows = (
+        tuple(ints),
+        tuple(Fraction(v) for v in ints),
+        tuple(Fraction(v, 2) for v in ints),
+    )
+    inst = Instance(kind=kind, valuations=rows)
+    share = exhaustive_partition(make_instance(kind, [ints] * 3), 1)[0]
+    expected = (share, share, Fraction(share, 2))
+    clear_caches()
+    got = {i: mms.row_share(rows[i], 3, kind == GOODS) for i in order}
+    assert tuple(got[i] for i in range(3)) == expected
+    assert [type(got[i]) for i in range(3)] == [int, int, Fraction]
+    assert mu_vector(inst) == expected
+    assert len(mms._bnb_cache) == 1
+
+
+def _peeled_share(row, n, goods, share):
+    """The share of the sorted row of n + c items (1 <= c < n) over n
+    bundles by the peel identity, with `share(tail, bundles)` for the 2c
+    items at the end of the row: goods min(v[n-c-1], share of the tail over
+    c bundles), chores (worst chore first) min(v[0], the same)."""
+    c = len(row) - n
+    head = row[n - c - 1] if goods else row[0]
+    return min(head, share(row[n - c:], c))
+
+
+@pytest.mark.parametrize("kind", [GOODS, CHORES])
+def test_peel_identity_holds_for_n_plus_c_rows(kind):
+    """A sorted row of m = n + c items with 1 <= c < n: its share over n
+    bundles comes from the 2c items at the end of the row over c bundles.
+    Checked against ``row_share`` on seeded random rows, and against
+    ``exhaustive_partition`` on both sides where n^m <= 10^5."""
+    goods = kind == GOODS
+    rng = random.Random(67 if goods else 71)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        c = rng.randint(1, n - 1)
+        row = sorted(_random_rows(rng, kind, 1, n + c, hi=30)[0], reverse=goods)
+        assert mms.row_share(row, n, goods) == _peeled_share(
+            row, n, goods, lambda tail, k: mms.row_share(tail, k, goods)
+        )
+
+    def exhaustive(values, bundles):
+        return exhaustive_partition(make_instance(kind, [values] * bundles), 1)[0]
+
+    for n, m in [(2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7)]:
+        assert n**m <= 10**5
+        row = sorted(_random_rows(rng, kind, 1, m, hi=30)[0], reverse=goods)
+        assert exhaustive(row, n) == _peeled_share(row, n, goods, exhaustive)
 
 
 def test_record_builds_its_witness_once():

@@ -32,6 +32,7 @@ from mmsalloc.reductions import (
     trace_to_json,
     verify_step,
     verify_trace,
+    ReductionStep,
     ReductionTrace,
 )
 from mmsalloc.solver_chores import solve_chores
@@ -133,18 +134,59 @@ def test_verify_step_rejects_underpaid_award():
         ([[5, 4, 3], [3, 3, 3]], {1: {4}}),
         ([[5, 4, 3], [3, 3, 3]], {1: {0}}),
         ([[3, 4, 5], [3, 3, 3]], {1: {0}}),
+        ([[5, 4, 3], [3, 3, 3]], {True: {1}}),
+        ([[5, 4, 3], [3, 3, 3]], {1: {1.0}}),
     ],
-    ids=["agent-3", "item-4", "item-0", "item-0-unsorted"],
+    ids=["agent-3", "item-4", "item-0", "item-0-unsorted", "agent-bool", "item-float"],
 )
 def test_verify_step_rejects_ids_outside_the_instance(rows, awards):
     """A step naming an agent or item the instance lacks is invalid, as in a
-    trace replay; item 0 is not read as the row's last item."""
+    trace replay; item 0 is not read as the row's last item, and a bool or
+    float id is not read as the int id it equals."""
     inst = make_instance(GOODS, rows)
     step = make_step("single_item", awards)
     assert verify_step(inst, step) is False
     assert verify_trace(inst, ReductionTrace(steps=(step,), final=())) == [
         ("single_item", False)
     ]
+
+
+def test_verify_step_rejects_an_agent_named_twice():
+    """Each award of a step is checked: a second award to one agent is not
+    folded into the first (``make_step`` would fold it, so the step is
+    built directly)."""
+    inst = make_instance(GOODS, [[9, 8, 7, 1, 1]] * 3)
+    step = ReductionStep("single_item", ((1, frozenset({4})), (1, frozenset({1}))))
+    assert verify_step(inst, step) is False
+    assert verify_trace(inst, ReductionTrace(steps=(step,), final=())) == [
+        ("single_item", False)
+    ]
+
+
+@pytest.mark.parametrize(
+    "rule, assignments, raised, match",
+    [
+        ("no_such_rule", ((1, {9}),), None, None),
+        ("no_such_rule", ((1, {1}), (2, {1})), ValueError, "unknown rule"),
+        ("no_such_rule", (), ValueError, "unknown rule"),
+        ("single_item", (), PreconditionUnmet, "at least one agent"),
+        ("single_item", ((1, {1, 2}), (2, {2})), PreconditionUnmet, "overlap"),
+    ],
+    ids=["dangling-before-rule", "rule-before-overlap", "rule-before-empty",
+         "empty", "overlap"],
+)
+def test_replay_checks_ids_then_rule_then_awards(rule, assignments, raised, match):
+    """A step's ids are checked first (an invalid one ends the replay with a
+    False verdict), then its rule (ValueError), then its awards: an empty
+    step or overlapping awards raise PreconditionUnmet."""
+    inst = make_instance(GOODS, [[9, 8, 7, 1, 1]] * 3)
+    step = ReductionStep(rule, tuple((a, frozenset(b)) for a, b in assignments))
+    trace = ReductionTrace(steps=(step,), final=())
+    if raised is None:
+        assert verify_trace(inst, trace) == [(rule, False)]
+    else:
+        with pytest.raises(raised, match=match):
+            verify_trace(inst, trace)
 
 
 def test_verify_step_rejects_mu_decrease_for_remaining_agent():
