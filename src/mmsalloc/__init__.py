@@ -36,7 +36,7 @@ from .mms import (
 from .pipeline import SolveOutcome
 from .reductions import ReductionStep, ReductionTrace, verify_step
 from .solver_chores import solve_chores
-from .solver_goods import solve, solve_c6, solve_c7
+from .solver_goods import solve
 
 __all__ = [
     "SolveOutcome",
@@ -48,8 +48,6 @@ __all__ = [
     "required_agents_chores",
     "required_agents_goods",
     "solve",
-    "solve_c6",
-    "solve_c7",
     "solve_chores",
     "CHORES",
     "GOODS",

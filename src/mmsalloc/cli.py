@@ -84,7 +84,7 @@ def _outcome_json(outcome) -> str:
 def cmd_solve(input_path: Path, trace_out: Path | None, oracle: str, cap: int) -> int:
     inst = instance_from_json(input_path.read_text())
     solver = solve_goods if inst.kind == GOODS else solve_chores
-    outcome = solver(inst, cap=cap)
+    outcome = solver(inst)
     print(_outcome_json(outcome))
     if trace_out is not None and outcome.trace is not None:
         trace_out.write_text(trace_to_json(outcome.trace) + "\n")
@@ -92,7 +92,7 @@ def cmd_solve(input_path: Path, trace_out: Path | None, oracle: str, cap: int) -
         return 2
     if oracle == "exhaustive":
         # re-certify with the reference oracle for belt and braces; a share
-        # it cannot compute (a search past the cap) fails the re-certification
+        # it cannot compute (past its n^m cap) fails the re-certification
         for i in range(1, inst.n + 1):
             try:
                 mu = exhaustive_partition(inst, i, cap)[0]
@@ -240,7 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", type=Path, required=True)
     s.add_argument("--trace-out", type=Path)
     s.add_argument("--oracle", choices=["exhaustive", "bnb"], default="bnb")
-    s.add_argument("--oracle-cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
+    s.add_argument(
+        "--oracle-cap",
+        type=int,
+        default=DEFAULT_EXHAUSTIVE_CAP,
+        help="most n^m assignments the --oracle exhaustive re-certification "
+        "enumerates; the solver itself is bounded by its search's node budget",
+    )
 
     v = sub.add_parser("verify", help="verify an outcome against its instance")
     v.add_argument("--instance", type=Path, required=True)

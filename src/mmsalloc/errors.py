@@ -22,7 +22,8 @@ class MalformedDocument(MmsError):
 
 
 class TooLarge(MmsError):
-    """Exhaustive search was requested beyond the configured cap."""
+    """A search ran past its limit: the threshold search past its node
+    budget, or the reference enumeration past its ``n^m`` cap."""
 
 
 class InternalInvariantViolation(MmsError):
@@ -47,11 +48,3 @@ class NegativeC(MmsError):
 
 class COutOfRange(MmsError):
     """The requested c is outside the formula's range of validity."""
-
-
-class NEqualsThree(MmsError):
-    """The n+6 goods guarantee explicitly excludes 3-agent instances."""
-
-
-class TooFewAgents(MmsError):
-    """The n+7 goods guarantee requires at least 8 agents."""

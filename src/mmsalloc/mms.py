@@ -21,8 +21,9 @@ by value and skips the records; the solver and certification use it, and
 trace replay for its base rows.  A structured witness
 (``structured_partition_goods``, ``structured_partition_chores``) is a
 tuple of n frozensets with as many leading singletons as the other items
-allow.  ``find_allocation_meeting`` is the exhaustive threshold search; on
-the solve path only the pipeline runs it.
+allow.  ``find_allocation_meeting`` is the exhaustive threshold search,
+bounded by its node budget ``SEARCH_NODES``; on the solve path only the
+pipeline runs it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .core import CHORES, GOODS, Instance, as_exact, drop_oldest
 from .errors import DanglingReference, InternalInvariantViolation, TooLarge
 
 DEFAULT_EXHAUSTIVE_CAP = 10**8
+# Nodes one threshold search may visit before it gives up: about 10 s.
+SEARCH_NODES = 10**7
 
 
 class MmsRecord:
@@ -573,17 +576,14 @@ def structured_partition_chores(instance: Instance, agent: int, mu) -> tuple:
     return normalize_pair_bundle(partition, instance.n)
 
 
-def find_allocation_meeting(
-    instance: Instance, thresholds, cap: int = DEFAULT_EXHAUSTIVE_CAP
-):
+def find_allocation_meeting(instance: Instance, thresholds):
     """An allocation giving each agent i at least thresholds[i-1], or None.
 
     The search is exhaustive (with sound pruning only), so None is a proof
-    of nonexistence.
+    of nonexistence.  Past ``SEARCH_NODES`` nodes, or past the
+    interpreter's recursion limit (one frame per item), it raises TooLarge.
     """
     n, m = instance.n, instance.m
-    if n**m > cap:
-        raise TooLarge(f"{n}^{m} assignments exceed the cap {cap}")
     xs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in thresholds]
     if len(xs) != n:
         raise ValueError("one threshold per agent required")
@@ -599,7 +599,13 @@ def find_allocation_meeting(
         cheapest[t] = cheapest[t + 1] + min(max(rows[i][t] for i in range(n)), 0)
 
     assign = [0] * m
-    if not _meet(rows, gain, cheapest, xs, [0] * n, assign, 0):
+    try:
+        found = _meet(rows, gain, cheapest, xs, [0] * n, assign, 0, [SEARCH_NODES])
+    except RecursionError:
+        # one frame per item: a residual deeper than the interpreter's stack
+        # is past this search, as a spent budget is
+        raise TooLarge(f"threshold search over {m} items past the stack") from None
+    if not found:
         return None
     parts = [set() for _ in range(n)]
     for pos, b in enumerate(assign):
@@ -607,11 +613,15 @@ def find_allocation_meeting(
     return tuple(frozenset(p) for p in parts)
 
 
-def _meet(rows, gain, cheapest, xs, sums, assign, t: int) -> bool:
+def _meet(rows, gain, cheapest, xs, sums, assign, t: int, left: list) -> bool:
     """Can items t.. be assigned so that every agent i's total in `sums`
-    reaches xs[i]?  On success `assign` holds the assignment found.  (A
-    module-level recursion: a nested one would leave a reference cycle per
-    search.)"""
+    reaches xs[i]?  On success `assign` holds the assignment found.  Each
+    call is one node, charged to `left[0]`; with none left it raises
+    TooLarge.  (A module-level recursion: a nested one would leave a
+    reference cycle per search.)"""
+    if left[0] <= 0:
+        raise TooLarge(f"threshold search past {SEARCH_NODES} nodes")
+    left[0] -= 1
     n = len(xs)
     if t == len(assign):
         return all(sums[i] >= xs[i] for i in range(n))
@@ -625,7 +635,7 @@ def _meet(rows, gain, cheapest, xs, sums, assign, t: int) -> bool:
     for j in range(n):
         sums[j] += rows[j][t]
         assign[t] = j
-        if _meet(rows, gain, cheapest, xs, sums, assign, t + 1):
+        if _meet(rows, gain, cheapest, xs, sums, assign, t + 1, left):
             return True
         sums[j] -= rows[j][t]
     return False

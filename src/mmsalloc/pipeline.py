@@ -7,10 +7,11 @@ decides which reductions and case analyses run; ``run`` takes those as a
 step function, which pushes reductions or finishes the residual, so the
 scheme itself exists once, and so does the shape guard on the steps'
 simple reductions (``Pipeline.push_guarded``).  The pipeline runs every
-threshold search of a solve (``Pipeline.search``) under its one cap: the
-fallback's, and each scripted branch's on the residual of the step it
-would push.  Results are certified before being reported: an uncertified
-result is unresolved.
+threshold search of a solve (``Pipeline.search``): the fallback's, and each
+scripted branch's on the residual of the step it would push.  Each search
+stops at its node budget (``mms.SEARCH_NODES``), the solve's one limit.
+Results are certified before being reported: an uncertified result is
+unresolved.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .core import (
     to_ordered,
 )
 from .errors import TooLarge
-from .mms import DEFAULT_EXHAUSTIVE_CAP, find_allocation_meeting, mu_vector
+from .mms import find_allocation_meeting, mu_vector
 from .reductions import (
     ReductionStep,
     ReductionTrace,
@@ -37,10 +38,8 @@ from .reductions import (
     base_identical_partitions,
 )
 
-# The pipeline's own branches, named per kind: the one-item-each base case,
-# and the end of the reason when a search exceeds the cap.
+# The pipeline's own branch, named per kind: the one-item-each base case.
 LEADING_NOTE = {GOODS: "base:leading-singletons", CHORES: "chores_base:one-each"}
-OVER_CAP = {GOODS: "; search cap exceeded", CHORES: " and beyond the search cap"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,13 +85,12 @@ class Pipeline:
     ``current`` is the sorted residual that every step and rule works on.
     Steps are pushed in its coordinates and stored translated to the
     companion instance, so the finished trace can be replayed against it.
-    ``cap`` bounds every assignment search of the solve, scripted or
-    fallback, in ``n ** m`` assignments; ``search`` runs them all.
+    ``search`` runs every threshold search of the solve, scripted or
+    fallback.
     """
 
-    def __init__(self, companion: Instance, cap: int = DEFAULT_EXHAUSTIVE_CAP):
+    def __init__(self, companion: Instance):
         self.companion = companion
-        self.cap = cap
         self.current = companion
         self.agent_ids = list(range(1, companion.n + 1))
         self.item_ids = list(range(1, companion.m + 1))
@@ -138,7 +136,7 @@ class Pipeline:
 
         With a ``step``, the residual is the one the step would leave
         (``apply_with_maps``), searched against ``mu`` of the agents it
-        keeps and in its coordinates.  Past ``cap`` assignments it raises
+        keeps and in its coordinates.  Past its node budget it raises
         TooLarge with ``reason``, which names the branch that overran.
         """
         cur = self.current
@@ -146,7 +144,7 @@ class Pipeline:
             cur, kept, _ = apply_with_maps(cur, step)
             mu = [mu[a - 1] for a in kept]
         try:
-            return find_allocation_meeting(cur, mu, self.cap)
+            return find_allocation_meeting(cur, mu)
         except TooLarge:
             raise TooLarge(reason) from None
 
@@ -165,8 +163,8 @@ def _drive(pipe: Pipeline, step):
 
     Returns (final allocation of the residual, "") or (None, reason).  A
     step that pushed nothing (``pipe.current`` did not move) and returned
-    None leaves the residual to the fallback search.  A search past
-    ``pipe.cap``, in the step or the fallback, leaves it unresolved.
+    None leaves the residual to the fallback search.  A search past its
+    node budget, in the step or the fallback, leaves it unresolved.
     """
     kind = pipe.companion.kind
     while True:
@@ -194,26 +192,26 @@ def _drive(pipe: Pipeline, step):
             # no constructive route: exhaustive threshold search or give up
             final = pipe.search(mu, f"no constructive route at {n}x{m}")
         except TooLarge as overrun:
-            return None, f"{overrun}{OVER_CAP[kind]}"
+            return None, f"{overrun}; search budget exceeded"
         if final is None:
             return None, f"no allocation meets all shares at {n}x{m}"
         pipe.note("fallback:threshold-search")
         return final, ""
 
 
-def run(instance: Instance, kind: str, step, cap: int) -> SolveOutcome:
+def run(instance: Instance, kind: str, step) -> SolveOutcome:
     """Solve an instance of ``kind`` and certify the result before reporting it.
 
     ``step(pipe, mu)`` advances a residual of more than two agents and
     more items than agents: it returns the final allocation of the residual
     it leaves, or None to go round again if it pushed and to fall back to
     the threshold search if not.  Every search, the step's own included,
-    stops at ``cap`` assignments (``pipe.cap``).
+    stops at its node budget.
     """
     if instance.kind != kind:
         raise ValueError(f"{kind} instance required")
     ordered = to_ordered(instance)
-    pipe = Pipeline(ordered.instance, cap)
+    pipe = Pipeline(ordered.instance)
     final, reason = _drive(pipe, step)
     diagnostic = "; ".join(pipe.notes)
     if final is None:

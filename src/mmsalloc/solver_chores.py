@@ -22,7 +22,6 @@ from .core import (
 )
 from .domination import tail_bundle
 from .mms import (
-    DEFAULT_EXHAUSTIVE_CAP,
     # Unused here; kept so that every solver module carries an mms_value
     # binding for the bench's tracer to patch, which
     # test_tracing_patches_every_binding_and_restores_it asserts.
@@ -108,6 +107,6 @@ def _step(pipe: Pipeline, mu):
     return None
 
 
-def solve_chores(instance: Instance, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> SolveOutcome:
+def solve_chores(instance: Instance) -> SolveOutcome:
     """Solve a chores instance, certifying the result before reporting it."""
-    return run(instance, CHORES, _step, cap)
+    return run(instance, CHORES, _step)

@@ -21,15 +21,9 @@ from .core import (
     bundle_value,
 )
 from .domination import TailBundle, pick_dominated, tail_bundle
-from .errors import (
-    InternalInvariantViolation,
-    NEqualsThree,
-    PreconditionUnmet,
-    TooFewAgents,
-)
+from .errors import InternalInvariantViolation, PreconditionUnmet
 from .matching import BipartiteGraph, hall_deficient_split, max_matching, envy_free_matching
 from .mms import (
-    DEFAULT_EXHAUSTIVE_CAP,
     mms_value,
     row_share,
     structured_partition_goods,
@@ -459,29 +453,6 @@ def _step(pipe: Pipeline, mu):
     return None
 
 
-def solve(instance: Instance, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> SolveOutcome:
+def solve(instance: Instance) -> SolveOutcome:
     """Solve a goods instance, certifying the result before reporting it."""
-    return run(instance, GOODS, _step, cap)
-
-
-def solve_c6(instance: Instance, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> SolveOutcome:
-    """Entry point for up to n + 6 goods; three agents are out of scope
-    because nine goods can defeat three agents."""
-    if instance.kind != GOODS:
-        raise ValueError("goods instance required")
-    if instance.n == 3:
-        raise NEqualsThree("three agents with nine-plus goods are not covered")
-    if instance.m > instance.n + 6:
-        raise PreconditionUnmet("needs m <= n + 6")
-    return solve(instance, cap=cap)
-
-
-def solve_c7(instance: Instance, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> SolveOutcome:
-    """Entry point for up to n + 7 goods with at least eight agents."""
-    if instance.kind != GOODS:
-        raise ValueError("goods instance required")
-    if instance.n < 8:
-        raise TooFewAgents("needs at least eight agents")
-    if instance.m > instance.n + 7:
-        raise PreconditionUnmet("needs m <= n + 7")
-    return solve(instance, cap=cap)
+    return run(instance, GOODS, _step)

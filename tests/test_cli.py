@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mmsalloc import cli
+from mmsalloc import cli, mms
 from mmsalloc.cli import main
 from mmsalloc.pipeline import SolveOutcome
 
@@ -339,17 +339,23 @@ def test_solve_writes_trace_file(tmp_path, capsys):
     assert "steps" in doc and "final" in doc
 
 
-def test_scripted_search_past_the_oracle_cap_exits_two(tmp_path, capsys):
-    """A cap overrun inside a scripted branch is an unresolved solve, not an
-    input error."""
+def test_scripted_search_past_the_oracle_cap_exits_two(
+    tmp_path, capsys, monkeypatch
+):
+    """``--oracle-cap`` does not bound the solver: its scripted branch here
+    searches a residual of 3^9 > 1000 assignments.  A search past its node
+    budget inside that branch is an unresolved solve, not an input error."""
     path = tmp_path / "payoff.json"
     rows = [[20] + [3] * 9] * 2 + [[10, 5] + [2] * 8] * 2
     path.write_text(json.dumps({"kind": "goods", "valuations": rows}))
-    code, out, err = run(capsys, "solve", "--input", str(path), "--oracle-cap", "1000")
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--oracle-cap", "1000")
+    assert code == 0 and json.loads(out)["status"] == "solved"
+    monkeypatch.setattr(mms, "SEARCH_NODES", 5)
+    code, out, err = run(capsys, "solve", "--input", str(path))
     assert code == 2 and err == ""
     doc = json.loads(out)
     assert doc["status"] == "unresolved"
-    assert doc["diagnostic"].endswith("; search cap exceeded")
+    assert doc["diagnostic"].endswith("; search budget exceeded")
 
 
 def test_exhaustive_recertification_past_the_oracle_cap_exits_two(tmp_path, capsys):
@@ -377,7 +383,7 @@ def test_exhaustive_recertification_catches_a_missed_share(
     path.write_text(json.dumps({"kind": "goods", "valuations": [[1, 1, 1]] * 2}))
     empty_first = (frozenset(), frozenset({1, 2, 3}))
 
-    def short_solver(inst, cap):
+    def short_solver(inst):
         return SolveOutcome("solved", empty_first, None, "test:short")
 
     monkeypatch.setattr(cli, "solve_goods", short_solver)

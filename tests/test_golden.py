@@ -1,10 +1,11 @@
 """Frozen solve outcomes: refactors must not change what the solver returns.
 
-``golden_outcomes.json`` holds seeded instances (and the search cap, when
-not the default) together with the status, allocation, trace (as
-``trace_to_json`` prints it), diagnostic and companion allocation that
-``solve``/``solve_chores`` returned for each.  The test
-solves every instance again and demands the same five fields, byte for byte.
+``golden_outcomes.json`` holds seeded instances (and the threshold
+search's node budget, when not the default) together with the status,
+allocation, trace (as ``trace_to_json`` prints it), diagnostic and
+companion allocation that ``solve``/``solve_chores`` returned for each.
+The test solves every instance again and demands the same five fields,
+byte for byte.
 
 The file was written once and is not meant to follow the code.  Regenerate
 it only for an intended change of output, from the repository root:
@@ -17,6 +18,7 @@ import random
 import sys
 from pathlib import Path
 
+from mmsalloc import mms
 from mmsalloc.core import CHORES, GOODS, make_instance
 from mmsalloc.reductions import trace_to_json
 from mmsalloc.solver_chores import solve_chores
@@ -37,8 +39,9 @@ EDGE_SHAPES = ((1, 0), (1, 1), (1, 4), (2, 1), (2, 2), (2, 6), (3, 1), (3, 3), (
 
 
 def corpus():
-    """(kind, rows, cap) triples: random small shapes, 8 x 15, 4 x 10, edge
-    shapes, and shapes with no constructive route under a tiny search cap."""
+    """(kind, rows, nodes) triples: random small shapes, 8 x 15, 4 x 10, edge
+    shapes, and shapes with no constructive route under a node budget of 0,
+    which stops every search before its first node."""
     cases = []
     rng = random.Random(2024)
     for kind in (GOODS, CHORES):
@@ -71,15 +74,26 @@ def corpus():
             cases.append((kind, rows, None))
         for _ in range(3):
             rows = [[sign * rng.randint(0, 20) for _ in range(11)] for _ in range(4)]
-            cases.append((kind, rows, 1))
+            cases.append((kind, rows, 0))
     return cases
 
 
-def outcome_record(kind, rows, cap):
-    """The five compared fields of one solve, in JSON-ready form."""
+def solve_case(kind, rows, nodes):
+    """The instance and its solve, with ``nodes``, unless None, as the node
+    budget of every threshold search in place of ``mms.SEARCH_NODES``."""
     inst = make_instance(kind, rows)
-    kwargs = {} if cap is None else {"cap": cap}
-    out = (solve if kind == GOODS else solve_chores)(inst, **kwargs)
+    saved = mms.SEARCH_NODES
+    if nodes is not None:
+        mms.SEARCH_NODES = nodes
+    try:
+        return inst, (solve if kind == GOODS else solve_chores)(inst)
+    finally:
+        mms.SEARCH_NODES = saved
+
+
+def outcome_record(kind, rows, nodes):
+    """The five compared fields of one solve, in JSON-ready form."""
+    _, out = solve_case(kind, rows, nodes)
 
     def bundles(alloc):
         return None if alloc is None else [sorted(b) for b in alloc]
@@ -99,7 +113,7 @@ def test_outcomes_match_frozen_corpus():
     changed = [
         pos
         for pos, case in enumerate(cases)
-        if outcome_record(case["kind"], case["valuations"], case["cap"])
+        if outcome_record(case["kind"], case["valuations"], case["nodes"])
         != case["outcome"]
     ]
     assert not changed, f"{len(changed)} outcomes differ, first at entries {changed[:5]}"
@@ -110,10 +124,10 @@ if __name__ == "__main__":
         {
             "kind": kind,
             "valuations": rows,
-            "cap": cap,
-            "outcome": outcome_record(kind, rows, cap),
+            "nodes": nodes,
+            "outcome": outcome_record(kind, rows, nodes),
         }
-        for kind, rows, cap in corpus()
+        for kind, rows, nodes in corpus()
     ]
     GOLDEN.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
     print(f"wrote {len(entries)} outcomes to {GOLDEN}", file=sys.stderr)

@@ -5,7 +5,7 @@ marked ``# noqa: F401``.  Only the modules at the number boundary import
 ``fractions``: the rest work on whatever exact values the instance holds.
 A design fence keeps a wrapper off the solve path: the rules and the
 solvers take the sorted residual ``Instance`` itself, so only ``core`` and
-``pipeline`` name ``OrderedInstance``.  Another keeps the search cap with
+``pipeline`` name ``OrderedInstance``.  Another keeps the search limit with
 the pipeline: only ``mms``, which raises ``TooLarge``, and ``pipeline``,
 which reports it, name it; and only ``pipeline``, which runs every
 threshold search, imports ``find_allocation_meeting``.  The reference

@@ -5,6 +5,7 @@ import gc
 import heapq
 import itertools
 import random
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -31,7 +32,7 @@ from mmsalloc import (
     validate_allocation,
 )
 from mmsalloc import mms
-from mmsalloc.errors import DanglingReference
+from mmsalloc.errors import DanglingReference, TooLarge
 from mmsalloc.mms import (
     clear_caches,
     structured_partition_chores,
@@ -191,6 +192,34 @@ def test_find_allocation_meeting_agrees_with_brute_force():
         if found is not None:
             for i in range(1, n + 1):
                 assert bundle_value(inst, i, found[i - 1]) >= thresholds[i - 1]
+
+
+def test_threshold_search_stops_at_its_node_budget(monkeypatch):
+    """Each call of the search is one node of ``SEARCH_NODES``.  Five unit
+    goods meet thresholds (2, 2, 1) at the 19th node and refute (2, 2, 2)
+    after 229: a search that needs more nodes than the budget raises
+    TooLarge, and one that refutes within it still returns None, a proof."""
+    inst = make_instance(GOODS, [[1] * 5] * 3)
+    monkeypatch.setattr(mms, "SEARCH_NODES", 229)
+    assert find_allocation_meeting(inst, [2, 2, 1]) is not None
+    assert find_allocation_meeting(inst, [2, 2, 2]) is None
+    monkeypatch.setattr(mms, "SEARCH_NODES", 228)
+    with pytest.raises(TooLarge, match="^threshold search past 228 nodes$"):
+        find_allocation_meeting(inst, [2, 2, 2])
+    monkeypatch.setattr(mms, "SEARCH_NODES", 18)
+    with pytest.raises(TooLarge):
+        find_allocation_meeting(inst, [2, 2, 1])
+
+
+def test_threshold_search_deeper_than_the_stack_is_too_large():
+    """The search takes one frame per item, so a residual of more items
+    than the recursion limit allows raises TooLarge, as a spent budget
+    does, not RecursionError: agent 1 takes the first three quarters of
+    these unit goods before the others' shares stop her."""
+    m = 2 * sys.getrecursionlimit()
+    inst = make_instance(GOODS, [[1] * m] * 3)
+    with pytest.raises(TooLarge, match="past the stack$"):
+        find_allocation_meeting(inst, [m // 4] * 3)
 
 
 def test_structured_partition_goods_layout():

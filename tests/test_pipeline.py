@@ -1,4 +1,4 @@
-"""The shared solve pipeline: fallback reasons, the search cap, the
+"""The shared solve pipeline: fallback reasons, the search's node budget, the
 certification gate, and what an outcome keeps: shared bundles only."""
 
 import gc
@@ -31,6 +31,7 @@ from mmsalloc.reductions import (
 )
 from mmsalloc.solver_chores import solve_chores
 from mmsalloc.solver_goods import solve
+from test_golden import solve_case
 
 ROWS = [[5, 5, 5, 5]] * 3  # three agents, four goods: every share is 5
 GOLDEN = Path(__file__).with_name("golden_outcomes.json")
@@ -61,9 +62,7 @@ def kept_bundles(out):
 
 def _solve_golden():
     for case in json.loads(GOLDEN.read_text()):
-        inst = make_instance(case["kind"], case["valuations"])
-        kwargs = {} if case["cap"] is None else {"cap": case["cap"]}
-        yield inst, (solve if inst.kind == GOODS else solve_chores)(inst, **kwargs)
+        yield solve_case(case["kind"], case["valuations"], case["nodes"])
 
 
 def test_uncertified_allocation_is_reported_unresolved():
@@ -72,7 +71,7 @@ def test_uncertified_allocation_is_reported_unresolved():
         return (frozenset({1, 2, 3, 4}), frozenset(), frozenset())
 
     inst = make_instance(GOODS, ROWS)
-    out = run(inst, GOODS, all_to_agent_one, 10**8)
+    out = run(inst, GOODS, all_to_agent_one)
     assert out.status == "unresolved" and out.allocation is None
     assert out.diagnostic == "certification failed for agent 2; test:all-to-one"
     assert out.ordered_allocation == (frozenset({1, 2, 3, 4}), frozenset(), frozenset())
@@ -89,28 +88,29 @@ def test_a_step_that_pushes_and_returns_none_goes_round_again():
         return None
 
     inst = make_instance(GOODS, ROWS)
-    out = run(inst, GOODS, award_good_one, 10**8)
+    out = run(inst, GOODS, award_good_one)
     assert out.status == "solved"
     assert out.diagnostic == "test:push; base:two-agent"
     assert [step.rule for step in out.trace.steps] == ["single_item"]
     assert all(ok for _, ok in verify_trace(to_ordered(inst).instance, out.trace))
 
 
-@pytest.mark.parametrize(
-    "kind, over_cap",
-    [(GOODS, "; search cap exceeded"), (CHORES, " and beyond the search cap")],
-    ids=[GOODS, CHORES],
-)
-def test_step_reason_ends_with_the_kinds_over_cap_text(kind, over_cap):
+@pytest.mark.parametrize("kind", [GOODS, CHORES])
+def test_step_reason_ends_with_the_kinds_over_cap_text(monkeypatch, kind):
+    """Both kinds end the reason of a search past its node budget, here 0
+    nodes, with one text."""
     def give_up(pipe, mu):
         pipe.note("test:no-route")
         return None
 
+    monkeypatch.setattr(mms, "SEARCH_NODES", 0)
     sign = 1 if kind == GOODS else -1
     inst = make_instance(kind, [[sign * v for v in row] for row in ROWS])
-    out = run(inst, kind, give_up, 1)
+    out = run(inst, kind, give_up)
     assert out.status == "unresolved" and out.trace is None
-    assert out.diagnostic == "test:no-route; no constructive route at 3x4" + over_cap
+    assert out.diagnostic == (
+        "test:no-route; no constructive route at 3x4; search budget exceeded"
+    )
     assert out.ordered_allocation is None
     assert_derived_views(out, inst)
 
@@ -137,25 +137,80 @@ def test_a_search_with_a_step_searches_its_residual(rows, awards):
     kept = [i for i in range(1, cur.n + 1) if i not in awards]
     items = [j for j in range(1, cur.m + 1) if j not in step.items()]
     residual = make_instance(GOODS, [[cur.value(i, j) for j in items] for i in kept])
-    expected = mms.find_allocation_meeting(
-        residual, [mu[i - 1] for i in kept], pipe.cap
-    )
+    expected = mms.find_allocation_meeting(residual, [mu[i - 1] for i in kept])
     assert expected is not None
     assert pipe.search(mu, "test", step) == expected
     assert pipe.current is cur and not pipe.steps
 
 
-def test_a_scripted_search_past_the_cap_is_unresolved():
-    """The pipeline holds the cap and runs the scripted branches' searches
-    under it: paying good 1 off at 4 x 10 searches 3^9 assignments for the
-    rest, past a cap of 1,000, and the solve comes back unresolved with a
-    reason that names the branch.  The default cap solves the same
-    instance."""
+def test_a_scripted_search_past_the_cap_is_unresolved(monkeypatch):
+    """The pipeline runs the scripted branches' searches under the node
+    budget: paying good 1 off at 4 x 10 searches the rest, past a budget
+    of 5 nodes, and the solve comes back unresolved with a reason that
+    names the branch.  The default budget solves the same instance."""
     inst = make_instance(GOODS, [[20] + [3] * 9] * 2 + [[10, 5] + [2] * 8] * 2)
-    out = solve(inst, cap=1000)
-    assert out.status == "unresolved" and out.trace is None
-    assert out.diagnostic == "c6:payoff-good1 at 4x10; search cap exceeded"
     assert solve(inst).diagnostic == "c6:payoff-good1:agent1"
+    monkeypatch.setattr(mms, "SEARCH_NODES", 5)
+    out = solve(inst)
+    assert out.status == "unresolved" and out.trace is None
+    assert out.diagnostic == "c6:payoff-good1 at 4x10; search budget exceeded"
+
+
+# Residuals of more than 10^8 assignments that no constructive step
+# settles.  The first two are base rows plus noise in [-1, 1], as the
+# ``correlated`` bench pool draws them; the 6 x 12 is index 2423 of that
+# pool at seed 1 with 3 to 6 agents.  The last two are uniform on 0..20.
+# A fallback search settles each chores one in at most 50 nodes, the
+# goods one in about 31,000.
+PAST_ASSIGNMENT_CAP = {
+    "chores-6x11": [
+        [-7, -3, -6, -21, -5, -11, -4, -3, -11, -6, -6],
+        [-9, -3, -7, -19, -5, -11, -3, -1, -11, -4, -7],
+        [-8, -3, -7, -20, -7, -13, -5, -3, -9, -6, -7],
+        [-7, -3, -6, -19, -5, -11, -3, -1, -11, -6, -6],
+        [-8, -3, -6, -21, -6, -11, -3, -1, -11, -5, -5],
+        [-9, -3, -8, -20, -5, -11, -5, -2, -10, -6, -6],
+    ],
+    "chores-6x12": [
+        [-10, -15, -3, -3, -11, -18, -4, -12, -2, -14, -3, -6],
+        [-10, -15, -3, -3, -10, -19, -4, -12, -2, -12, -3, -6],
+        [-12, -15, -4, -4, -10, -18, -3, -13, -2, -12, -3, -4],
+        [-11, -14, -2, -2, -11, -19, -4, -12, -2, -14, -4, -4],
+        [-11, -14, -3, -2, -10, -18, -2, -12, -2, -12, -4, -5],
+        [-12, -14, -2, -3, -10, -19, -4, -13, -1, -12, -4, -4],
+    ],
+    "chores-7x14": [
+        [-4, -18, -2, -8, -3, -15, -14, -15, -20, -12, -6, -3, -15, 0],
+        [-12, -13, -19, 0, -14, -8, -7, -18, -3, -10, 0, 0, 0, -20],
+        [-17, 0, -12, -6, -13, 0, -16, -7, -14, -15, -17, -7, -11, -7],
+        [-7, -14, -9, 0, -13, -17, -20, -3, -5, -20, -9, -3, -10, -16],
+        [-13, -16, -6, -9, -9, -18, -15, -16, -12, -18, -1, -15, -7, -12],
+        [-13, -5, -11, -17, -11, -2, -14, -16, -3, -5, -16, -12, -11, -15],
+        [0, -15, -1, -9, -19, -18, -18, -12, -20, -5, -5, -16, -7, 0],
+    ],
+    "goods-5x15": [
+        [18, 17, 3, 10, 1, 13, 2, 12, 4, 4, 10, 3, 19, 18, 12],
+        [2, 18, 17, 7, 18, 2, 8, 11, 9, 18, 17, 3, 14, 8, 3],
+        [1, 9, 0, 19, 0, 2, 13, 3, 1, 6, 7, 18, 13, 5, 3],
+        [14, 5, 7, 5, 3, 13, 12, 17, 9, 17, 8, 15, 10, 3, 6],
+        [20, 10, 1, 0, 0, 9, 19, 10, 14, 12, 10, 12, 2, 2, 10],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", PAST_ASSIGNMENT_CAP)
+def test_a_residual_past_n_to_the_m_is_searched_and_solved(name):
+    """The search is bounded by its node budget, not by the residual's
+    shape: each of these is solved by the fallback search and certified."""
+    kind = name.split("-")[0]
+    inst = make_instance(kind, PAST_ASSIGNMENT_CAP[name])
+    out = (solve if kind == GOODS else solve_chores)(inst)
+    assert out.status == "solved", out.diagnostic
+    assert out.diagnostic.endswith("fallback:threshold-search")
+    shares = mms.mu_vector(inst)
+    for i in range(1, inst.n + 1):
+        assert bundle_value(inst, i, out.allocation[i - 1]) >= shares[i - 1]
+    assert all(ok for _, ok in verify_trace(to_ordered(inst).instance, out.trace))
 
 
 FALLBACKS = [
@@ -174,7 +229,7 @@ def test_a_fallback_search_that_finds_nothing_is_unresolved(monkeypatch, case):
     so with that residual's shape."""
     shapes = []
 
-    def refuted(instance, thresholds, cap):
+    def refuted(instance, thresholds):
         shapes.append(f"{instance.n}x{instance.m}")
         return None
 

@@ -13,7 +13,8 @@ import pytest
 
 from mmsalloc.bounds import known_solvable
 from mmsalloc.core import GOODS, bundle_value, make_instance, to_ordered
-from mmsalloc.errors import NEqualsThree, PreconditionUnmet, TooFewAgents, TooLarge
+from mmsalloc import mms
+from mmsalloc.errors import PreconditionUnmet, TooLarge
 from mmsalloc.mms import mms_value, mu_vector, structured_partition_goods
 from mmsalloc.reductions import ReductionTrace, verify_step, verify_trace
 from mmsalloc.pipeline import Pipeline
@@ -33,8 +34,6 @@ from mmsalloc.solver_goods import (
     mostly_overlapping_pair,
     reduce_2n2,
     solve,
-    solve_c6,
-    solve_c7,
     tail_group_step,
 )
 
@@ -64,7 +63,7 @@ def test_random_4x10_all_solved():
         inst = make_instance(
             GOODS, [[rng.randint(0, 20) for _ in range(10)] for _ in range(4)]
         )
-        check_solved(inst, solve_c6(inst))
+        check_solved(inst, solve(inst))
 
 
 def test_random_8x15_all_solved():
@@ -73,16 +72,7 @@ def test_random_8x15_all_solved():
         inst = make_instance(
             GOODS, [[rng.randint(0, 20) for _ in range(15)] for _ in range(8)]
         )
-        check_solved(inst, solve_c7(inst))
-
-
-def test_entry_point_guards():
-    with pytest.raises(NEqualsThree):
-        solve_c6(make_instance(GOODS, [[1] * 9] * 3))
-    with pytest.raises(TooFewAgents):
-        solve_c7(make_instance(GOODS, [[1] * 11] * 4))
-    with pytest.raises(PreconditionUnmet):
-        solve_c6(make_instance(GOODS, [[1] * 11] * 4))
+        check_solved(inst, solve(inst))
 
 
 def test_known_solvable_shapes():
@@ -90,6 +80,7 @@ def test_known_solvable_shapes():
     assert known_solvable(GOODS, 5, 5)
     assert known_solvable(GOODS, 4, 10)
     assert not known_solvable(GOODS, 3, 9)
+    assert not known_solvable(GOODS, 4, 11)
     assert known_solvable(GOODS, 8, 15)
     assert not known_solvable(GOODS, 7, 14)
     assert not known_solvable(GOODS, 9, 17)  # c=8 needs 1446 agents
@@ -114,7 +105,7 @@ def test_4x10_unique_top_valuer_is_left_to_the_guarded_rules():
     """A sole valuer of good 1 is no case of the 4 x 10 script: a guarded
     two-good rule leaves 3 x 8 and goes first, here the {4, 5} pair."""
     inst = make_instance(GOODS, [[20] + [2] * 9] + [[5] * 10] * 3)
-    out = solve_c6(inst)
+    out = solve(inst)
     check_solved(inst, out)
     assert out.trace.steps[0].rule == "pigeonhole_pair"
 
@@ -135,7 +126,7 @@ def test_4x10_two_leading_singletons():
     assert notes == ["c6:two-singles"] and res[0] == "continue"
     # the same instance routes through the full dispatcher
     inst = make_instance(GOODS, rows)
-    out = solve_c6(inst)
+    out = solve(inst)
     check_solved(inst, out)
     assert "c6:two-singles" in out.diagnostic
 
@@ -161,7 +152,7 @@ def test_8x15_unique_sixth_good_valuer_is_left_to_the_guarded_rules():
     """A sole valuer of good 6 is no case of the 8 x 15 script: a guarded
     two-good rule leaves 7 x 13 and goes first, here the {8, 9} pair."""
     inst = make_instance(GOODS, [SIX_HIGH] + [FILLER] * 7)
-    out = solve_c7(inst)
+    out = solve(inst)
     check_solved(inst, out)
     assert out.trace.steps[0].rule == "pigeonhole_pair"
 
@@ -190,10 +181,11 @@ def test_8x15_many_fifth_good_valuers_batch():
     assert notes == ["c7:five-high:batch"] and res[0] == "solved"
 
 
-def test_8x15_batch_search_past_the_cap_names_its_branch():
-    # three kept agents over the ten goods left: 3^10 assignments
+def test_8x15_batch_search_past_the_cap_names_its_branch(monkeypatch):
+    # three kept agents over the ten goods left, past a budget of 5 nodes
+    monkeypatch.setattr(mms, "SEARCH_NODES", 5)
     ordered = to_ordered(make_instance(GOODS, [FIVE_HIGH] * 5 + [FILLER] * 3))
-    pipe = Pipeline(ordered.instance, cap=1000)
+    pipe = Pipeline(ordered.instance)
     with pytest.raises(TooLarge, match=r"^c7:five-high:batch at 8x15$"):
         _solve_8x15(pipe, mu_vector(pipe.current))
 
