@@ -10,7 +10,8 @@ chore?  A decision returns the split it finds, or None.  The share
 (``_share``) is a bundle sum, so targets are the row's subset sums (one
 big-int bitset per row), stepped from the greedy value toward
 ``_share_bound``; the last one met is the share, and two bundles need no
-search.  Goods are decided by peeling the goods worth the target and bin
+search.  A row of m < 2n items first sheds 2n - m singletons (the peel).
+Goods are decided by peeling the goods worth the target and bin
 completion on the rest (``_complete``); chores are packed item by item
 (``_pack``).  The witness partition (``_split``) is the greedy partition
 when that meets the share, and otherwise the split of one decision at the
@@ -88,9 +89,6 @@ def _share_bound(vals, n: int, goods: bool) -> int:
         for k in range(1, min(n, m + 1)):
             rest -= vals[k - 1]
             bound = min(bound, rest // (n - k))
-        if n < m < 2 * n:
-            # At least 2n - m bundles hold a single good.
-            bound = min(bound, vals[2 * n - m - 1])
         return bound
     bound = max(-(-total // n), vals[0] if m else 0)
     if m > n:
@@ -128,7 +126,10 @@ def _below(bits, t: int) -> int:
 def _share(vals: tuple, n: int, goods: bool) -> int:
     """Exact share of the non-increasing integer row `vals` (>= 0) split
     into n bundles: for goods the best minimum bundle sum, for chores
-    (absolute values) the best maximum.
+    (absolute values) the best maximum.  Fewer than 2n items peel: p =
+    2n - m bundles hold one item, so the share is that of the 2(m - n)
+    smallest items in m - n bundles (not cached), capped by the p-th good
+    or floored by the largest chore.
 
     The greedy (longest processing time) value is met and `_share_bound`
     cannot be passed, and the share lies between them.  A share is a bundle
@@ -150,6 +151,10 @@ def _share(vals: tuple, n: int, goods: bool) -> int:
             return vals[-1] if m == n else 0
     elif m <= n:
         return vals[0] if m else 0
+    if m < 2 * n:
+        p = 2 * n - m
+        tail = _share(vals[p:], m - n, goods)
+        return min(vals[p - 1], tail) if goods else max(vals[0], tail)
     loads = [0] * n
     for v in vals:
         heapreplace(loads, loads[0] + v)
@@ -309,14 +314,13 @@ def _pack(vals, suffix, loads, capacity: int, t: int):
     return None
 
 
-def _entry(vals: tuple, n: int, goods: bool) -> list:
-    """The cache entry [share, assignment or None] of a row, made on a miss."""
-    key = (vals, n, goods)
-    entry = _bnb_cache.get(key)
+def _entry(key: tuple, entry) -> list:
+    """The cache entry [share, assignment or None] of `key` given what a
+    probe for it returned, `entry`: made and stored on a miss (None)."""
     if entry is None:
         if len(_bnb_cache) >= _BNB_CACHE_LIMIT:
             drop_oldest(_bnb_cache)
-        entry = _bnb_cache[key] = [_share(vals, n, goods), None]
+        entry = _bnb_cache[key] = [_share(*key), None]
     return entry
 
 
@@ -329,7 +333,8 @@ def _split(vals: tuple, n: int, goods: bool) -> list:
     split one decision at the share returns; a goods split holds values,
     which map back to positions because equal values are interchangeable.
     """
-    entry = _entry(vals, n, goods)
+    key = (vals, n, goods)
+    entry = _entry(key, _bnb_cache.get(key))
     if entry[1] is not None:
         return entry
     share = entry[0]
@@ -381,12 +386,14 @@ def row_share(row, bundles: int, goods: bool) -> int | Fraction:
     integers.  Raises ValueError for fewer than one bundle."""
     sign = 1 if goods else -1
     vals = tuple(sorted(row, reverse=True) if goods else [-v for v in sorted(row)])
-    entry = _bnb_cache.get((vals, bundles, goods))
+    key = (vals, bundles, goods)
+    entry = _bnb_cache.get(key)
     if entry is None:
         if type(sum(vals)) is not int:
             scaled, scale = _scaled(vals, 1)
-            return _unscaled(_entry(tuple(scaled), bundles, goods)[0], sign, scale)
-        entry = _entry(vals, bundles, goods)
+            key = (tuple(scaled), bundles, goods)
+            return _unscaled(_entry(key, _bnb_cache.get(key))[0], sign, scale)
+        entry = _entry(key, None)
     return sign * entry[0]
 
 
@@ -593,14 +600,15 @@ def find_allocation_meeting(instance: Instance, thresholds):
     for i in range(n):
         for t in range(m - 1, -1, -1):
             gain[i][t] = gain[i][t + 1] + max(rows[i][t], 0)
-    # least-damage suffix: each leftover item must go somewhere
-    cheapest = [0] * (m + 1)
+    # best-case suffix: the most the leftover items can add to all totals
+    best = [0] * (m + 1)
     for t in range(m - 1, -1, -1):
-        cheapest[t] = cheapest[t + 1] + min(max(rows[i][t] for i in range(n)), 0)
+        best[t] = best[t + 1] + max(rows[i][t] for i in range(n))
 
     assign = [0] * m
+    goods = instance.kind == GOODS
     try:
-        found = _meet(rows, gain, cheapest, xs, [0] * n, assign, 0, [SEARCH_NODES])
+        found = _meet(rows, gain, best, goods, xs, [0] * n, assign, 0, [SEARCH_NODES])
     except RecursionError:
         # one frame per item: a residual deeper than the interpreter's stack
         # is past this search, as a spent budget is
@@ -613,29 +621,34 @@ def find_allocation_meeting(instance: Instance, thresholds):
     return tuple(frozenset(p) for p in parts)
 
 
-def _meet(rows, gain, cheapest, xs, sums, assign, t: int, left: list) -> bool:
+def _meet(rows, gain, best, goods, xs, sums, assign, t: int, left: list) -> bool:
     """Can items t.. be assigned so that every agent i's total in `sums`
     reaches xs[i]?  On success `assign` holds the assignment found.  Each
     call is one node, charged to `left[0]`; with none left it raises
-    TooLarge.  (A module-level recursion: a nested one would leave a
-    reference cycle per search.)"""
+    TooLarge.  An agent who cannot gain what she lacks prunes the node, as
+    does a total need past `best[t]`, the most items t.. can add to all
+    totals: for goods the sum of what the agents lack, for chores minus the
+    room they have left.  (A module-level recursion: a nested one would
+    leave a reference cycle per search.)"""
     if left[0] <= 0:
         raise TooLarge(f"threshold search past {SEARCH_NODES} nodes")
     left[0] -= 1
     n = len(xs)
     if t == len(assign):
         return all(sums[i] >= xs[i] for i in range(n))
-    slack = 0
+    need = 0
     for i in range(n):
-        if sums[i] + gain[i][t] < xs[i]:
+        short = xs[i] - sums[i]
+        if gain[i][t] < short:
             return False
-        slack += sums[i] - xs[i] + gain[i][t]
-    if slack + cheapest[t] < 0:
+        if short > 0 or not goods:
+            need += short
+    if need > best[t]:
         return False
     for j in range(n):
         sums[j] += rows[j][t]
         assign[t] = j
-        if _meet(rows, gain, cheapest, xs, sums, assign, t + 1, left):
+        if _meet(rows, gain, best, goods, xs, sums, assign, t + 1, left):
             return True
         sums[j] -= rows[j][t]
     return False

@@ -7,9 +7,11 @@ decides which reductions and case analyses run; ``run`` takes those as a
 step function, which pushes reductions or finishes the residual, so the
 scheme itself exists once, and so does the shape guard on the steps'
 simple reductions (``Pipeline.push_guarded``).  The pipeline runs every
-threshold search of a solve (``Pipeline.search``): the fallback's, and each
-scripted branch's on the residual of the step it would push.  Each search
-stops at its node budget (``mms.SEARCH_NODES``), the solve's one limit.
+threshold search of a solve (``Pipeline.settle``): the fallback's, and each
+scripted branch's on the residual of the step it would push, which it
+pushes on success.  A branch's tag is noted where its step is committed,
+in ``push`` or ``settle``.  Each search stops at its node budget
+(``mms.SEARCH_NODES``), the solve's one limit.
 Results are certified before being reported: an uncertified result is
 unresolved.
 """
@@ -85,7 +87,7 @@ class Pipeline:
     ``current`` is the sorted residual that every step and rule works on.
     Steps are pushed in its coordinates and stored translated to the
     companion instance, so the finished trace can be replayed against it.
-    ``search`` runs every threshold search of the solve, scripted or
+    ``settle`` runs every threshold search of the solve, scripted or
     fallback.
     """
 
@@ -100,12 +102,17 @@ class Pipeline:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def push(self, step: ReductionStep) -> None:
-        """Apply a step made by ``make_step`` to the residual and store it
-        translated to the companion.  The residual's ids map to the
-        companion's in increasing order, so the translation keeps the
-        step's agents ascending and its bundles disjoint."""
-        self.current, agents, items = apply_with_maps(self.current, step)
+    def push(self, step: ReductionStep, tag: str = "") -> None:
+        """Apply a step made by ``make_step`` to the residual, store it
+        translated to the companion and note ``tag``, the branch taking it."""
+        self._commit(step, apply_with_maps(self.current, step), tag)
+
+    def _commit(self, step: ReductionStep, applied, tag: str) -> None:
+        """``push`` with ``applied``, what ``apply_with_maps`` made of the
+        step.  The residual's ids map to the companion's in increasing order,
+        so the translation keeps the step's agents ascending and its bundles
+        disjoint."""
+        self.current, agents, items = applied
         agent_ids, item_ids = self.agent_ids, self.item_ids
         awards = [
             (agent_ids[a - 1], shared_bundle([item_ids[j - 1] for j in b]))
@@ -114,6 +121,8 @@ class Pipeline:
         self.steps.append(ReductionStep(rule=step.rule, assignments=tuple(awards)))
         self.agent_ids = [agent_ids[a - 1] for a in agents]
         self.item_ids = [item_ids[j - 1] for j in items]
+        if tag:
+            self.note(tag)
 
     def push_guarded(self, rules, mu) -> bool:
         """Push the first step ``rule(current, mu)`` of ``rules``, tried in
@@ -129,24 +138,28 @@ class Pipeline:
                 return True
         return False
 
-    def search(self, mu, reason: str, step=None):
-        """An allocation of the residual giving each agent at least its
-        share in ``mu``, or None, a proof that none exists: the one
-        exhaustive threshold search of the solve.
-
-        With a ``step``, the residual is the one the step would leave
-        (``apply_with_maps``), searched against ``mu`` of the agents it
-        keeps and in its coordinates.  Past its node budget it raises
-        TooLarge with ``reason``, which names the branch that overran.
-        """
-        cur = self.current
+    def settle(self, mu, reason: str, tag: str, step=None):
+        """The one exhaustive threshold search of a solve: an allocation of
+        the residual giving each agent her share in ``mu``.  With a ``step``,
+        the residual it leaves, for the agents it keeps, is searched and on
+        success pushed.  Success notes ``tag`` and returns the allocation of
+        the new ``current``; None, a proof that none exists, changes nothing.
+        Past its node budget it raises TooLarge with ``reason``."""
+        residual = self.current
         if step is not None:
-            cur, kept, _ = apply_with_maps(cur, step)
+            applied = apply_with_maps(residual, step)
+            residual, kept, _ = applied
             mu = [mu[a - 1] for a in kept]
         try:
-            return find_allocation_meeting(cur, mu)
+            final = find_allocation_meeting(residual, mu)
         except TooLarge:
             raise TooLarge(reason) from None
+        if final is not None:
+            if step is None:
+                self.note(tag)
+            else:
+                self._commit(step, applied, tag)
+        return final
 
     def finish(self, final_current):
         """Translate a final residual allocation and close the trace."""
@@ -190,12 +203,13 @@ def _drive(pipe: Pipeline, step):
             if pipe.current is not cur:
                 continue
             # no constructive route: exhaustive threshold search or give up
-            final = pipe.search(mu, f"no constructive route at {n}x{m}")
+            final = pipe.settle(
+                mu, f"no constructive route at {n}x{m}", "fallback:threshold-search"
+            )
         except TooLarge as overrun:
             return None, f"{overrun}; search budget exceeded"
         if final is None:
             return None, f"no allocation meets all shares at {n}x{m}"
-        pipe.note("fallback:threshold-search")
         return final, ""
 
 

@@ -78,8 +78,7 @@ def _witness_base(pipe: Pipeline, i: int, part, mu):
                 alloc[x - 1] = b
             pipe.note("chores_base:pair_to_other")
             return tuple(alloc)
-        pipe.note("chores_base:pair_to_self")
-        pipe.push(make_step("pair_blockable", {i: pair}))
+        pipe.push(make_step("pair_blockable", {i: pair}), "chores_base:pair_to_self")
     return None
 
 

@@ -7,7 +7,8 @@ with ten goods and eight with fifteen; a counting argument over shared tail
 bundles handles large agent counts; everything else, a scripted dead end
 included (it notes its reason), falls back to the pipeline's threshold
 search.  Scripted branches hand the step they would push to that search
-(``Pipeline.search``) with their branch tag, to search what it leaves.
+(``Pipeline.settle``) with their branch tag, which searches what it leaves
+and pushes it on success.
 The simple rules pass the pipeline's guard (``Pipeline.push_guarded``),
 and the routes start where they stop: no route repeats a case they settle.
 """
@@ -46,28 +47,6 @@ from .reductions import (
 
 # --- shared pivot-pair reduction ---------------------------------------------
 
-def mostly_overlapping_pair(cur: Instance, mu, pivot: int, pairs) -> ReductionStep:
-    """Remove one agent with a two-good bundle around a shared pivot good.
-
-    ``pairs`` maps agents to a size-2 bundle containing the pivot, taken
-    from one of their own maximin witness partitions.  At most one agent may
-    lack such a bundle.  Among the pairs, the one with the worst companion
-    good is comparable to all others, so awarding it blocks nobody: the
-    pairless agent receives it if she clears her share with it, otherwise it
-    goes back to its owner while her share survives a merge argument.
-    """
-    missing = [i for i in range(1, cur.n + 1) if i not in pairs]
-    if len(missing) > 1:
-        raise PreconditionUnmet(f"{len(missing)} agents lack a pivot pair")
-    companion = {}
-    for agent, bundle in pairs.items():
-        if len(bundle) != 2 or pivot not in bundle:
-            raise PreconditionUnmet("pair must be the pivot plus one good")
-        companion[agent] = max(bundle - {pivot})
-    bundle, recipient = _worst_pivot_pair(cur, mu, pivot, companion, missing)
-    return make_step(RULE_DOMINATION, {recipient: bundle})
-
-
 def _worst_pivot_pair(cur: Instance, mu, pivot: int, companion, missing):
     """The pivot pair with the worst companion good, and who receives it.
 
@@ -91,20 +70,24 @@ def reduce_2n2(cur: Instance, mu) -> ReductionStep:
     (n+1)-th goods at her share (``_step`` and ``c6:packed-pairs`` call it
     only then).  So every witness partition is packed with size-2 bundles hitting the
     leading goods, and some leading good is shared by enough of them to
-    award a pivot pair.
+    award a pivot pair: at most one agent lacks one.  The worst pair
+    (``_worst_pivot_pair``) blocks nobody: that agent takes it if she clears
+    her share with it, else its owner does and her share survives a merge.
     """
     n, m = cur.n, cur.m
     if n < 3 or m > 2 * n + 2:
         raise PreconditionUnmet(f"needs 3 <= n and m <= 2n+2, got {n}x{m}")
-    holders: dict = {}  # pivot good -> {agent: pair bundle}
+    holders: dict = {}  # pivot good -> {agent: the other good of her pair}
     for i in range(1, n + 1):
         for b in mms_value(cur, i).witness:
             if len(b) == 2 and min(b) <= n - 1:
-                g = min(b)
-                holders.setdefault(g, {}).setdefault(i, b)
+                holders.setdefault(min(b), {}).setdefault(i, max(b))
     for g in range(1, n):
-        if g in holders and len(holders[g]) >= n - 1:
-            return mostly_overlapping_pair(cur, mu, g, holders[g])
+        companion = holders.get(g, {})
+        if len(companion) >= n - 1:
+            missing = [i for i in range(1, n + 1) if i not in companion]
+            bundle, recipient = _worst_pivot_pair(cur, mu, g, companion, missing)
+            return make_step(RULE_DOMINATION, {recipient: bundle})
     raise InternalInvariantViolation(
         "no branch fired although one is always available at this size"
     )
@@ -228,24 +211,21 @@ def _solve_4x10(pipe: Pipeline, mu):
     h1 = [i for i in range(1, 5) if cur.value(i, 1) >= mu[i - 1]]
     h2 = [i for i in range(1, 5) if cur.value(i, 2) >= mu[i - 1]]
     if not h1:
-        pipe.note("c6:packed-pairs")
-        pipe.push(reduce_2n2(cur, mu))
+        pipe.push(reduce_2n2(cur, mu), "c6:packed-pairs")
         return None
     if h2:
         i = h2[0]
         other = next(a for a in h1 if a != i)
-        pipe.note("c6:two-singles")
-        pipe.push(make_step(RULE_SINGLE_ITEM, {other: {1}, i: {2}}))
+        pipe.push(make_step(RULE_SINGLE_ITEM, {other: {1}, i: {2}}), "c6:two-singles")
         return None
     # Two or more agents accept good 1, nobody accepts good 2: one of the
     # good-1 claimants can be paid off so that the rest still split the
     # remaining nine goods up to their old shares.
     for star in h1:
         step = make_step(RULE_SINGLE_ITEM, {star: {1}})
-        final = pipe.search(mu, "c6:payoff-good1 at 4x10", step)
+        tag = f"c6:payoff-good1:agent{star}"
+        final = pipe.settle(mu, "c6:payoff-good1 at 4x10", tag, step)
         if final is not None:
-            pipe.note(f"c6:payoff-good1:agent{star}")
-            pipe.push(step)
             return final
     pipe.note("4x10: no good-1 recipient admits a completion")
     return None
@@ -267,6 +247,13 @@ def _pivot_pair_witness(cur: Instance, agent: int, pivot: int, mu_i):
         if row_share(rest, 4, True) >= mu_i:
             return x
     return None
+
+
+def _leading_three(named, awards: dict) -> dict:
+    """``awards`` plus goods 1, 2 and 3, one each, to the first three of
+    the eight agents outside ``named``."""
+    rest = (a for a in range(1, 9) if a not in named)
+    return {**awards, **{a: {g} for g, a in zip((1, 2, 3), rest)}}
 
 
 def _solve_8x15(pipe: Pipeline, mu):
@@ -293,18 +280,12 @@ def _solve_8x15(pipe: Pipeline, mu):
         ]
         if len(h5_others) == 1:
             ip = h5_others[0]
-            pipe.note("c7:sixth-fifth-pairs")
-            pipe.push(
-                make_step(RULE_PAIR_FROM_HIGH, {i: {6, 14}, ip: {5, 15}})
-            )
+            step = make_step(RULE_PAIR_FROM_HIGH, {i: {6, 14}, ip: {5, 15}})
+            pipe.push(step, "c7:sixth-fifth-pairs")
             return None
         ip, ipp = h5_others[0], h5_others[1]
-        rest = [a for a in range(1, 9) if a not in (i, ip, ipp)][:3]
-        awards = {i: {6}, ip: {5}, ipp: {4}}
-        for pos, a in enumerate(rest, start=1):
-            awards[a] = {pos}
-        pipe.note("c7:six-singles")
-        pipe.push(make_step(RULE_SINGLE_ITEM, awards))
+        awards = _leading_three((i, ip, ipp), {i: {6}, ip: {5}, ipp: {4}})
+        pipe.push(make_step(RULE_SINGLE_ITEM, awards), "c7:six-singles")
         return None
 
     for i in range(1, 9):
@@ -329,23 +310,18 @@ def _solve_8x15_with_five_singles(pipe: Pipeline, mu, high5):
         for pos, a in enumerate(high5[:-1], start=1):
             awards[a] = {pos}
         awards[high5[-1]] = {5, 15}
-        pipe.note(f"c7:five-high:{k12}")
-        pipe.push(make_step(RULE_PAIR_FROM_HIGH, awards))
+        pipe.push(make_step(RULE_PAIR_FROM_HIGH, awards), f"c7:five-high:{k12}")
         return None
     chosen = high5[:5]
-    outsiders = [a for a in range(1, 9) if a not in chosen][:3]
     for first in chosen:
         for second in chosen:
             if second == first:
                 continue
-            awards = {outsiders[0]: {1}, outsiders[1]: {2}, outsiders[2]: {3}}
-            awards[first] = {4}
-            awards[second] = {5}
+            awards = _leading_three(chosen, {first: {4}, second: {5}})
             step = make_step(RULE_SINGLE_ITEM, awards)
-            final = pipe.search(mu, "c7:five-high:batch at 8x15", step)
+            tag = "c7:five-high:batch"
+            final = pipe.settle(mu, "c7:five-high:batch at 8x15", tag, step)
             if final is not None:
-                pipe.note("c7:five-high:batch")
-                pipe.push(step)
                 return final
     pipe.note("8x15: five-singleton batch admits no completion")
     return None
@@ -369,14 +345,11 @@ def _solve_8x15_pivot(pipe: Pipeline, mu):
         if len(chosen) < 5:
             extras = [a for a in range(1, 9) if a not in chosen]
             chosen = sorted(chosen + extras[: 5 - len(chosen)])
-        outsiders = [a for a in range(1, 9) if a not in chosen][:3]
         companions = {a: witness[(g, a)] for a in chosen if (g, a) in witness}
         missing = [a for a in chosen if a not in companions]
         bundle, recipient = _worst_pivot_pair(cur, mu, g, companions, missing)
-        awards = {outsiders[0]: {1}, outsiders[1]: {2}, outsiders[2]: {3}}
-        awards[recipient] = bundle
-        pipe.note(f"c7:pivot{g}:crowd")
-        pipe.push(make_step(RULE_DOMINATION, awards))
+        awards = _leading_three(chosen, {recipient: bundle})
+        pipe.push(make_step(RULE_DOMINATION, awards), f"c7:pivot{g}:crowd")
         return None
     if len(crowd) == 3:
         helpers = [
@@ -388,27 +361,22 @@ def _solve_8x15_pivot(pipe: Pipeline, mu):
             companions = {a: witness[(g, a)] for a in crowd}
             bundle, owner = _worst_pivot_pair(cur, mu, g, companions, ())
             i, ip = helpers[0], helpers[1]
-            outsiders = [a for a in range(1, 9) if a not in crowd + [i, ip]][:3]
-            base = {outsiders[0]: {1}, outsiders[1]: {2}, outsiders[2]: {3}}
+            named = crowd + [i, ip]
             vi = bundle_value(cur, i, bundle) >= mu[i - 1]
             vip = bundle_value(cur, ip, bundle) >= mu[ip - 1]
             if vi and vip and 4 not in bundle:  # the pack gives ip good 4
-                awards = dict(base)
-                awards[i] = bundle
-                awards[ip] = {4}
-                step = make_step(RULE_DOMINATION, awards)
-                final = pipe.search(mu, f"c7:pivot{g}:pack at 8x15", step)
+                step = make_step(
+                    RULE_DOMINATION, _leading_three(named, {i: bundle, ip: {4}})
+                )
+                tag = f"c7:pivot{g}:pack"
+                final = pipe.settle(mu, f"{tag} at 8x15", tag, step)
                 if final is not None:
-                    pipe.note(f"c7:pivot{g}:pack")
-                    pipe.push(step)
                     return final
-            awards = dict(base)
             recipient = ip if vip else owner
             if vi and not vip:
                 recipient = i
-            awards[recipient] = bundle
-            pipe.note(f"c7:pivot{g}:reject")
-            pipe.push(make_step(RULE_DOMINATION, awards))
+            awards = _leading_three(named, {recipient: bundle})
+            pipe.push(make_step(RULE_DOMINATION, awards), f"c7:pivot{g}:reject")
             return None
     pipe.note("8x15: no pivot-pair group is large enough")
     return None

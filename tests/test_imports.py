@@ -8,7 +8,9 @@ solvers take the sorted residual ``Instance`` itself, so only ``core`` and
 ``pipeline`` name ``OrderedInstance``.  Another keeps the search limit with
 the pipeline: only ``mms``, which raises ``TooLarge``, and ``pipeline``,
 which reports it, name it; and only ``pipeline``, which runs every
-threshold search, imports ``find_allocation_meeting``.  The reference
+threshold search, imports ``find_allocation_meeting``.  Only ``pipeline``
+imports ``apply_with_maps``: every step of a solve is applied where it is
+committed, in ``Pipeline.push`` or ``Pipeline.settle``.  The reference
 oracle ``exhaustive_partition`` stays off the solve path: only ``cli``, for
 ``solve --oracle exhaustive``, imports it.  The shape decisions stay in
 ``bounds``: only ``pipeline``, which guards every simple reduction,
@@ -92,6 +94,7 @@ def imports_any(path: Path, names) -> bool:
         ({"OrderedInstance"}, {"core.py", "pipeline.py"}),
         ({"TooLarge"}, {"mms.py", "pipeline.py"}),
         ({"find_allocation_meeting"}, {"pipeline.py"}),
+        ({"apply_with_maps"}, {"pipeline.py"}),
         ({"exhaustive_partition"}, {"mms.py", "cli.py"}),
         ({"known_solvable"}, {"pipeline.py"}),
         ({"n_c_chores"}, {"cli.py"}),
@@ -100,6 +103,7 @@ def imports_any(path: Path, names) -> bool:
         "ordered_instance",
         "too_large",
         "threshold_search",
+        "step_application",
         "reference_oracle",
         "shape_guard",
         "chores_threshold",

@@ -196,26 +196,28 @@ def test_find_allocation_meeting_agrees_with_brute_force():
 
 def test_threshold_search_stops_at_its_node_budget(monkeypatch):
     """Each call of the search is one node of ``SEARCH_NODES``.  Five unit
-    goods meet thresholds (2, 2, 1) at the 19th node and refute (2, 2, 2)
-    after 229: a search that needs more nodes than the budget raises
-    TooLarge, and one that refutes within it still returns None, a proof."""
-    inst = make_instance(GOODS, [[1] * 5] * 3)
-    monkeypatch.setattr(mms, "SEARCH_NODES", 229)
-    assert find_allocation_meeting(inst, [2, 2, 1]) is not None
-    assert find_allocation_meeting(inst, [2, 2, 2]) is None
-    monkeypatch.setattr(mms, "SEARCH_NODES", 228)
-    with pytest.raises(TooLarge, match="^threshold search past 228 nodes$"):
-        find_allocation_meeting(inst, [2, 2, 2])
-    monkeypatch.setattr(mms, "SEARCH_NODES", 18)
+    goods meet thresholds (2, 2, 1) at the 10th node, and three rows
+    [5, 5, 5, 1] refute (6, 6, 4) after 16: a search that needs more nodes
+    than the budget raises TooLarge, and one that refutes within it still
+    returns None, a proof."""
+    units = make_instance(GOODS, [[1] * 5] * 3)
+    fives = make_instance(GOODS, [[5, 5, 5, 1]] * 3)
+    monkeypatch.setattr(mms, "SEARCH_NODES", 16)
+    assert find_allocation_meeting(units, [2, 2, 1]) is not None
+    assert find_allocation_meeting(fives, [6, 6, 4]) is None
+    monkeypatch.setattr(mms, "SEARCH_NODES", 15)
+    with pytest.raises(TooLarge, match="^threshold search past 15 nodes$"):
+        find_allocation_meeting(fives, [6, 6, 4])
+    monkeypatch.setattr(mms, "SEARCH_NODES", 9)
     with pytest.raises(TooLarge):
-        find_allocation_meeting(inst, [2, 2, 1])
+        find_allocation_meeting(units, [2, 2, 1])
 
 
 def test_threshold_search_deeper_than_the_stack_is_too_large():
     """The search takes one frame per item, so a residual of more items
     than the recursion limit allows raises TooLarge, as a spent budget
-    does, not RecursionError: agent 1 takes the first three quarters of
-    these unit goods before the others' shares stop her."""
+    does, not RecursionError: agent 1 takes the first half of these unit
+    goods before the others' shares stop her."""
     m = 2 * sys.getrecursionlimit()
     inst = make_instance(GOODS, [[1] * m] * 3)
     with pytest.raises(TooLarge, match="past the stack$"):
@@ -457,7 +459,7 @@ def test_a_full_share_cache_misses_as_fast_as_one_below_its_limit(monkeypatch):
 
     def misses(start, count=calls):
         for k in range(start, start + count):
-            mms._entry((k,), 2, True)
+            mms._entry(((k,), 2, True), None)
 
     below, past = [], []
     for _ in range(3):
@@ -878,6 +880,72 @@ def test_many_agents_few_spare_goods_solve_quickly():
     validate_allocation(inst, out.allocation)
     for i in range(1, inst.n + 1):
         assert bundle_value(inst, i, out.allocation[i - 1]) >= mms_value(inst, i).mu
+
+
+def _assert_solved_and_certified(inst, out):
+    assert out.status == "solved", out.diagnostic
+    validate_allocation(inst, out.allocation)
+    shares = mu_vector(inst)
+    for i in range(1, inst.n + 1):
+        assert bundle_value(inst, i, out.allocation[i - 1]) >= shares[i - 1]
+    assert all(ok for _, ok in verify_trace(to_ordered(inst).instance, out.trace))
+
+
+def _goods_3x300():
+    rng = random.Random(1)
+    return make_instance(
+        GOODS, [[rng.randint(1, 3) for _ in range(300)] for _ in range(3)]
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_goods_3x300, lambda: make_instance(GOODS, [[1] * 900] * 3)],
+    ids=["3x300-values-1-to-3", "3x900-unit-goods"],
+)
+def test_a_goods_residual_no_step_shrinks_is_searched_quickly(build):
+    """No step shrinks these, so the fallback search settles them.  Its
+    goods pruning tested each agent alone and never the agents' total need
+    against what the goods left can add: both searches came back
+    unresolved past their node budget, after about 9 s each."""
+    inst = build()
+    clear_caches()
+    start = time.monotonic()
+    out = solve(inst)
+    assert time.monotonic() - start < 1
+    assert out.diagnostic.endswith("fallback:threshold-search")
+    _assert_solved_and_certified(inst, out)
+
+
+PEELED_ROWS = [
+    ((20, 19, 16, 15, 15, 14, 12, 11, 11, 8, 8, 4, 0), True),
+    ((20, 15, 15, 14, 13, 13, 11, 9, 8, 7, 7, 7, 0), False),
+]
+
+
+def test_the_peel_leaves_the_share_search_only_the_tail(monkeypatch):
+    """200 agents and 207 goods: the peel leaves each share search 14
+    goods in 7 bundles, and the solve takes about 0.7 s (1.2 s searching
+    whole rows).  Ten bundles of thirteen items hold seven singletons: the
+    share's bound and decision search see only the six smallest items."""
+    inst = _seeded_goods(1, 200, 207)
+    clear_caches()
+    start = time.monotonic()
+    out = solve(inst)
+    assert time.monotonic() - start < 2
+    _assert_solved_and_certified(inst, out)
+    expected = [_reference_share(vals, 10, goods) for vals, goods in PEELED_ROWS]
+    seen = []
+    for name in ("_share_bound", "_meets"):
+        def recorded(row, *args, _original=getattr(mms, name)):
+            seen.append(len(row))
+            return _original(row, *args)
+
+        monkeypatch.setattr(mms, name, recorded)
+    for (vals, goods), share in zip(PEELED_ROWS, expected):
+        seen.clear()
+        assert mms._share(vals, 10, goods) == share
+        assert len(seen) >= 2 and set(seen) == {6}
 
 
 def test_shares_of_twenty_agents_thirty_goods():

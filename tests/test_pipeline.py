@@ -128,8 +128,9 @@ FILLER = [10] * 3 + [1] * 12
     ids=["4x10-single-good", "8x15-five-awards"],
 )
 def test_a_search_with_a_step_searches_its_residual(rows, awards):
-    """Searching with a step is the threshold search on the rows of the
-    agents it keeps, without the items it awards, against their shares."""
+    """Settling with a step is the threshold search on the rows of the
+    agents it keeps, without the items it awards, against their shares; on
+    success the step is pushed, onto that residual, and its tag noted."""
     pipe = Pipeline(to_ordered(make_instance(GOODS, rows)).instance)
     cur = pipe.current
     mu = mms.mu_vector(cur)
@@ -139,8 +140,43 @@ def test_a_search_with_a_step_searches_its_residual(rows, awards):
     residual = make_instance(GOODS, [[cur.value(i, j) for j in items] for i in kept])
     expected = mms.find_allocation_meeting(residual, [mu[i - 1] for i in kept])
     assert expected is not None
-    assert pipe.search(mu, "test", step) == expected
-    assert pipe.current is cur and not pipe.steps
+    assert pipe.settle(mu, "test", "test:settled", step) == expected
+    assert pipe.current == residual
+    assert pipe.steps == [step] and pipe.notes == ["test:settled"]
+
+
+@pytest.mark.parametrize(
+    "mu, step",
+    [
+        ((5, 5, 5), make_step("single_item", {1: {1, 2, 3}})),
+        ((6, 6, 6), None),
+    ],
+    ids=["with-step", "stepless"],
+)
+def test_a_settle_that_finds_nothing_leaves_the_pipeline_untouched(mu, step):
+    """None proves that no allocation of the searched residual meets the
+    shares: nothing is pushed and no tag is noted."""
+    pipe = Pipeline(to_ordered(make_instance(GOODS, ROWS)).instance)
+    cur = pipe.current
+    assert pipe.settle(mu, "test", "test:settled", step) is None
+    assert pipe.current is cur and pipe.steps == [] and pipe.notes == []
+
+
+def test_a_settled_step_is_applied_once(monkeypatch):
+    """Paying good 1 off at 4 x 10 searches the residual of its step and
+    pushes that same residual: one ``apply_with_maps`` for the one step of
+    the trace, where searching and then pushing applied it twice."""
+    applied = []
+
+    def counted(instance, step):
+        applied.append(step)
+        return original(instance, step)
+
+    original = pipeline.apply_with_maps
+    monkeypatch.setattr(pipeline, "apply_with_maps", counted)
+    out = solve(make_instance(GOODS, [[20] + [3] * 9] * 2 + [[10, 5] + [2] * 8] * 2))
+    assert out.status == "solved" and out.diagnostic == "c6:payoff-good1:agent1"
+    assert len(out.trace.steps) == 1 and len(applied) == 1
 
 
 def test_a_scripted_search_past_the_cap_is_unresolved(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 from mmsalloc.bounds import known_solvable
 from mmsalloc.core import GOODS, bundle_value, make_instance, to_ordered
 from mmsalloc import mms
-from mmsalloc.errors import PreconditionUnmet, TooLarge
+from mmsalloc.errors import TooLarge
 from mmsalloc.mms import mms_value, mu_vector, structured_partition_goods
 from mmsalloc.reductions import ReductionTrace, verify_step, verify_trace
 from mmsalloc.pipeline import Pipeline
@@ -31,7 +31,6 @@ from mmsalloc.solver_goods import (
     _step,
     _worst_pivot_pair,
     efm_step,
-    mostly_overlapping_pair,
     reduce_2n2,
     solve,
     tail_group_step,
@@ -376,18 +375,21 @@ def test_reduce_2n2_pivot_pair_branch():
     assert verify_step(ordered.instance, step)
 
 
-def test_mostly_overlapping_pair_prefers_exception_agent():
-    rows = [[7, 7, 7, 3, 3, 3, 2, 2, 2]] * 4
-    ordered = to_ordered(make_instance(GOODS, rows))
-    mu = mu_vector(ordered.instance)
-    pairs = {1: frozenset({1, 7}), 2: frozenset({1, 8}), 3: frozenset({1, 9})}
-    step = mostly_overlapping_pair(ordered.instance, mu, 1, pairs)
-    [(agent, bundle)] = step.assignments
-    # the worst companion is good 9; agent 4 accepts it and takes priority
-    assert bundle == frozenset({1, 9})
-    assert agent == 4
-    with pytest.raises(PreconditionUnmet):
-        mostly_overlapping_pair(ordered.instance, mu, 1, {1: frozenset({1, 7})})
+def test_reduce_2n2_prefers_the_agent_without_a_pivot_pair():
+    """The witnesses of agents 1 and 2 pair good 1 with goods 4 and 3;
+    agent 3's pairs goods 2 and 6.  The worst pivot pair, {1, 4}, is agent
+    1's, but agent 3, who lacks a pair through good 1, accepts it and
+    takes priority."""
+    rows = [[8, 7, 7, 6, 5, 4, 4, 3], [9, 8, 7, 7, 7, 6, 5, 1], [9, 9, 6, 4, 4, 4, 4, 3]]
+    cur = to_ordered(make_instance(GOODS, rows)).instance
+    mu = mu_vector(cur)
+    pairs = [
+        [b for b in mms_value(cur, i).witness if len(b) == 2] for i in (1, 2, 3)
+    ]
+    assert pairs == [[{2, 3}, {1, 4}], [{1, 3}], [{2, 6}]]
+    step = reduce_2n2(cur, mu)
+    assert step.assignments == ((3, frozenset({1, 4})),)
+    assert verify_step(cur, step)
 
 
 def _largest_companion_rule(cur, mu, pivot, companion, missing):
