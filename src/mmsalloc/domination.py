@@ -8,27 +8,14 @@ valuation; for chores (worst chore first) it is at most as valuable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import CHORES, GOODS
 from .errors import EmptyGroup
 
 
-@dataclass(frozen=True, slots=True)
-class DominationWitness:
-    """Injective map from items of B' to items of B with f(j) <= j."""
-
-    mapping: tuple  # of (j, f(j)) pairs, ascending in j
-
-
-@dataclass(frozen=True, slots=True)
-class TailBundle:
-    agent: int
-    bundle: frozenset
-
-
 def dominates(b, b_prime):
-    """Witness that B dominates B', or None.
+    """Witness that B dominates B', or None: the injective map f from the
+    items of B' to items of B with f(j) <= j, as a tuple of (j, f(j))
+    pairs ascending in j.
 
     Greedy construction: scan B' ascending, matching each item to the
     smallest unused item of B that does not exceed it.  The greedy match
@@ -42,7 +29,7 @@ def dominates(b, b_prime):
             return None
         mapping.append((j, available[lo]))
         lo += 1
-    return DominationWitness(mapping=tuple(mapping))
+    return tuple(mapping)
 
 
 def strictly_dominates(b, b_prime) -> bool:
@@ -60,19 +47,20 @@ def tail_bundle(partition, n: int):
 
 
 def group_tail_bundles(tails, k: int):
-    """Multimap from each (k-1)-subset to the size-k tail bundles containing it."""
+    """Multimap from each (k-1)-subset to the size-k tail bundles containing
+    it: ``tails`` maps agents to bundles, and so does each group."""
     groups: dict = {}
-    for tail in tails:
-        if len(tail.bundle) != k:
+    for agent, bundle in tails.items():
+        if len(bundle) != k:
             continue
-        for out in tail.bundle:
-            key = frozenset(tail.bundle - {out})
-            groups.setdefault(key, set()).add(tail)
+        for out in bundle:
+            groups.setdefault(frozenset(bundle - {out}), {})[agent] = bundle
     return groups
 
 
-def pick_dominated(group, kind: str) -> TailBundle:
-    """The distinguished bundle of a shared-subset group.
+def pick_dominated(group, kind: str):
+    """The distinguished bundle of a shared-subset group, which maps agents
+    to bundles, as (agent, bundle).
 
     All bundles are S plus one extra item.  For goods the bundle with the
     largest extra item is dominated by every other; for chores the bundle
@@ -81,17 +69,15 @@ def pick_dominated(group, kind: str) -> TailBundle:
     """
     if not group:
         raise EmptyGroup("no tail bundles to choose from")
-    members = list(group)
-    shared = frozenset.intersection(*(t.bundle for t in members))
+    shared = frozenset.intersection(*group.values())
     if kind not in (GOODS, CHORES):
         raise ValueError(f"unknown kind {kind!r}")
 
-    def extra(t: TailBundle) -> int:
-        rest = t.bundle - shared
+    def extra(agent: int) -> int:
+        rest = group[agent] - shared
         return max(rest) if rest else 0
 
-    if kind == GOODS:
-        chosen = max(extra(t) for t in members)
-    else:
-        chosen = min(extra(t) for t in members)
-    return min((t for t in members if extra(t) == chosen), key=lambda t: t.agent)
+    pick = max if kind == GOODS else min
+    chosen = pick(extra(a) for a in group)
+    agent = min(a for a in group if extra(a) == chosen)
+    return agent, group[agent]

@@ -1,7 +1,8 @@
 """Bipartite matching: maximum, envy-free, and Hall-deficiency extraction.
 
-Vertices are 1-based on both sides.  All searches visit vertices in
-ascending id order, so results are deterministic.
+Vertices are 1-based on both sides, and a matching is the frozenset of
+its (x, y) pairs.  All searches visit vertices in ascending id order, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -29,11 +30,6 @@ class BipartiteGraph:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Matching:
-    pairs: frozenset  # of (x, y)
-
-
 def _augment(g: BipartiteGraph, match_y: dict, x: int, seen: set) -> bool:
     for y in g.adjacency[x - 1]:
         if y in seen:
@@ -45,18 +41,18 @@ def _augment(g: BipartiteGraph, match_y: dict, x: int, seen: set) -> bool:
     return False
 
 
-def max_matching(g: BipartiteGraph) -> Matching:
+def max_matching(g: BipartiteGraph) -> frozenset:
     """Maximum-cardinality matching via augmenting paths."""
     match_y: dict = {}
     for x in range(1, g.x_size + 1):
         _augment(g, match_y, x, set())
-    return Matching(pairs=frozenset((x, y) for y, x in match_y.items()))
+    return frozenset((x, y) for y, x in match_y.items())
 
 
-def _alternating_reach(g: BipartiteGraph, matching: Matching):
+def _alternating_reach(g: BipartiteGraph, matching: frozenset):
     """X and Y vertices reachable by alternating paths from unmatched X."""
-    match_x = {x: y for x, y in matching.pairs}
-    match_y = {y: x for x, y in matching.pairs}
+    match_x = {x: y for x, y in matching}
+    match_y = {y: x for x, y in matching}
     frontier = [x for x in range(1, g.x_size + 1) if x not in match_x]
     reached_x = set(frontier)
     reached_y: set = set()
@@ -73,7 +69,7 @@ def _alternating_reach(g: BipartiteGraph, matching: Matching):
     return reached_x, reached_y
 
 
-def envy_free_matching(g: BipartiteGraph) -> Matching:
+def envy_free_matching(g: BipartiteGraph) -> frozenset:
     """A matching in which no unmatched X vertex sees a matched Y vertex.
 
     Drop from a maximum matching every X vertex reachable by an alternating
@@ -82,12 +78,12 @@ def envy_free_matching(g: BipartiteGraph) -> Matching:
     """
     m = max_matching(g)
     reached_x, _ = _alternating_reach(g, m)
-    return Matching(pairs=frozenset((x, y) for x, y in m.pairs if x not in reached_x))
+    return frozenset((x, y) for x, y in m if x not in reached_x)
 
 
-def is_envy_free(g: BipartiteGraph, matching: Matching) -> bool:
-    matched_x = {x for x, _ in matching.pairs}
-    matched_y = {y for _, y in matching.pairs}
+def is_envy_free(g: BipartiteGraph, matching: frozenset) -> bool:
+    matched_x = {x for x, _ in matching}
+    matched_y = {y for _, y in matching}
     for x in range(1, g.x_size + 1):
         if x in matched_x:
             continue
@@ -104,7 +100,7 @@ def hall_deficient_split(g: BipartiteGraph):
     outside the returned neighbourhood.
     """
     m = max_matching(g)
-    if len(m.pairs) == g.x_size:
+    if len(m) == g.x_size:
         return None
     reached_x, reached_y = _alternating_reach(g, m)
     return frozenset(reached_x), frozenset(reached_y)

@@ -13,9 +13,10 @@ big-int bitset per row), stepped from the greedy value toward
 search.  A row of m < 2n items first sheds 2n - m singletons (the peel).
 Goods are decided by peeling the goods worth the target and bin
 completion on the rest (``_complete``); chores are packed item by item
-(``_pack``).  The witness partition (``_split``) is the greedy partition
-when that meets the share, and otherwise the split of one decision at the
-share.  Both share one cache entry per sorted row: ``row_share`` asks for
+(``_pack``), each decision within its own node budget ``SEARCH_NODES``.
+A decision past its budget or the stack raises TooLarge.  The witness
+partition (``_split``) is the greedy partition when that meets the share,
+and otherwise the split of one decision at the share.  Both share one cache entry per sorted row: ``row_share`` asks for
 the value alone, as ``mms_value`` does, whose record builds its witness
 partition on first use.  ``mu_vector`` returns the shares of all agents
 by value and skips the records; the solver and certification use it, and
@@ -38,7 +39,8 @@ from .core import CHORES, GOODS, Instance, as_exact, drop_oldest
 from .errors import DanglingReference, InternalInvariantViolation, TooLarge
 
 DEFAULT_EXHAUSTIVE_CAP = 10**8
-# Nodes one threshold search may visit before it gives up: about 10 s.
+# Nodes one threshold search, or one chores share decision, may visit
+# before it gives up: about 10 s.
 SEARCH_NODES = 10**7
 
 
@@ -188,10 +190,15 @@ def _share(vals: tuple, n: int, goods: bool) -> int:
 def _meets(vals, n: int, goods: bool, target: int):
     """A split of the row `vals` into n bundles that meets `target`, each
     bundle worth at least it (goods) or at most it (chores), as `_reaches`
-    or `_pack` returns it, or None when there is none."""
-    if goods:
-        return _reaches(vals, n, target)
-    return _pack(vals, _suffix_sums(vals), [0] * n, target, 0)
+    or `_pack` returns it, or None when there is none.  A chores decision
+    stops at its node budget, and either kind past the interpreter's
+    recursion limit, with TooLarge, as the threshold search does."""
+    try:
+        if goods:
+            return _reaches(vals, n, target)
+        return _pack(vals, _suffix_sums(vals), [0] * n, target, 0, [SEARCH_NODES])
+    except RecursionError:
+        raise TooLarge(f"share search over {len(vals)} items past the stack") from None
 
 
 def _reaches(vals, n: int, target: int):
@@ -284,12 +291,16 @@ def _extend(
     return None
 
 
-def _pack(vals, suffix, loads, capacity: int, t: int):
+def _pack(vals, suffix, loads, capacity: int, t: int, left: list):
     """A split of the chores vals[t:] over the bundles of `loads`, each
     holding at most `capacity`, as a list whose entry t' >= t is the bundle
     of chore t', or None.  Items are branched in row order over the bundles
     they fit in; the room left in a bundle counts only while the smallest
-    chore still fits there."""
+    chore still fits there.  Each call is one node, charged to `left[0]`;
+    with none left it raises TooLarge."""
+    if left[0] <= 0:
+        raise TooLarge(f"share search past {SEARCH_NODES} nodes")
+    left[0] -= 1
     if t == len(vals):
         return [0] * t
     smallest = vals[-1]
@@ -306,7 +317,7 @@ def _pack(vals, suffix, loads, capacity: int, t: int):
             continue
         seen.add(load)
         loads[j] = load + v
-        split = _pack(vals, suffix, loads, capacity, t + 1)
+        split = _pack(vals, suffix, loads, capacity, t + 1, left)
         loads[j] = load
         if split is not None:
             split[t] = j

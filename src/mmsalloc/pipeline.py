@@ -177,7 +177,8 @@ def _drive(pipe: Pipeline, step):
     Returns (final allocation of the residual, "") or (None, reason).  A
     step that pushed nothing (``pipe.current`` did not move) and returned
     None leaves the residual to the fallback search.  A search past its
-    node budget, in the step or the fallback, leaves it unresolved.
+    node budget, in the shares, the two-agent base, the step or the
+    fallback, leaves it unresolved.
     """
     kind = pipe.companion.kind
     while True:
@@ -185,18 +186,18 @@ def _drive(pipe: Pipeline, step):
         n, m = cur.n, cur.m
         if n == 0:
             return tuple(), ""
-        if n <= 2:
-            pipe.note("base:two-agent")
-            return base_identical_partitions(cur), ""
-        if m <= n:
-            # one leading item each, in order; empties beyond that
-            pipe.note(LEADING_NOTE[kind])
-            final = tuple(
-                frozenset({i}) if i <= m else frozenset() for i in range(1, n + 1)
-            )
-            return final, ""
-        mu = mu_vector(cur)
         try:
+            if n <= 2:
+                pipe.note("base:two-agent")
+                return base_identical_partitions(cur), ""
+            if m <= n:
+                # one leading item each, in order; empties beyond that
+                pipe.note(LEADING_NOTE[kind])
+                final = tuple(
+                    frozenset({i}) if i <= m else frozenset() for i in range(1, n + 1)
+                )
+                return final, ""
+            mu = mu_vector(cur)
             final = step(pipe, mu)
             if final is not None:
                 return final, ""

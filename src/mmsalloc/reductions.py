@@ -20,7 +20,7 @@ from .core import (
     bundle_value,
     shared_bundle,
 )
-from .domination import TailBundle, group_tail_bundles, pick_dominated
+from .domination import group_tail_bundles, pick_dominated
 from .errors import DanglingReference, MalformedDocument, PreconditionUnmet
 from .mms import mms_value, mu_vector, row_share
 
@@ -184,7 +184,8 @@ def reduce_pair_from_high(instance: Instance, mu) -> ReductionStep | None:
 
 
 def reduce_by_domination(instance: Instance, group, mu) -> ReductionStep:
-    """Composite step built around a group of same-size tail bundles.
+    """Composite step built around a group of same-size tail bundles, a
+    map from the group's agents to their bundles.
 
     The group's bundles share a (k-1)-subset, so one of them is comparable
     to all others under domination: for goods the bundle with the worst
@@ -200,15 +201,14 @@ def reduce_by_domination(instance: Instance, group, mu) -> ReductionStep:
     kind = instance.kind
     n, m = instance.n, instance.m
     c = m - n
-    chosen = pick_dominated(group, kind)
-    if bundle_value(instance, chosen.agent, chosen.bundle) < mu[chosen.agent - 1]:
+    owner, bundle = pick_dominated(group, kind)
+    if bundle_value(instance, owner, bundle) < mu[owner - 1]:
         raise PreconditionUnmet(
-            f"agent {chosen.agent} does not accept the distinguished bundle"
+            f"agent {owner} does not accept the distinguished bundle"
         )
 
-    group_agents = {t.agent for t in group}
-    outside = [i for i in range(1, n + 1) if i not in group_agents]
-    awards = {chosen.agent: set(chosen.bundle)}
+    outside = [i for i in range(1, n + 1) if i not in group]
+    awards = {owner: set(bundle)}
 
     if kind == CHORES:
         # Worst chores go out one per agent; any single chore meets any share.
@@ -222,10 +222,10 @@ def reduce_by_domination(instance: Instance, group, mu) -> ReductionStep:
 
     q = len(outside)
     d = max(0, q - (n - c))
-    k = len(chosen.bundle)
+    k = len(bundle)
     if d > max(0, k - 1):
         raise PreconditionUnmet(
-            f"group of {len(group_agents)} leaves {d} surplus agents for {k}-bundles"
+            f"group of {len(group)} leaves {d} surplus agents for {k}-bundles"
         )
     high_items = [n - c + t for t in range(1, d + 1)]
     eligible = [
@@ -258,12 +258,11 @@ def reduce_by_tail_group(
     with ``threshold`` distinct agents whose domination award goes through
     gives the step.  Returns None when no group fires.
     """
-    bundles = [TailBundle(i, b) for i, b in tails.items()]
     for k, threshold in thresholds:
-        groups = group_tail_bundles(bundles, k)
+        groups = group_tail_bundles(tails, k)
         for key in sorted(groups, key=lambda s: tuple(sorted(s))):
             grp = groups[key]
-            if len({t.agent for t in grp}) >= threshold:
+            if len(grp) >= threshold:
                 try:
                     return reduce_by_domination(instance, grp, mu)
                 except PreconditionUnmet:

@@ -21,7 +21,7 @@ from .core import (
     Instance,
     bundle_value,
 )
-from .domination import TailBundle, pick_dominated, tail_bundle
+from .domination import pick_dominated, tail_bundle
 from .errors import InternalInvariantViolation, PreconditionUnmet
 from .matching import BipartiteGraph, hall_deficient_split, max_matching, envy_free_matching
 from .mms import (
@@ -56,11 +56,12 @@ def _worst_pivot_pair(cur: Instance, mu, pivot: int, companion, missing):
     (agents without a pair) takes it instead if she clears her share with
     it.  Returns (bundle, recipient).
     """
-    pairs = [TailBundle(a, frozenset({pivot, x})) for a, x in companion.items()]
-    worst = pick_dominated(pairs, GOODS)
-    if missing and bundle_value(cur, missing[0], worst.bundle) >= mu[missing[0] - 1]:
-        return worst.bundle, missing[0]
-    return worst.bundle, worst.agent
+    owner, worst = pick_dominated(
+        {a: frozenset({pivot, x}) for a, x in companion.items()}, GOODS
+    )
+    if missing and bundle_value(cur, missing[0], worst) >= mu[missing[0] - 1]:
+        return worst, missing[0]
+    return worst, owner
 
 
 def reduce_2n2(cur: Instance, mu) -> ReductionStep:
@@ -95,7 +96,7 @@ def reduce_2n2(cur: Instance, mu) -> ReductionStep:
 
 # --- envy-free matching step -------------------------------------------------
 
-def efm_step(pipe: Pipeline, agent: int, part, mu):
+def efm_step(pipe: Pipeline, agent: int, part, mu, tag: str = ""):
     """Allocate via matching when one agent's partition is nearly all small.
 
     ``part`` is ``agent``'s own witness, so every bundle of it meets her
@@ -105,7 +106,8 @@ def efm_step(pipe: Pipeline, agent: int, part, mu):
     envy-free matching is found among the rest on the small bundles, and
     every matched agent is removed: size-2 bundles as-is, size-1 bundles
     padded with the worst remaining good.  Returns the allocation, or
-    pushes the batch step and returns None.
+    pushes the batch step and returns None; either way it notes ``tag``,
+    the branch taking it.
     """
     cur = pipe.current
     n, m = cur.n, cur.m
@@ -130,10 +132,12 @@ def efm_step(pipe: Pipeline, agent: int, part, mu):
 
     full = acceptance(range(1, n + 1), range(len(part)))
     mm = max_matching(full)
-    if len(mm.pairs) == n:
+    if len(mm) == n:
         alloc = [None] * n
-        for x, y in mm.pairs:
+        for x, y in mm:
             alloc[x - 1] = part[y - 1]
+        if tag:
+            pipe.note(tag)
         return tuple(alloc)
 
     others = [i for i in range(1, n + 1) if i != agent]
@@ -149,9 +153,9 @@ def efm_step(pipe: Pipeline, agent: int, part, mu):
     y3 = [idx for yi, idx in enumerate(small) if (yi + 1) not in blocked_y]
     g3 = acceptance(x3, y3)
     efm = envy_free_matching(g3)
-    if not efm.pairs:
+    if not efm:
         raise InternalInvariantViolation("envy-free matching unexpectedly empty")
-    matched = sorted((x3[x - 1], y3[y - 1]) for x, y in efm.pairs)
+    matched = sorted((x3[x - 1], y3[y - 1]) for x, y in efm)
     used_goods = set()
     for _, idx in matched:
         used_goods |= part[idx]
@@ -165,7 +169,7 @@ def efm_step(pipe: Pipeline, agent: int, part, mu):
         else:
             awards[aid] = b | {pads[pi]}
             pi += 1
-    pipe.push(make_step(RULE_EFM_BATCH, awards))
+    pipe.push(make_step(RULE_EFM_BATCH, awards), tag)
     return None
 
 
@@ -268,8 +272,7 @@ def _solve_8x15(pipe: Pipeline, mu):
     for i in range(1, 9):
         if cur.value(i, 3) < mu[i - 1]:
             part = structured_partition_goods(cur, i, mu[i - 1])
-            pipe.note("c7:low-third")
-            return efm_step(pipe, i, part, mu)
+            return efm_step(pipe, i, part, mu, "c7:low-third")
 
     h6 = [i for i in range(1, 9) if cur.value(i, 6) >= mu[i - 1]]
     if h6:
@@ -291,8 +294,7 @@ def _solve_8x15(pipe: Pipeline, mu):
     for i in range(1, 9):
         part = structured_partition_goods(cur, i, mu[i - 1])
         if sum(1 for b in part if len(b) <= 2) >= 7:
-            pipe.note("c7:mostly-small")
-            return efm_step(pipe, i, part, mu)
+            return efm_step(pipe, i, part, mu, "c7:mostly-small")
 
     high5 = [i for i in range(1, 9) if cur.value(i, 5) >= mu[i - 1]]
     if high5:

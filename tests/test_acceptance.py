@@ -222,13 +222,17 @@ def test_criterion_6_domination():
         if dominates(b, b) is None:
             ok = False
     for b, bp in zip(bundles[:400:2], bundles[1:400:2]):
-        if dominates(b, bp) and dominates(bp, b) and b != bp:
+        if dominates(b, bp) is not None and dominates(bp, b) is not None and b != bp:
             ok = False
     for b, bp, bpp in zip(bundles[:600:3], bundles[1:600:3], bundles[2:600:3]):
-        if dominates(b, bp) and dominates(bp, bpp) and not dominates(b, bpp):
+        if (
+            dominates(b, bp) is not None
+            and dominates(bp, bpp) is not None
+            and dominates(b, bpp) is None
+        ):
             ok = False
     hand = dominates(frozenset({3, 7, 8, 11, 14}), frozenset({6, 7, 11, 13}))
-    ok = ok and hand is not None and hand.mapping == ((6, 3), (7, 7), (11, 8), (13, 11))
+    ok = ok and hand == ((6, 3), (7, 7), (11, 8), (13, 11))
     report(6, ok, "10000 pairs + hand-checked witness")
 
 
@@ -244,7 +248,7 @@ def test_criterion_7_envy_free_matching():
                 if not is_envy_free(g, efm):
                     ok = False
                 neighborhood = set().union(*map(set, g.adjacency))
-                if len(neighborhood) >= x >= 1 and not efm.pairs:
+                if len(neighborhood) >= x >= 1 and not efm:
                     ok = False
     rng = random.Random(107)
     for _ in range(10000):
@@ -260,7 +264,7 @@ def test_criterion_7_envy_free_matching():
         if not is_envy_free(g, efm):
             ok = False
         neighborhood = set().union(*map(set, g.adjacency))
-        if len(neighborhood) >= xs and not efm.pairs:
+        if len(neighborhood) >= xs and not efm:
             ok = False
     report(7, ok, "exhaustive to 4x4 plus 10000 random graphs")
 

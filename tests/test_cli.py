@@ -358,6 +358,21 @@ def test_scripted_search_past_the_oracle_cap_exits_two(
     assert doc["diagnostic"].endswith("; search budget exceeded")
 
 
+def test_a_share_search_past_the_stack_exits_two(tmp_path, capsys):
+    """Three agents over 1,501 goods: a share decision deeper than the
+    recursion limit is an unresolved solve, not a traceback."""
+    path = tmp_path / "long.json"
+    rows = [[3] + [2] * 1500] * 3
+    path.write_text(json.dumps({"kind": "goods", "valuations": rows}))
+    code, out, err = run(capsys, "solve", "--input", str(path))
+    assert code == 2 and err == ""
+    doc = json.loads(out)
+    assert doc["status"] == "unresolved"
+    assert doc["diagnostic"] == (
+        "share search over 1501 items past the stack; search budget exceeded"
+    )
+
+
 def test_exhaustive_recertification_past_the_oracle_cap_exits_two(tmp_path, capsys):
     """The solve fits under the cap, but the second oracle's 4^10
     assignments do not: the re-certification fails, not the input."""

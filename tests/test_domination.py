@@ -7,7 +7,6 @@ import pytest
 
 from mmsalloc.core import CHORES, GOODS
 from mmsalloc.domination import (
-    TailBundle,
     dominates,
     group_tail_bundles,
     pick_dominated,
@@ -47,12 +46,12 @@ def test_witness_is_a_valid_injection():
         w = dominates(b, bp)
         if w is None:
             continue
-        sources = [j for j, _ in w.mapping]
-        targets = [f for _, f in w.mapping]
+        sources = [j for j, _ in w]
+        targets = [f for _, f in w]
         assert sorted(sources) == sorted(bp)
         assert len(set(targets)) == len(targets)
         assert set(targets) <= set(b)
-        assert all(f <= j for j, f in w.mapping)
+        assert all(f <= j for j, f in w)
 
 
 def test_partial_order_axioms():
@@ -64,7 +63,7 @@ def test_partial_order_axioms():
         if strictly_dominates(b, bp):
             assert not strictly_dominates(bp, b)  # antisymmetric
     for b, bp, bpp in itertools.product(bundles[:15], repeat=3):
-        if dominates(b, bp) and dominates(bp, bpp):
+        if dominates(b, bp) is not None and dominates(bp, bpp) is not None:
             assert dominates(b, bpp) is not None  # transitive
 
 
@@ -79,48 +78,47 @@ def test_hand_checked_pair():
     bp = frozenset({6, 7, 11, 13})
     w = dominates(b, bp)
     assert w is not None
-    assert w.mapping == ((6, 3), (7, 7), (11, 8), (13, 11))
+    assert w == ((6, 3), (7, 7), (11, 8), (13, 11))
     assert dominates(bp, b) is None
 
 
 def test_group_tail_bundles_keys_by_shared_subsets():
-    tails = [
-        TailBundle(1, frozenset({5, 6, 7})),
-        TailBundle(2, frozenset({5, 6, 8})),
-        TailBundle(3, frozenset({5, 6, 9})),
-        TailBundle(4, frozenset({5, 7, 8})),
-    ]
+    tails = {
+        1: frozenset({5, 6, 7}),
+        2: frozenset({5, 6, 8}),
+        3: frozenset({5, 6, 9}),
+        4: frozenset({5, 7, 8}),
+    }
     groups = group_tail_bundles(tails, 3)
-    assert {t.agent for t in groups[frozenset({5, 6})]} == {1, 2, 3}
-    assert {t.agent for t in groups[frozenset({5, 7})]} == {1, 4}
+    assert set(groups[frozenset({5, 6})]) == {1, 2, 3}
+    assert set(groups[frozenset({5, 7})]) == {1, 4}
+    # each group maps its agents to their bundles
+    assert groups[frozenset({5, 7})] == {1: tails[1], 4: tails[4]}
     # bundles of the wrong size are ignored
-    assert group_tail_bundles([TailBundle(1, frozenset({1, 2}))], 3) == {}
+    assert group_tail_bundles({1: frozenset({1, 2})}, 3) == {}
 
 
 def test_pick_dominated_direction_depends_on_kind():
     group = {
-        TailBundle(1, frozenset({5, 6, 7})),
-        TailBundle(2, frozenset({5, 6, 8})),
-        TailBundle(3, frozenset({5, 6, 9})),
+        1: frozenset({5, 6, 7}),
+        2: frozenset({5, 6, 8}),
+        3: frozenset({5, 6, 9}),
     }
     worst = pick_dominated(group, GOODS)
-    assert worst.bundle == frozenset({5, 6, 9})
+    assert worst == (3, frozenset({5, 6, 9}))
     best = pick_dominated(group, CHORES)
-    assert best.bundle == frozenset({5, 6, 7})
+    assert best == (1, frozenset({5, 6, 7}))
     # the chosen bundle is comparable to every member, in the right direction
-    for t in group:
-        assert dominates(t.bundle, worst.bundle) is not None
-        assert dominates(best.bundle, t.bundle) is not None
+    for bundle in group.values():
+        assert dominates(bundle, worst[1]) is not None
+        assert dominates(best[1], bundle) is not None
 
 
 def test_pick_dominated_ties_go_to_lowest_agent():
-    group = {
-        TailBundle(4, frozenset({5, 6})),
-        TailBundle(2, frozenset({5, 6})),
-    }
-    assert pick_dominated(group, GOODS).agent == 2
+    group = {4: frozenset({5, 6}), 2: frozenset({5, 6})}
+    assert pick_dominated(group, GOODS) == (2, frozenset({5, 6}))
 
 
 def test_pick_dominated_rejects_empty_group():
     with pytest.raises(EmptyGroup):
-        pick_dominated(set(), GOODS)
+        pick_dominated({}, GOODS)

@@ -49,12 +49,12 @@ def test_max_matching_size_matches_brute_force():
         g = random_graph(rng)
         m = max_matching(g)
         # matching structure: pairwise distinct endpoints, edges of the graph
-        xs = [x for x, _ in m.pairs]
-        ys = [y for _, y in m.pairs]
+        xs = [x for x, _ in m]
+        ys = [y for _, y in m]
         assert len(set(xs)) == len(xs) and len(set(ys)) == len(ys)
-        for x, y in m.pairs:
+        for x, y in m:
             assert y in g.adjacency[x - 1]
-        assert len(m.pairs) == brute_force_max_matching_size(g)
+        assert len(m) == brute_force_max_matching_size(g)
 
 
 def test_envy_free_matching_is_envy_free():
@@ -82,7 +82,7 @@ def test_nonempty_when_neighborhood_at_least_x_small_exhaustive():
                 efm = envy_free_matching(g)
                 assert is_envy_free(g, efm)
                 if len(neighborhood) >= g.x_size >= 1:
-                    assert efm.pairs, (x, y, g.adjacency)
+                    assert efm, (x, y, g.adjacency)
 
 
 def test_hall_deficient_split_finds_violating_set():
@@ -91,7 +91,7 @@ def test_hall_deficient_split_finds_violating_set():
         g = random_graph(rng)
         split = hall_deficient_split(g)
         if split is None:
-            assert len(max_matching(g).pairs) == g.x_size
+            assert len(max_matching(g)) == g.x_size
             continue
         xs, ys = split
         assert len(xs) > len(ys)
@@ -103,7 +103,7 @@ def test_hall_deficient_split_finds_violating_set():
 def test_known_tiny_cases():
     # two left vertices fighting over one right vertex: EFM must be empty
     g = BipartiteGraph.from_edges(2, 1, [(1, 1), (2, 1)])
-    assert envy_free_matching(g).pairs == frozenset()
+    assert envy_free_matching(g) == frozenset()
     # a perfect matching is envy-free outright
     g2 = BipartiteGraph.from_edges(2, 2, [(1, 1), (2, 2)])
-    assert len(envy_free_matching(g2).pairs) == 2
+    assert len(envy_free_matching(g2)) == 2

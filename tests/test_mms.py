@@ -224,6 +224,53 @@ def test_threshold_search_deeper_than_the_stack_is_too_large():
         find_allocation_meeting(inst, [m // 4] * 3)
 
 
+# Capacity 21 is odd, so two bundles holding only 2s never fill it: the
+# share decisions' room test misses that, and without a node budget
+# ``row_share`` on this row did not return within 150 s (18 twos: 0.4 s).
+ODD_CAPACITY_CHORES = [-3] + [-2] * 30
+# Rows deeper than the recursion limit: a share decision takes one frame
+# per item.
+LONG_ROWS = [([3] + [2] * 1500, GOODS), ([-5, -3, -3] + [-2] * 1200, CHORES)]
+
+
+def test_a_chores_share_decision_stops_at_its_node_budget(monkeypatch):
+    """Each chores share decision gets its own budget of ``SEARCH_NODES``
+    nodes and raises TooLarge past it, as the threshold search does."""
+    monkeypatch.setattr(mms, "SEARCH_NODES", 10**4)
+    with pytest.raises(TooLarge, match="^share search past 10000 nodes$"):
+        mms.row_share(ODD_CAPACITY_CHORES, 3, False)
+
+
+@pytest.mark.parametrize("row, kind", LONG_ROWS, ids=["goods", "chores"])
+def test_a_share_search_deeper_than_the_stack_is_too_large(row, kind):
+    reason = f"^share search over {len(row)} items past the stack$"
+    with pytest.raises(TooLarge, match=reason):
+        mms.row_share(row, 3, kind == GOODS)
+
+
+@pytest.mark.parametrize(
+    "row, kind, reason",
+    [
+        (ODD_CAPACITY_CHORES, CHORES, "share search past 10000 nodes"),
+        (LONG_ROWS[0][0], GOODS, "share search over 1501 items past the stack"),
+        (LONG_ROWS[1][0], CHORES, "share search over 1203 items past the stack"),
+    ],
+    ids=["odd-capacity", "long-goods", "long-chores"],
+)
+def test_a_share_search_past_its_limit_leaves_the_solve_unresolved(
+    monkeypatch, row, kind, reason
+):
+    """Three copies of each row: the shares of the first residual cannot be
+    computed, so the solve is unresolved and says why, and at once."""
+    monkeypatch.setattr(mms, "SEARCH_NODES", 10**4)
+    inst = make_instance(kind, [row] * 3)
+    start = time.monotonic()
+    out = (solve if kind == GOODS else solve_chores)(inst)
+    assert time.monotonic() - start < 1
+    assert out.status == "unresolved"
+    assert out.diagnostic == f"{reason}; search budget exceeded"
+
+
 def test_structured_partition_goods_layout():
     rng = random.Random(5)
     for _ in range(30):
@@ -641,7 +688,7 @@ def test_decision_search_at_tight_targets(monkeypatch):
         return split is not None
 
     def packs(vals, n, capacity):
-        split = mms._pack(vals, mms._suffix_sums(vals), [0] * n, capacity, 0)
+        split = mms._pack(vals, mms._suffix_sums(vals), [0] * n, capacity, 0, [10**4])
         if split is not None:
             bundles = [[v for v, b in zip(vals, split) if b == j] for j in range(n)]
             assert _split_meets(bundles, vals, n, capacity, False)

@@ -179,6 +179,20 @@ def test_a_settled_step_is_applied_once(monkeypatch):
     assert len(out.trace.steps) == 1 and len(applied) == 1
 
 
+def test_a_share_search_past_its_budget_in_the_two_agent_base_is_unresolved(
+    monkeypatch,
+):
+    """The greedy split of these chores (3 + 2 + 2 | 3 + 2) misses the share
+    6, so agent 1's witness comes from a share decision, which a budget of
+    0 nodes stops: the base case is unresolved and says why."""
+    monkeypatch.setattr(mms, "SEARCH_NODES", 0)
+    out = solve_chores(make_instance(CHORES, [[-3, -3, -2, -2, -2]] * 2))
+    assert out.status == "unresolved"
+    assert out.diagnostic == (
+        "base:two-agent; share search past 0 nodes; search budget exceeded"
+    )
+
+
 def test_a_scripted_search_past_the_cap_is_unresolved(monkeypatch):
     """The pipeline runs the scripted branches' searches under the node
     budget: paying good 1 off at 4 x 10 searches the rest, past a budget

@@ -15,7 +15,6 @@ from mmsalloc.core import (
     to_ordered,
     validate_allocation,
 )
-from mmsalloc.domination import TailBundle
 from mmsalloc.errors import DanglingReference, PreconditionUnmet
 from mmsalloc.mms import mms_value, mu_vector
 from mmsalloc.reductions import (
@@ -202,10 +201,7 @@ def test_verify_step_rejects_mu_decrease_for_remaining_agent():
 # Six agents, ten goods (c = 4): a group of two tail triples sharing {6, 7}
 # leaves four agents outside it, d = 2 more than the n - c = 2 leading goods.
 SURPLUS_R = [12, 12, 12, 12, 6, 4, 4, 4, 4, 4]
-SURPLUS_GROUP = {
-    TailBundle(1, frozenset({6, 7, 9})),
-    TailBundle(2, frozenset({6, 7, 10})),
-}
+SURPLUS_GROUP = {1: frozenset({6, 7, 9}), 2: frozenset({6, 7, 10})}
 
 
 def test_goods_domination_awards_past_the_shared_singleton_zone():
@@ -246,12 +242,12 @@ COLLIDE_TAILS = {
 @pytest.mark.parametrize(
     "kind, row, group",
     [
-        (GOODS, COLLIDE_R, {TailBundle(a, COLLIDE_TAILS[a]) for a in (1, 2)}),
+        (GOODS, COLLIDE_R, {a: COLLIDE_TAILS[a] for a in (1, 2)}),
         # chores go out worst first: agent 3 takes chore 1, held by agent 1
         (
             CHORES,
             [-1] * 6,
-            {TailBundle(1, frozenset({1, 5})), TailBundle(2, frozenset({1, 6}))},
+            {1: frozenset({1, 5}), 2: frozenset({1, 6})},
         ),
     ],
     ids=["goods", "chores"],
