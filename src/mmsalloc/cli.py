@@ -111,6 +111,7 @@ def cmd_verify(instance_path: Path, result_path: Path) -> int:
     The trace is replayed against the companion instance recomputed from
     the instance file, never against the outcome's own copy of it, and the
     companion allocation it describes must lift to the reported allocation.
+    One share vector serves both; a search past its budget fails the check.
     """
     inst = instance_from_json(instance_path.read_text())
     doc = json.loads(result_path.read_text())
@@ -140,7 +141,13 @@ def cmd_verify(instance_path: Path, result_path: Path) -> int:
 
     ordered = to_ordered(inst)
     replay = ordered.instance
-    for pos, (rule, ok) in enumerate(verify_trace(replay, trace), start=1):
+    try:
+        verdicts = verify_trace(replay, trace)
+        shares = mu_vector(inst)
+    except MmsError as exc:
+        print(f"trace replay and shares: {exc}: FAIL")
+        return 2
+    for pos, (rule, ok) in enumerate(verdicts, start=1):
         if ok:
             print(f"trace step {pos} ({rule}): valid")
         else:
@@ -162,7 +169,6 @@ def cmd_verify(instance_path: Path, result_path: Path) -> int:
         print("trace: final allocation: not checked, as the checks above failed")
     else:
         companion = trace.allocation(replay.n)
-        shares = mu_vector(replay)
         short = [
             a
             for a in range(1, replay.n + 1)
@@ -177,7 +183,6 @@ def cmd_verify(instance_path: Path, result_path: Path) -> int:
         else:
             print("trace: final allocation: shares met, lifts to the allocation: pass")
 
-    shares = mu_vector(inst)
     for i in range(1, inst.n + 1):
         mu = shares[i - 1]
         got = bundle_value(inst, i, allocation[i - 1])

@@ -22,8 +22,8 @@ class MalformedDocument(MmsError):
 
 
 class TooLarge(MmsError):
-    """A search ran past its limit: the threshold search past its node
-    budget, or the reference enumeration past its ``n^m`` cap."""
+    """A search ran past its limit: a share or threshold search past its
+    node budget or the stack, or the reference enumeration past its cap."""
 
 
 class InternalInvariantViolation(MmsError):

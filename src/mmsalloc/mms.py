@@ -13,8 +13,8 @@ big-int bitset per row), stepped from the greedy value toward
 search.  A row of m < 2n items first sheds 2n - m singletons (the peel).
 Goods are decided by peeling the goods worth the target and bin
 completion on the rest (``_complete``); chores are packed item by item
-(``_pack``), each decision within its own node budget ``SEARCH_NODES``.
-A decision past its budget or the stack raises TooLarge.  The witness
+(``_pack``).  Each decision of either kind has its own node budget,
+``SEARCH_NODES``, and past it or the stack raises TooLarge.  The witness
 partition (``_split``) is the greedy partition when that meets the share,
 and otherwise the split of one decision at the share.  Both share one cache entry per sorted row: ``row_share`` asks for
 the value alone, as ``mms_value`` does, whose record builds its witness
@@ -39,8 +39,8 @@ from .core import CHORES, GOODS, Instance, as_exact, drop_oldest
 from .errors import DanglingReference, InternalInvariantViolation, TooLarge
 
 DEFAULT_EXHAUSTIVE_CAP = 10**8
-# Nodes one threshold search, or one chores share decision, may visit
-# before it gives up: about 10 s.
+# Nodes one threshold search, or one share decision, may visit before it
+# gives up: about 10 s.
 SEARCH_NODES = 10**7
 
 
@@ -190,18 +190,19 @@ def _share(vals: tuple, n: int, goods: bool) -> int:
 def _meets(vals, n: int, goods: bool, target: int):
     """A split of the row `vals` into n bundles that meets `target`, each
     bundle worth at least it (goods) or at most it (chores), as `_reaches`
-    or `_pack` returns it, or None when there is none.  A chores decision
-    stops at its node budget, and either kind past the interpreter's
-    recursion limit, with TooLarge, as the threshold search does."""
+    or `_pack` returns it, or None when there is none.  Past its node
+    budget or the interpreter's recursion limit it raises TooLarge, as the
+    threshold search does."""
+    left = [SEARCH_NODES]
     try:
         if goods:
-            return _reaches(vals, n, target)
-        return _pack(vals, _suffix_sums(vals), [0] * n, target, 0, [SEARCH_NODES])
+            return _reaches(vals, n, target, left)
+        return _pack(vals, _suffix_sums(vals), [0] * n, target, 0, left)
     except RecursionError:
         raise TooLarge(f"share search over {len(vals)} items past the stack") from None
 
 
-def _reaches(vals, n: int, target: int):
+def _reaches(vals, n: int, target: int, left: list):
     """A split of the goods row `vals` (non-increasing, >= 0) into n bundles
     each worth `target` (> 0), as lists of values, or None.
 
@@ -221,14 +222,14 @@ def _reaches(vals, n: int, target: int):
     slack = sum(vals[k:m]) - (n - k) * target
     if slack < 0:
         return None
-    split = _complete(list(vals[k:m]), n - k, target, slack)
+    split = _complete(list(vals[k:m]), n - k, target, slack, left)
     if split is not None:
         split[-1] += vals[m:]
         split += ([v] for v in vals[:k])
     return split
 
 
-def _complete(items: list, n: int, target: int, slack: int):
+def _complete(items: list, n: int, target: int, slack: int, left: list):
     """Bin completion: a split of the goods `items` (non-increasing, each in
     (0, target), summing to n * target + slack) into n bundles each worth
     `target`, or None.
@@ -245,15 +246,13 @@ def _complete(items: list, n: int, target: int, slack: int):
         return None
     rest = items[1:]
     need = target - items[0]
-    split = _extend(rest, _suffix_sums(rest), 0, need, [], n, target, slack)
+    split = _extend(rest, _suffix_sums(rest), 0, need, [], n, target, slack, left)
     if split is not None:
         split[-1].append(items[0])
     return split
 
 
-def _extend(
-    rest, suffix, start: int, need: int, chosen: list, n: int, target: int, slack: int
-):
+def _extend(rest, suffix, start, need, chosen: list, n, target, slack, left: list):
     """Add goods of rest[start:] to the bundle being completed, which lacks
     `need`; `chosen` lists the positions in `rest` it already holds.  On
     success the split's last bundle holds the goods of `chosen`.
@@ -261,16 +260,20 @@ def _extend(
     Of the goods that close the bundle alone only the smallest is tried:
     swapped with a larger one, it leaves the bundle closed and raises the
     other.  The goods below `need` are added in turn, each value once, and
-    the search goes on from the next position.  (A module-level recursion:
+    the search goes on from the next position.  Each call is one node,
+    charged to `left[0]` as `_pack` charges it.  (A module-level recursion:
     a nested one would leave a reference cycle per call.)"""
+    if left[0] <= 0:
+        raise TooLarge(f"share search past {SEARCH_NODES} nodes")
+    left[0] -= 1
     m = len(rest)
     j = start
     while j < m and rest[j] >= need:
         j += 1
     if j > start and rest[j - 1] - need <= slack:
         chosen.append(j - 1)
-        left = [v for i, v in enumerate(rest) if i not in chosen]
-        split = _complete(left, n - 1, target, slack - rest[j - 1] + need)
+        others = [v for i, v in enumerate(rest) if i not in chosen]
+        split = _complete(others, n - 1, target, slack - rest[j - 1] + need, left)
         if split is not None:
             split.append([rest[i] for i in chosen])
             return split
@@ -284,7 +287,7 @@ def _extend(
             continue
         last = v
         chosen.append(i)
-        split = _extend(rest, suffix, i + 1, need - v, chosen, n, target, slack)
+        split = _extend(rest, suffix, i + 1, need - v, chosen, n, target, slack, left)
         if split is not None:
             return split
         chosen.pop()

@@ -2,7 +2,7 @@
 
 Sort the instance into its companion, shrink the companion with valid
 reductions until a base case finishes it, lift the result back and certify
-it against independently recomputed maximin shares.  The item kind only
+it against the shares computed once, on the companion.  The item kind only
 decides which reductions and case analyses run; ``run`` takes those as a
 step function, which pushes reductions or finishes the residual, so the
 scheme itself exists once, and so does the shape guard on the steps'
@@ -174,44 +174,46 @@ class Pipeline:
 def _drive(pipe: Pipeline, step):
     """Shrink the residual until it is finished.
 
-    Returns (final allocation of the residual, "") or (None, reason).  A
+    Returns (final allocation of the residual, the companion's shares, "")
+    or (None, None, reason).  Those shares serve the first round too.  A
     step that pushed nothing (``pipe.current`` did not move) and returned
     None leaves the residual to the fallback search.  A search past its
     node budget, in the shares, the two-agent base, the step or the
     fallback, leaves it unresolved.
     """
     kind = pipe.companion.kind
-    while True:
-        cur = pipe.current
-        n, m = cur.n, cur.m
-        if n == 0:
-            return tuple(), ""
-        try:
+    try:
+        shares = mu_vector(pipe.companion)
+        while True:
+            cur = pipe.current
+            n, m = cur.n, cur.m
+            if n == 0:
+                return tuple(), shares, ""
             if n <= 2:
                 pipe.note("base:two-agent")
-                return base_identical_partitions(cur), ""
+                return base_identical_partitions(cur), shares, ""
             if m <= n:
                 # one leading item each, in order; empties beyond that
                 pipe.note(LEADING_NOTE[kind])
                 final = tuple(
                     frozenset({i}) if i <= m else frozenset() for i in range(1, n + 1)
                 )
-                return final, ""
-            mu = mu_vector(cur)
+                return final, shares, ""
+            mu = shares if cur is pipe.companion else mu_vector(cur)
             final = step(pipe, mu)
             if final is not None:
-                return final, ""
+                return final, shares, ""
             if pipe.current is not cur:
                 continue
             # no constructive route: exhaustive threshold search or give up
             final = pipe.settle(
                 mu, f"no constructive route at {n}x{m}", "fallback:threshold-search"
             )
-        except TooLarge as overrun:
-            return None, f"{overrun}; search budget exceeded"
-        if final is None:
-            return None, f"no allocation meets all shares at {n}x{m}"
-        return final, ""
+            if final is None:
+                return None, None, f"no allocation meets all shares at {n}x{m}"
+            return final, shares, ""
+    except TooLarge as overrun:
+        return None, None, f"{overrun}; search budget exceeded"
 
 
 def run(instance: Instance, kind: str, step) -> SolveOutcome:
@@ -221,13 +223,14 @@ def run(instance: Instance, kind: str, step) -> SolveOutcome:
     more items than agents: it returns the final allocation of the residual
     it leaves, or None to go round again if it pushed and to fall back to
     the threshold search if not.  Every search, the step's own included,
-    stops at its node budget.
+    stops at its node budget.  The certification reads the companion's
+    shares from ``_drive``: sorting a row keeps its share.
     """
     if instance.kind != kind:
         raise ValueError(f"{kind} instance required")
     ordered = to_ordered(instance)
     pipe = Pipeline(ordered.instance)
-    final, reason = _drive(pipe, step)
+    final, shares, reason = _drive(pipe, step)
     diagnostic = "; ".join(pipe.notes)
     if final is None:
         return SolveOutcome(
@@ -240,7 +243,6 @@ def run(instance: Instance, kind: str, step) -> SolveOutcome:
     trace, companion_alloc = pipe.finish(final)
     allocation = lift_allocation(ordered, companion_alloc, instance)
     status = "solved"
-    shares = mu_vector(instance)
     for i in range(1, instance.n + 1):
         if bundle_value(instance, i, allocation[i - 1]) < shares[i - 1]:
             status, allocation = "unresolved", None

@@ -10,6 +10,9 @@ import pytest
 from mmsalloc import cli, mms
 from mmsalloc.cli import main
 from mmsalloc.pipeline import SolveOutcome
+from test_pipeline import HARD_SECOND_ROW
+
+GOLDEN = Path(__file__).with_name("golden_outcomes.json")
 
 
 def run(capsys, *argv):
@@ -356,6 +359,43 @@ def test_scripted_search_past_the_oracle_cap_exits_two(
     doc = json.loads(out)
     assert doc["status"] == "unresolved"
     assert doc["diagnostic"].endswith("; search budget exceeded")
+
+
+def test_a_certification_share_past_its_budget_exits_two(
+    tmp_path, capsys, monkeypatch
+):
+    """The shares that certify a two-agent solve run under the node budget:
+    past it, the solve is unresolved, not an input error."""
+    path = tmp_path / "hard.json"
+    path.write_text(json.dumps({"kind": "chores", "valuations": HARD_SECOND_ROW}))
+    monkeypatch.setattr(mms, "SEARCH_NODES", 10**4)
+    code, out, err = run(capsys, "solve", "--input", str(path))
+    assert code == 2 and err == ""
+    doc = json.loads(out)
+    assert doc["status"] == "unresolved"
+    assert doc["diagnostic"].endswith("; search budget exceeded")
+
+
+def test_verify_past_the_share_budget_fails_the_check(tmp_path, capsys, monkeypatch):
+    """A solved outcome verified, from a cold share cache, under a budget of
+    0 nodes: the shares cannot be computed, which fails the check."""
+    case = json.loads(GOLDEN.read_text())[828]
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(
+        json.dumps({"kind": case["kind"], "valuations": case["valuations"]})
+    )
+    code, out, _ = run(capsys, "solve", "--input", str(inst_path))
+    assert code == 0
+    result = tmp_path / "result.json"
+    result.write_text(out)
+    mms.clear_caches()
+    monkeypatch.setattr(mms, "SEARCH_NODES", 0)
+    code, report, err = run(
+        capsys, "verify", "--instance", str(inst_path), "--result", str(result)
+    )
+    assert code == 2 and err == ""
+    fails = [line for line in report.splitlines() if line.endswith(": FAIL")]
+    assert fails == ["trace replay and shares: share search past 0 nodes: FAIL"]
 
 
 def test_a_share_search_past_the_stack_exits_two(tmp_path, capsys):

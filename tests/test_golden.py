@@ -107,16 +107,24 @@ def outcome_record(kind, rows, nodes):
     }
 
 
+def moved_fields(got: dict, want: dict) -> list:
+    """The fields, of either record, in which `got` differs from `want`."""
+    return [key for key in {**want, **got} if got.get(key) != want.get(key)]
+
+
 def test_outcomes_match_frozen_corpus():
     cases = json.loads(GOLDEN.read_text())
     assert len(cases) > 800
-    changed = [
-        pos
-        for pos, case in enumerate(cases)
-        if outcome_record(case["kind"], case["valuations"], case["nodes"])
-        != case["outcome"]
-    ]
-    assert not changed, f"{len(changed)} outcomes differ, first at entries {changed[:5]}"
+    changed = {}
+    for pos, case in enumerate(cases):
+        got = outcome_record(case["kind"], case["valuations"], case["nodes"])
+        if got != case["outcome"]:
+            changed[pos] = moved_fields(got, case["outcome"])
+    # every changed entry with the fields that moved, so that a diagnostic
+    # alone moving reads apart from a status moving
+    assert not changed, f"{len(changed)} outcomes differ: " + "; ".join(
+        f"entry {pos} ({', '.join(fields)})" for pos, fields in changed.items()
+    )
 
 
 if __name__ == "__main__":

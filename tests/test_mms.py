@@ -241,6 +241,19 @@ def test_a_chores_share_decision_stops_at_its_node_budget(monkeypatch):
         mms.row_share(ODD_CAPACITY_CHORES, 3, False)
 
 
+def test_a_goods_share_decision_stops_at_its_node_budget(monkeypatch):
+    """A goods decision is charged one node per bundle extension
+    (``_extend``), so it stops at its budget as a chores one does: this
+    row's share, 35, takes more than 100 nodes and fewer than 1000."""
+    row = [12] * 5 + [11] * 4 + [10] * 5
+    clear_caches()
+    monkeypatch.setattr(mms, "SEARCH_NODES", 100)
+    with pytest.raises(TooLarge, match="^share search past 100 nodes$"):
+        mms.row_share(row, 4, True)
+    monkeypatch.setattr(mms, "SEARCH_NODES", 1000)
+    assert mms.row_share(row, 4, True) == 35
+
+
 @pytest.mark.parametrize("row, kind", LONG_ROWS, ids=["goods", "chores"])
 def test_a_share_search_deeper_than_the_stack_is_too_large(row, kind):
     reason = f"^share search over {len(row)} items past the stack$"
@@ -683,7 +696,7 @@ def test_decision_search_at_tight_targets(monkeypatch):
     met target returns a split that meets it, a refuted one None."""
 
     def reaches(vals, n, target):
-        split = mms._reaches(vals, n, target)
+        split = mms._reaches(vals, n, target, [10**4])
         assert split is None or _split_meets(split, vals, n, target, True)
         return split is not None
 
@@ -717,11 +730,11 @@ def test_decision_search_at_tight_targets(monkeypatch):
     monkeypatch.undo()
     # Three or more bundles: exactly two goods a bundle, equal goods, zero
     # goods and slack 0.  Each decision enters `_complete` first with (open
-    # bundles, target, slack).
+    # bundles, target, slack), then its node budget.
     calls = []
     complete = mms._complete
     monkeypatch.setattr(
-        mms, "_complete", lambda *args: calls.append(args[1:]) or complete(*args)
+        mms, "_complete", lambda *args: calls.append(args[1:4]) or complete(*args)
     )
     for vals, n, target, met, entry in [
         ((9, 8, 8, 3, 2, 1), 3, 10, True, (3, 10, 1)),

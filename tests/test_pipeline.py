@@ -193,6 +193,40 @@ def test_a_share_search_past_its_budget_in_the_two_agent_base_is_unresolved(
     )
 
 
+# Two agents whose second row, summing past the subset-sum bitset limit,
+# takes more than 10^4 nodes to share out: the two-agent base asks only
+# agent 1's share, so the certification's shares meet this row first.
+HARD_SECOND_ROW = [[-1] * 32, [-300001] + [-200000] * 30 + [-1]]
+
+
+def test_a_certification_share_past_its_budget_is_unresolved(monkeypatch):
+    monkeypatch.setattr(mms, "SEARCH_NODES", 10**4)
+    out = solve_chores(make_instance(CHORES, HARD_SECOND_ROW))
+    assert out.status == "unresolved" and out.allocation is None
+    assert out.diagnostic.endswith(
+        "share search past 10000 nodes; search budget exceeded"
+    )
+
+
+def test_a_solve_asks_for_the_shares_once_per_round(monkeypatch):
+    """A step that finishes three agents in the first round: the one share
+    vector of that round also certifies the allocation."""
+    asked = []
+
+    def counted(instance):
+        asked.append(instance)
+        return share_vector(instance)
+
+    def finish(pipe, mu):
+        return (frozenset({1, 2}), frozenset({3}), frozenset({4}))
+
+    share_vector = pipeline.mu_vector
+    monkeypatch.setattr(pipeline, "mu_vector", counted)
+    out = run(make_instance(GOODS, ROWS), GOODS, finish)
+    assert out.status == "solved"
+    assert len(asked) == 1
+
+
 def test_a_scripted_search_past_the_cap_is_unresolved(monkeypatch):
     """The pipeline runs the scripted branches' searches under the node
     budget: paying good 1 off at 4 x 10 searches the rest, past a budget
@@ -289,6 +323,50 @@ def test_a_fallback_search_that_finds_nothing_is_unresolved(monkeypatch, case):
     assert out.status == "unresolved" and out.allocation is None and out.trace is None
     [shape] = shapes
     assert out.diagnostic.endswith(f"no allocation meets all shares at {shape}")
+
+
+def _seeded_pool(kind, seed, count=100):
+    """``count`` instances of 3 to 5 agents and n to n + 5 items valued
+    0..20, half of them uniform and half near-identical rows."""
+    rng = random.Random(seed)
+    sign = 1 if kind == GOODS else -1
+    pool = []
+    for k in range(count):
+        n = rng.randint(3, 5)
+        m = rng.randint(n, n + 5)
+        base = [rng.randint(0, 20) for _ in range(m)]
+        rows = [
+            [max(0, v + rng.randint(-1, 1)) for v in base]
+            if k % 2
+            else [rng.randint(0, 20) for _ in range(m)]
+            for _ in range(n)
+        ]
+        pool.append(make_instance(kind, [[sign * v for v in row] for row in rows]))
+    return pool
+
+
+@pytest.mark.parametrize("kind", [GOODS, CHORES])
+def test_solves_are_invariant_under_row_scaling_and_agent_order(kind):
+    """Scaling agent i's row by 100003 + 7i moves every share decision onto
+    the bisection path past the subset-sum bitset, and keeps the status and
+    the allocation.  Reversing the agents keeps each status and reverses
+    the share vector (ties go to the lowest agent id, so the allocation
+    itself may move)."""
+    solver = solve if kind == GOODS else solve_chores
+    for inst in _seeded_pool(kind, 31 if kind == GOODS else 32):
+        out = solver(inst)
+        scaled = make_instance(
+            kind,
+            [
+                [(100003 + 7 * i) * v for v in row]
+                for i, row in enumerate(inst.valuations, start=1)
+            ],
+        )
+        twin = solver(scaled)
+        assert (twin.status, twin.allocation) == (out.status, out.allocation)
+        flipped = make_instance(kind, inst.valuations[::-1])
+        assert solver(flipped).status == out.status
+        assert mms.mu_vector(flipped) == mms.mu_vector(inst)[::-1]
 
 
 def test_outcome_views_match_the_instance_and_trace_on_the_golden_corpus():
