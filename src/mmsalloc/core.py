@@ -3,9 +3,11 @@
 Valuations are exact throughout: an ``int`` when integral, otherwise a
 ``fractions.Fraction``.  So every comparison in a reduction precondition is
 decidable, and integer instances never leave plain integer arithmetic.
-Items and agents are 1-based everywhere.  Goods are non-negative, chores
-non-positive; in an ordered chores instance item 1 is the *worst* chore, so
-goods and chores code can share index conventions.
+Items and agents are 1-based everywhere.  A bundle is a frozenset of item
+ids; an allocation is a tuple of n pairwise disjoint bundles covering every
+item.  Goods are non-negative, chores non-positive; in an ordered chores
+instance item 1 is the *worst* chore, so goods and chores code can share
+index conventions.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ from .errors import EmptyMatrix, MalformedDocument, ShapeMismatch, SignViolation
 
 GOODS = "goods"
 CHORES = "chores"
-
-Bundle = frozenset  # of 1-based item ids
-Allocation = tuple  # of n Bundles, pairwise disjoint, covering {1..m}
 
 # The one frozenset of each distinct bundle, keyed by itself.  Instances have
 # n agents and about n items, so the allocations and traces of many solves

@@ -16,14 +16,15 @@ completion on the rest (``_complete``); chores are packed item by item
 (``_pack``).  Each decision of either kind has its own node budget,
 ``SEARCH_NODES``, and past it or the stack raises TooLarge.  The witness
 partition (``_split``) is the greedy partition when that meets the share,
-and otherwise the split of one decision at the share.  Both share one cache entry per sorted row: ``row_share`` asks for
-the value alone, as ``mms_value`` does, whose record builds its witness
-partition on first use.  ``mu_vector`` returns the shares of all agents
-by value and skips the records; the solver and certification use it, and
-trace replay for its base rows.  A structured witness
-(``structured_partition_goods``, ``structured_partition_chores``) is a
-tuple of n frozensets with as many leading singletons as the other items
-allow.  ``find_allocation_meeting`` is the exhaustive threshold search,
+and otherwise the split of one decision at the share; ``maximin_partition``
+is the only way to ask for one.  Both share one cache entry per sorted
+row: ``row_share`` asks for the value alone, as ``mms_value`` does, whose
+record holds the share and nothing else.  ``mu_vector`` returns the shares
+of all agents by value and skips the records; the solver and
+certification use it, and trace replay for its base rows.  A structured
+witness (``structured_partition_goods``, ``structured_partition_chores``)
+is a tuple of n frozensets with as many leading singletons as the other
+items allow.  ``find_allocation_meeting`` is the exhaustive threshold search,
 bounded by its node budget ``SEARCH_NODES``; on the solve path only the
 pipeline runs it.
 """
@@ -45,22 +46,14 @@ SEARCH_NODES = 10**7
 
 
 class MmsRecord:
-    """An agent's maximin share ``mu``; ``witness``, an n-partition in which
-    every bundle is worth ``mu`` or more, is built on first use."""
+    """An agent's maximin share ``mu``.  Its witness partition comes from
+    ``maximin_partition``."""
 
-    __slots__ = ("agent", "mu", "_find_witness", "_witness")
+    __slots__ = ("agent", "mu")
 
-    def __init__(self, agent: int, mu: int | Fraction, find_witness):
+    def __init__(self, agent: int, mu: int | Fraction):
         self.agent = agent
         self.mu = mu
-        self._find_witness = find_witness
-        self._witness = None
-
-    @property
-    def witness(self) -> tuple:
-        if self._witness is None:
-            self._witness = self._find_witness()
-        return self._witness
 
 
 # Share oracle results keyed by (sorted values, bundle count, goods?): a
@@ -489,17 +482,14 @@ def exhaustive_partition(
 
 
 def mms_value(instance: Instance, agent: int) -> MmsRecord:
-    """Exact maximin share of one agent.
-
-    The value comes from the decision search alone; the record's witness
-    partition is built on first use, as ``maximin_partition`` builds it.
-    Raises DanglingReference for an agent outside the instance.
+    """Exact maximin share of one agent, from the decision search alone;
+    its witness partition comes from ``maximin_partition``.  Raises
+    DanglingReference for an agent outside the instance.
     """
     _check_agent(instance, agent)
     return MmsRecord(
         agent,
         row_share(instance.valuations[agent - 1], instance.n, instance.kind == GOODS),
-        lambda: maximin_partition(instance, agent)[1],
     )
 
 

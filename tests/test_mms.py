@@ -66,9 +66,8 @@ def test_known_values_by_hand():
 
 def test_single_agent_takes_everything():
     inst = make_instance(GOODS, [[3, 1, 4]])
-    rec = mms_value(inst, 1)
-    assert rec.mu == 8
-    assert rec.witness == (frozenset({1, 2, 3}),)
+    assert mms_value(inst, 1).mu == 8
+    assert maximin_partition(inst, 1)[1] == (frozenset({1, 2, 3}),)
 
 
 def test_more_agents_than_items_gives_zero_or_worst_chore():
@@ -92,9 +91,10 @@ def test_witness_actually_achieves_mu():
             )
             for i in range(1, n + 1):
                 rec = mms_value(inst, i)
-                assert len(rec.witness) == n
+                witness = maximin_partition(inst, i)[1]
+                assert len(witness) == n
                 covered = set()
-                for b in rec.witness:
+                for b in witness:
                     assert bundle_value(inst, i, b) >= rec.mu
                     covered |= b
                 assert covered == set(range(1, m + 1))
@@ -571,11 +571,12 @@ def test_bnb_share_is_exact_within_its_bound_with_a_witness(kind):
                     vals = sorted((abs(v) for v in inst.row(i)), reverse=True)
                     bound = mms._share_bound(vals, n, goods)
                     assert (rec.mu <= bound) if goods else (-rec.mu >= bound)
-                    assert len(rec.witness) == n
-                    assert sorted(j for b in rec.witness for j in b) == list(
+                    witness = maximin_partition(inst, i)[1]
+                    assert len(witness) == n
+                    assert sorted(j for b in witness for j in b) == list(
                         range(1, m + 1)
                     )
-                    for b in rec.witness:
+                    for b in witness:
                         assert bundle_value(inst, i, b) >= rec.mu
                 if n**m <= 10**5:
                     assert mms_value(inst, 1).mu == exhaustive_partition(inst, 1)[0]
@@ -600,10 +601,6 @@ def test_witness_is_built_on_first_use(monkeypatch):
         assert tuple(mms_value(inst, i).mu for i in range(1, inst.n + 1)) == mu
         assert out.trace.steps
         assert all(ok for _, ok in verify_trace(out.ordered.instance, out.trace))
-    monkeypatch.undo()
-    for inst in instances:
-        for i in range(1, inst.n + 1):
-            assert mms_value(inst, i).witness == maximin_partition(inst, i)[1]
 
 
 def test_oracle_work_solving_the_criterion_3_head(monkeypatch):
@@ -1084,8 +1081,9 @@ def test_shares_agree_with_a_mixed_integer_program():
         )
         for i in range(1, n + 1):
             rec = mms_value(inst, i)
-            assert sorted(j for b in rec.witness for j in b) == list(range(1, m + 1))
-            assert min(bundle_value(inst, i, b) for b in rec.witness) == rec.mu
+            witness = maximin_partition(inst, i)[1]
+            assert sorted(j for b in witness for j in b) == list(range(1, m + 1))
+            assert min(bundle_value(inst, i, b) for b in witness) == rec.mu
             # variables: x[j, b] (item j in bundle b) in item-major order, then z
             row = inst.row(i)
             size = m * n + 1
@@ -1202,16 +1200,3 @@ def test_peel_identity_holds_for_n_plus_c_rows(kind):
         assert n**m <= 10**5
         row = sorted(_random_rows(rng, kind, 1, m, hi=30)[0], reverse=goods)
         assert exhaustive(row, n) == _peeled_share(row, n, goods, exhaustive)
-
-
-def test_record_builds_its_witness_once():
-    calls = []
-
-    def find():
-        calls.append(1)
-        return (frozenset({1}), frozenset({2}))
-
-    record = mms.MmsRecord(1, 3, find)
-    assert calls == []
-    assert record.witness is record.witness
-    assert (record.agent, record.mu, len(calls)) == (1, 3, 1)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from mmsalloc import core, mms, pipeline
+from mmsalloc.bounds import known_solvable
 from mmsalloc.core import (
     CHORES,
     GOODS,
@@ -323,6 +324,49 @@ def test_a_fallback_search_that_finds_nothing_is_unresolved(monkeypatch, case):
     assert out.status == "unresolved" and out.allocation is None and out.trace is None
     [shape] = shapes
     assert out.diagnostic.endswith(f"no allocation meets all shares at {shape}")
+
+
+# Threshold searches per chores shape (n, m) on the coverage pools when the
+# gate below landed; a shape left out had none.  A count may only fall.
+CHORES_FALLBACKS = {(3, 7): 3, (3, 8): 6, (4, 8): 1, (4, 9): 3}
+COVERAGE_POOL = 150
+
+
+def coverage_pool(kind, n, m):
+    """Seeded instances of one shape: rows of uniform values 0..20
+    alternating with rows that are one base row plus noise in [-1, 1]."""
+    rng = random.Random(f"{kind} {n}x{m} 11")
+    sign = 1 if kind == GOODS else -1
+    values, noise = range(21), (-1, 0, 1)
+    for k in range(COVERAGE_POOL):
+        if k % 2 == 0:
+            rows = [rng.choices(values, k=m) for _ in range(n)]
+        else:
+            base = rng.choices(values, k=m)
+            rows = [
+                [max(0, b + d) for b, d in zip(base, rng.choices(noise, k=m))]
+                for _ in range(n)
+            ]
+        yield make_instance(kind, [[sign * v for v in row] for row in rows])
+
+
+def test_constructive_routes_cover_small_surplus_shapes():
+    """3-6 agents with n + 1..n + 5 items, every shape in scope: no goods
+    instance reaches the threshold search, chores instances reach it no
+    more often than when this gate landed, and none ends unresolved."""
+    fallbacks = {}
+    for kind in (GOODS, CHORES):
+        for n in range(3, 7):
+            for m in range(n + 1, n + 6):
+                assert known_solvable(kind, n, m)
+                for inst in coverage_pool(kind, n, m):
+                    out = (solve if kind == GOODS else solve_chores)(inst)
+                    assert out.status == "solved", (inst.valuations, out.diagnostic)
+                    if "fallback:threshold-search" in out.diagnostic:
+                        fallbacks[kind, n, m] = fallbacks.get((kind, n, m), 0) + 1
+    assert [shape for shape in fallbacks if shape[0] == GOODS] == []
+    for (_, n, m), count in fallbacks.items():
+        assert count <= CHORES_FALLBACKS.get((n, m), 0), (n, m)
 
 
 def _seeded_pool(kind, seed, count=100):

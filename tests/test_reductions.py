@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmsalloc import mms, reductions
 from mmsalloc.core import (
     CHORES,
     GOODS,
@@ -16,7 +17,7 @@ from mmsalloc.core import (
     validate_allocation,
 )
 from mmsalloc.errors import DanglingReference, PreconditionUnmet
-from mmsalloc.mms import mms_value, mu_vector
+from mmsalloc.mms import maximin_partition, mms_value, mu_vector
 from mmsalloc.reductions import (
     apply_with_maps,
     base_identical_partitions,
@@ -291,9 +292,29 @@ def test_two_agent_base_breaks_a_tie_by_sorted_item_ids(kind):
     sorted item ids come first, here the second bundle of the witness."""
     sign = 1 if kind == GOODS else -1
     inst = make_instance(kind, [[sign * v for v in (1, 5, 4, 3, 3)], [0] * 5])
-    witness = mms_value(inst, 1).witness
+    witness = maximin_partition(inst, 1)[1]
     assert witness == (frozenset({2, 5}), frozenset({1, 3, 4}))
     assert base_identical_partitions(inst) == witness
+
+
+@pytest.mark.parametrize("kind", [GOODS, CHORES])
+def test_two_agent_base_asks_for_no_share_of_its_own(kind, monkeypatch):
+    """The base reads agent 1's witness from ``maximin_partition`` alone:
+    no share query sorts and probes the row first."""
+    calls = []
+    share = mms.row_share
+
+    def spy(*args):
+        calls.append(args)
+        return share(*args)
+
+    for module in (mms, reductions):
+        monkeypatch.setattr(module, "row_share", spy)
+    sign = 1 if kind == GOODS else -1
+    rows = [[sign * v for v in (9, 7, 6, 4, 3)], [sign * v for v in (8, 8, 5, 2, 1)]]
+    inst = to_ordered(make_instance(kind, rows)).instance
+    validate_allocation(inst, base_identical_partitions(inst))
+    assert calls == []
 
 
 def test_trace_json_round_trip():

@@ -15,7 +15,12 @@ from mmsalloc.bounds import known_solvable
 from mmsalloc.core import GOODS, bundle_value, make_instance, to_ordered
 from mmsalloc import mms
 from mmsalloc.errors import TooLarge
-from mmsalloc.mms import mms_value, mu_vector, structured_partition_goods
+from mmsalloc.mms import (
+    maximin_partition,
+    mms_value,
+    mu_vector,
+    structured_partition_goods,
+)
 from mmsalloc.reductions import ReductionTrace, verify_step, verify_trace
 from mmsalloc.pipeline import Pipeline
 from mmsalloc import solver_goods
@@ -375,21 +380,44 @@ def test_reduce_2n2_pivot_pair_branch():
     assert verify_step(ordered.instance, step)
 
 
+PIVOT_PAIR_ROWS = [
+    [8, 7, 7, 6, 5, 4, 4, 3], [9, 8, 7, 7, 7, 6, 5, 1], [9, 9, 6, 4, 4, 4, 4, 3]
+]
+
+
 def test_reduce_2n2_prefers_the_agent_without_a_pivot_pair():
     """The witnesses of agents 1 and 2 pair good 1 with goods 4 and 3;
     agent 3's pairs goods 2 and 6.  The worst pivot pair, {1, 4}, is agent
     1's, but agent 3, who lacks a pair through good 1, accepts it and
     takes priority."""
-    rows = [[8, 7, 7, 6, 5, 4, 4, 3], [9, 8, 7, 7, 7, 6, 5, 1], [9, 9, 6, 4, 4, 4, 4, 3]]
-    cur = to_ordered(make_instance(GOODS, rows)).instance
+    cur = to_ordered(make_instance(GOODS, PIVOT_PAIR_ROWS)).instance
     mu = mu_vector(cur)
     pairs = [
-        [b for b in mms_value(cur, i).witness if len(b) == 2] for i in (1, 2, 3)
+        [b for b in maximin_partition(cur, i)[1] if len(b) == 2] for i in (1, 2, 3)
     ]
     assert pairs == [[{2, 3}, {1, 4}], [{1, 3}], [{2, 6}]]
     step = reduce_2n2(cur, mu)
     assert step.assignments == ((3, frozenset({1, 4})),)
     assert verify_step(cur, step)
+
+
+def test_reduce_2n2_asks_for_no_share_of_its_own(monkeypatch):
+    """The pivot scan reads each agent's witness from ``maximin_partition``
+    alone: no share query per agent."""
+    cur = to_ordered(make_instance(GOODS, PIVOT_PAIR_ROWS)).instance
+    mu = mu_vector(cur)
+    calls = []
+    share = mms.row_share
+
+    def spy(*args):
+        calls.append(args)
+        return share(*args)
+
+    for module in (mms, solver_goods):
+        monkeypatch.setattr(module, "row_share", spy)
+    step = reduce_2n2(cur, mu)
+    assert calls == []
+    assert step.assignments == ((3, frozenset({1, 4})),)
 
 
 def _largest_companion_rule(cur, mu, pivot, companion, missing):
