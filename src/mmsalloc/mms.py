@@ -16,17 +16,17 @@ completion on the rest (``_complete``); chores are packed item by item
 (``_pack``).  Each decision of either kind has its own node budget,
 ``SEARCH_NODES``, and past it or the stack raises TooLarge.  The witness
 partition (``_split``) is the greedy partition when that meets the share,
-and otherwise the split of one decision at the share; ``maximin_partition``
-is the only way to ask for one.  Both share one cache entry per sorted
-row: ``row_share`` asks for the value alone, as ``mms_value`` does, whose
-record holds the share and nothing else.  ``mu_vector`` returns the shares
-of all agents by value and skips the records; the solver and
-certification use it, and trace replay for its base rows.  A structured
-witness (``structured_partition_goods``, ``structured_partition_chores``)
-is a tuple of n frozensets with as many leading singletons as the other
-items allow.  ``find_allocation_meeting`` is the exhaustive threshold search,
-bounded by its node budget ``SEARCH_NODES``; on the solve path only the
-pipeline runs it.
+and otherwise the split of one decision at the share, computed afresh on
+each request; ``maximin_partition`` is the only way to ask for one.  The
+share cache maps each sorted row to its share alone: ``row_share`` reads
+it, as ``mms_value`` does, whose record holds the share and nothing else.
+``mu_vector`` returns the shares of all agents by value and skips the
+records; the solver and certification use it, and trace replay for its
+base rows.  A structured witness (``structured_partition_goods``,
+``structured_partition_chores``) is a tuple of n frozensets with as many
+leading singletons as the other items allow.  ``find_allocation_meeting``
+is the exhaustive threshold search, bounded by its node budget
+``SEARCH_NODES``; on the solve path only the pipeline runs it.
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ class MmsRecord:
         self.mu = mu
 
 
-# Share oracle results keyed by (sorted values, bundle count, goods?): a
-# list [share, witness assignment or None], the assignment filled in when a
-# witness is first asked for (`_split`).  Once the cache holds
-# _BNB_CACHE_LIMIT entries its oldest quarter is evicted (``drop_oldest``).
+# Shares keyed by (sorted values, bundle count, goods?).  Once the cache
+# holds _BNB_CACHE_LIMIT entries its oldest quarter is evicted
+# (``drop_oldest``).
 _BNB_CACHE_LIMIT = 1 << 14
 _bnb_cache: dict = {}
 
@@ -321,30 +320,28 @@ def _pack(vals, suffix, loads, capacity: int, t: int, left: list):
     return None
 
 
-def _entry(key: tuple, entry) -> list:
-    """The cache entry [share, assignment or None] of `key` given what a
-    probe for it returned, `entry`: made and stored on a miss (None)."""
-    if entry is None:
+def _entry(key: tuple, share) -> int:
+    """The cached share of `key` given what a probe for it returned,
+    `share`: computed and stored on a miss (None)."""
+    if share is None:
         if len(_bnb_cache) >= _BNB_CACHE_LIMIT:
             drop_oldest(_bnb_cache)
-        entry = _bnb_cache[key] = [_share(*key), None]
-    return entry
+        share = _bnb_cache[key] = _share(*key)
+    return share
 
 
-def _split(vals: tuple, n: int, goods: bool) -> list:
-    """The cache entry of the non-increasing integer row `vals` (>= 0) with
-    its witness: [share, assignment list mapping item position -> bundle].
+def _split(vals: tuple, n: int, goods: bool) -> tuple:
+    """The share of the non-increasing integer row `vals` (>= 0) and a
+    witness: (share, assignment list mapping item position -> bundle).
 
-    The witness is the greedy partition (each item in row order to the
-    first least-loaded bundle) when that meets the share, and otherwise the
-    split one decision at the share returns; a goods split holds values,
-    which map back to positions because equal values are interchangeable.
+    The share comes from the cache; the witness is computed on each call.
+    It is the greedy partition (each item in row order to the first
+    least-loaded bundle) when that meets the share, and otherwise the split
+    one decision at the share returns; a goods split holds values, which
+    map back to positions because equal values are interchangeable.
     """
     key = (vals, n, goods)
-    entry = _entry(key, _bnb_cache.get(key))
-    if entry[1] is not None:
-        return entry
-    share = entry[0]
+    share = _entry(key, _bnb_cache.get(key))
     loads = [0] * n
     assign = [0] * len(vals)
     for t, v in enumerate(vals):
@@ -364,8 +361,7 @@ def _split(vals: tuple, n: int, goods: bool) -> list:
                     assign[where[v].pop()] = b
         else:
             assign = split
-    entry[1] = assign
-    return entry
+    return share, assign
 
 
 def _scaled(values, sign: int):
@@ -394,14 +390,14 @@ def row_share(row, bundles: int, goods: bool) -> int | Fraction:
     sign = 1 if goods else -1
     vals = tuple(sorted(row, reverse=True) if goods else [-v for v in sorted(row)])
     key = (vals, bundles, goods)
-    entry = _bnb_cache.get(key)
-    if entry is None:
+    share = _bnb_cache.get(key)
+    if share is None:
         if type(sum(vals)) is not int:
             scaled, scale = _scaled(vals, 1)
             key = (tuple(scaled), bundles, goods)
-            return _unscaled(_entry(key, _bnb_cache.get(key))[0], sign, scale)
-        entry = _entry(key, None)
-    return sign * entry[0]
+            return _unscaled(_entry(key, _bnb_cache.get(key)), sign, scale)
+        share = _entry(key, None)
+    return sign * share
 
 
 def _check_agent(instance: Instance, agent: int) -> None:
@@ -454,31 +450,31 @@ def exhaustive_partition(
     n, m = instance.n, instance.m
     if n**m > cap:
         raise TooLarge(f"{n}^{m} assignments exceed the cap {cap}")
-    row = instance.row(agent)
-    sums = [0] * n
-    assign = [0] * m
-    best_value = None
-    best_assign = None
-
-    def walk(t: int) -> None:
-        nonlocal best_value, best_assign
-        if t == m:
-            v = min(sums)
-            if best_value is None or v > best_value:
-                best_value = v
-                best_assign = assign[:]
-            return
-        for j in range(n):
-            sums[j] += row[t]
-            assign[t] = j
-            walk(t + 1)
-            sums[j] -= row[t]
-
-    walk(0)
+    best = [None, None]
+    _walk(instance.row(agent), [0] * n, [0] * m, 0, best)
+    best_value, best_assign = best
     parts = [set() for _ in range(n)]
     for pos, b in enumerate(best_assign):
         parts[b].add(pos + 1)
     return best_value, tuple(frozenset(p) for p in parts)
+
+
+def _walk(row, sums, assign, t: int, best: list) -> None:
+    """Every assignment of items t.. to the bundles of `sums`, unpruned;
+    `best` holds [value, assignment] of the first best one found.  (A
+    module-level recursion: a nested one would leave a reference cycle per
+    call.)"""
+    if t == len(row):
+        v = min(sums)
+        if best[0] is None or v > best[0]:
+            best[0] = v
+            best[1] = assign[:]
+        return
+    for j in range(len(sums)):
+        sums[j] += row[t]
+        assign[t] = j
+        _walk(row, sums, assign, t + 1, best)
+        sums[j] -= row[t]
 
 
 def mms_value(instance: Instance, agent: int) -> MmsRecord:

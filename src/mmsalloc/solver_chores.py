@@ -27,6 +27,7 @@ from .mms import structured_partition_chores
 from .mms import mms_value  # noqa: F401
 from .pipeline import Pipeline, SolveOutcome, run
 from .reductions import (
+    RULE_PAIR_BLOCKABLE,
     make_step,
     reduce_by_tail_group,
     reduce_pair_blockable,
@@ -75,7 +76,7 @@ def _witness_base(pipe: Pipeline, i: int, part, mu):
                 alloc[x - 1] = b
             pipe.note("chores_base:pair_to_other")
             return tuple(alloc)
-        pipe.push(make_step("pair_blockable", {i: pair}), "chores_base:pair_to_self")
+        pipe.push(make_step(RULE_PAIR_BLOCKABLE, {i: pair}), "chores_base:pair_to_self")
     return None
 
 

@@ -21,7 +21,9 @@ imports ``known_solvable``, and no solver imports ``n_c_chores`` (only
 ``cli``, for ``mmsalloc bound``, does).  The solvers' scripted routes
 start where the guarded rules stop, so the solvers name the simple rules
 only in the rules tuple they hand ``Pipeline.push_guarded``: an unguarded
-re-run cannot come back.  Another keeps records small:
+re-run cannot come back.  Every step names its rule by a ``RULE_*``
+constant of ``reductions``; only ``trace_from_json`` reads the rule from
+the document it parses.  Another keeps records small:
 every frozen dataclass is also slotted.  Another keeps wrappers out: every
 frozen dataclass has two fields or more, so a single value travels between
 helpers as itself, not in a record that callers unpack again.  A last
@@ -270,6 +272,27 @@ def test_solvers_run_simple_rules_only_through_the_guard(module, rules):
     uses = list(simple_rule_uses(PACKAGE / module))
     assert {name for name, _ in uses} == rules
     assert [name for name, guarded in uses if not guarded] == []
+
+
+def make_step_rules(path: Path):
+    """(function, first argument) of each ``make_step`` call in the module,
+    once for each function around it."""
+    for func in ast.walk(ast.parse(path.read_text())):
+        if isinstance(func, ast.FunctionDef):
+            for call in ast.walk(func):
+                callee = call.func if isinstance(call, ast.Call) else None
+                if getattr(callee, "id", getattr(callee, "attr", None)) == "make_step":
+                    yield func.name, call.args[0] if call.args else None
+
+
+def test_every_step_names_its_rule_by_constant():
+    loose = [
+        f"{path.stem}.{func}"
+        for path in MODULES
+        for func, rule in make_step_rules(path)
+        if not (isinstance(rule, ast.Name) and rule.id.startswith("RULE_"))
+    ]
+    assert loose == ["reductions.trace_from_json"]
 
 
 def test_a_fresh_import_loads_no_command_line_code():

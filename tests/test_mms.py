@@ -1,5 +1,6 @@
 """Maximin-share oracles: exact values, witnesses, and helper searches."""
 
+import copy
 import functools
 import gc
 import heapq
@@ -31,7 +32,7 @@ from mmsalloc import (
     to_ordered,
     validate_allocation,
 )
-from mmsalloc import mms
+from mmsalloc import mms, pipeline, solver_chores, solver_goods
 from mmsalloc.errors import DanglingReference, TooLarge
 from mmsalloc.mms import (
     clear_caches,
@@ -630,6 +631,65 @@ def test_oracle_work_solving_the_criterion_3_head(monkeypatch):
     assert len(mms._bnb_cache) <= 136
 
 
+def _mixed_pool(kind, seed):
+    """200 instances of 3 to 5 agents and n to n + 5 items valued
+    0..20, uniform rows alternating with near-identical ones (one base row
+    plus noise in [-1, 1])."""
+    rng = random.Random(seed)
+    sign = 1 if kind == GOODS else -1
+    pool = []
+    for k in range(200):
+        n = rng.randint(3, 5)
+        m = rng.randint(n, n + 5)
+        base = [rng.randint(0, 20) for _ in range(m)]
+        rows = [
+            [max(0, v + rng.randint(-1, 1)) for v in base]
+            if k % 2
+            else [rng.randint(0, 20) for _ in range(m)]
+            for _ in range(n)
+        ]
+        pool.append(make_instance(kind, [[sign * v for v in row] for row in rows]))
+    return pool
+
+
+def test_the_share_cache_holds_each_row_share_and_nothing_else(monkeypatch):
+    """Seeded goods and chores pools, solved from a cold cache, reach every
+    solve-time witness read: the two-agent base, the chores structured
+    witnesses and the 2n + 2 pivot scan.  They leave each row's share in
+    the cache and nothing else.  A witness is computed on each request:
+    asking for one after the share of the same row adds no entry and
+    changes none."""
+    reached = {}
+    for module, name in (
+        (pipeline, "base_identical_partitions"),
+        (solver_chores, "structured_partition_chores"),
+        (solver_goods, "reduce_2n2"),
+    ):
+        reached[name] = 0
+
+        def spy(*args, _original=getattr(module, name), _name=name):
+            reached[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    pools = _mixed_pool(GOODS, 31) + _mixed_pool(CHORES, 31)
+    clear_caches()
+    for inst in pools:
+        assert _solve(inst).status == "solved"
+    assert all(reached.values()), reached
+    cache = mms._bnb_cache
+    assert cache and [v for v in cache.values() if type(v) is not int] == []
+    assert all(share == mms._share(*key) for key, share in cache.items())
+    for inst in pools:
+        goods = inst.kind == GOODS
+        for i, row in enumerate(inst.valuations, start=1):
+            mms.row_share(row, inst.n, goods)
+            key = (tuple(sorted((abs(v) for v in row), reverse=True)), inst.n, goods)
+            size, entry = len(cache), copy.deepcopy(cache[key])
+            maximin_partition(inst, i)
+            assert len(cache) == size and cache[key] == entry
+
+
 def _greedy(vals, n, goods):
     """The value of the greedy (longest processing time) partition."""
     loads = [0] * n
@@ -664,6 +724,28 @@ def test_witness_search_leaves_no_reference_cycle(kind):
     gc.disable()
     try:
         maximin_partition(inst, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "kind, expected",
+    [
+        (GOODS, (10, (frozenset({1, 7}), frozenset({2, 4}), frozenset({3, 5, 6})))),
+        (CHORES, (-11, (frozenset({1, 6}), frozenset({2, 4}), frozenset({3, 5, 7})))),
+    ],
+)
+def test_reference_enumeration_leaves_no_reference_cycle(kind, expected):
+    """The reference enumeration leaves nothing for the cycle collector: its
+    recursion is a module-level function, not a closure.  Of equally good
+    assignments it keeps the first it meets."""
+    sign = 1 if kind == GOODS else -1
+    inst = make_instance(kind, [[sign * v for v in (9, 7, 5, 4, 3, 2, 1)]] * 3)
+    gc.collect()
+    gc.disable()
+    try:
+        assert exhaustive_partition(inst, 1) == expected
         assert gc.collect() == 0
     finally:
         gc.enable()
